@@ -1,428 +1,58 @@
-//! Monte-Carlo checkpoint persistence.
+//! Study checkpoints: the version-3 document resumable studies persist.
 //!
-//! Long mismatch studies get interrupted — a laptop lid, a CI timeout, a
-//! faulted sample worth inspecting before continuing. This module writes
-//! every completed sample (pass *or* fail) to a small JSON file so
-//! [`iip2_study`](crate::montecarlo::iip2_study) can resume without
-//! recomputing. Per-sample RNG seeding makes the skip exact: sample `k`
-//! draws the same mismatch whether or not samples `0..k` were replayed.
+//! Long studies get interrupted — a laptop lid, a CI timeout, a faulted
+//! sample worth inspecting before continuing. The study driver
+//! ([`crate::study::run_study`]) writes every completed unit (pass *or*
+//! fail) to a small JSON document so a later invocation resumes without
+//! recomputing. Per-index seeding makes the skip exact: unit `k`
+//! computes the same result whether or not units `0..k` were replayed.
 //!
-//! The JSON is hand-rolled (the workspace carries no serialization
-//! dependency) and deliberately small:
+//! ## The document (version 3)
 //!
-//! ```json
-//! {
-//!   "version": 1,
-//!   "seed": 53733,
-//!   "sigma_vt": 0.002,
-//!   "sigma_kp_frac": 0.005,
-//!   "samples": [
-//!     {"index": 0, "ok": true, "iip2_dbm": 66.2},
-//!     {"index": 7, "ok": false, "trace": "dc operating point: ..."}
-//!   ]
-//! }
-//! ```
-//!
-//! Failed samples persist their trace *summary* line only; the full
-//! attempt table lives in the process that observed the failure. A
-//! checkpoint whose mismatch configuration (seed or σ values) differs
-//! from the requested study is ignored rather than trusted — resuming
-//! someone else's run would silently mix distributions.
-//!
-//! ## Generic study checkpoints (version 2)
-//!
-//! The Monte-Carlo format above is pinned (version 1) and stays as-is.
-//! Other interruptible sweeps — corner sweeps today, any indexed study
-//! tomorrow — use the *generic* version-2 document written by
-//! [`save_study`] and read back by [`load_study`]: a study label, a
-//! flat `(name, value)` configuration fingerprint, and one record per
-//! completed unit (a flat `f64` payload on success, a trace summary on
-//! failure):
+//! A study label, a flat `(name, value)` configuration fingerprint, the
+//! unit count, a `completed` bitmap (`'1'` per finished index) and one
+//! sparse, any-order record per completed unit — a flat `f64` payload on
+//! success, the trace summary on failure:
 //!
 //! ```json
 //! {
-//!   "version": 2,
+//!   "version": 3.0,
 //!   "study": "corners",
-//!   "config": [["base.vdd", 1.2], ["corner0.temp_c", 27.0]],
+//!   "config": [
+//!     ["base.vdd", 1.2],
+//!     ["corner0.temp_c", 27.0]
+//!   ],
+//!   "total": 4,
+//!   "completed": "1010",
 //!   "records": [
-//!     {"index": 0, "ok": true, "values": [1.0, 2.0]},
-//!     {"index": 1, "ok": false, "trace": "dc operating point: ..."}
+//!     {"index": 2, "ok": true, "values": [1.0, 2.0]},
+//!     {"index": 0, "ok": false, "trace": "dc operating point: ..."}
 //!   ]
 //! }
 //! ```
 //!
-//! The same trust rule applies: a document whose study label or
-//! configuration fingerprint differs from the request is ignored, never
-//! merged.
+//! A work-stealing pool completes units out of order, so the completed
+//! set is explicit rather than implied by a prefix. The bitmap and the
+//! record index set must agree exactly; any divergence (a torn file, a
+//! partial external edit) rejects the whole document rather than
+//! resuming from a lie. A document whose study label or configuration
+//! fingerprint differs from the request is ignored, never merged —
+//! resuming someone else's run would silently mix distributions.
+//! Failed units persist their trace *summary* line only; the full
+//! attempt table lives in the process that observed the failure.
+//!
+//! Rendering and parsing share `remix-telemetry`'s JSON (the workspace
+//! carries no serialization dependency).
 
 use crate::montecarlo::{MismatchConfig, SampleOutcome};
-use remix_analysis::ConvergenceTrace;
+use remix_telemetry::{json_str, parse_json, JsonValue};
 use std::fmt::Write as _;
 use std::path::Path;
 
-const VERSION: f64 = 1.0;
+const BITMAP_VERSION: f64 = 3.0;
 
-// ---------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders the checkpoint document for `outcomes[i]` = sample `i`.
-///
-/// Non-finite IIP2 values (which should not occur — an `Ok` outcome is a
-/// solved sample) are dropped rather than emitted as invalid JSON, so
-/// the sample is simply recomputed on resume.
-pub fn render(mm: &MismatchConfig, outcomes: &[SampleOutcome]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"version\": {VERSION:?},");
-    let _ = writeln!(out, "  \"seed\": {},", mm.seed);
-    let _ = writeln!(out, "  \"sigma_vt\": {:?},", mm.sigma_vt);
-    let _ = writeln!(out, "  \"sigma_kp_frac\": {:?},", mm.sigma_kp_frac);
-    let _ = writeln!(out, "  \"samples\": [");
-    let mut first = true;
-    for (i, o) in outcomes.iter().enumerate() {
-        let line = match o {
-            SampleOutcome::Ok(v) if v.is_finite() => {
-                format!("    {{\"index\": {i}, \"ok\": true, \"iip2_dbm\": {v:?}}}")
-            }
-            SampleOutcome::Ok(_) => continue,
-            SampleOutcome::Failed(trace) => format!(
-                "    {{\"index\": {i}, \"ok\": false, \"trace\": \"{}\"}}",
-                escape_json(&trace.summary())
-            ),
-        };
-        if !first {
-            let _ = writeln!(out, ",");
-        }
-        let _ = write!(out, "{line}");
-        first = false;
-    }
-    let _ = writeln!(out);
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
-/// Writes the checkpoint for the completed `outcomes` to `path`,
-/// atomically (see [`atomic_write`]): a crash mid-save leaves the
-/// previous checkpoint intact, never a torn file.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from the underlying write or rename.
-pub fn save(path: &Path, mm: &MismatchConfig, outcomes: &[SampleOutcome]) -> std::io::Result<()> {
-    let result = atomic_write(path, &render(mm, outcomes));
-    checkpoint_event("save", path, result.is_ok(), outcomes.len());
-    result
-}
-
-/// Crash-safe file replacement (tmp + fsync + rename), shared with the
-/// rest of the stack through [`remix_exec::atomic_write`]: a kill at
-/// any instant leaves either the old file or the new one — an in-place
-/// `fs::write` could leave a torn prefix that [`load`]/[`load_study`]
-/// would have to reject, losing every completed sample.
-fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
-    remix_exec::atomic_write(path, contents)
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON parser (objects, arrays, strings, numbers, bools, null)
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Option<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> Option<()> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn value(&mut self) -> Option<Json> {
-        self.skip_ws();
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => self.string().map(Json::Str),
-            b't' => self.eat_literal("true").map(|()| Json::Bool(true)),
-            b'f' => self.eat_literal("false").map(|()| Json::Bool(false)),
-            b'n' => self.eat_literal("null").map(|()| Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn object(&mut self) -> Option<Json> {
-        self.eat(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Some(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let val = self.value()?;
-            pairs.push((key, val));
-            self.skip_ws();
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Some(Json::Obj(pairs));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn array(&mut self) -> Option<Json> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Some(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Some(Json::Arr(items));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek()? {
-                b'"' => {
-                    self.pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.peek()? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            self.pos += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Consume one full UTF-8 scalar, not one byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).ok()?;
-                    let ch = rest.chars().next()?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Option<Json> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()?
-            .parse::<f64>()
-            .ok()
-            .map(Json::Num)
-    }
-}
-
-fn parse(text: &str) -> Option<Json> {
-    let mut p = Parser::new(text);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos == p.bytes.len() {
-        Some(v)
-    } else {
-        None
-    }
-}
-
-// ---------------------------------------------------------------------
-// Loader
-// ---------------------------------------------------------------------
-
-/// Parses checkpoint text into `(index, outcome)` pairs, or `None` when
-/// the document is malformed or was written for a different mismatch
-/// configuration (seed or σ mismatch).
-pub fn restore(text: &str, mm: &MismatchConfig) -> Option<Vec<(usize, SampleOutcome)>> {
-    let doc = parse(text)?;
-    if doc.get("version")?.as_num()? != VERSION {
-        return None;
-    }
-    let same_config = doc.get("seed")?.as_num()? == mm.seed as f64
-        && doc.get("sigma_vt")?.as_num()? == mm.sigma_vt
-        && doc.get("sigma_kp_frac")?.as_num()? == mm.sigma_kp_frac;
-    if !same_config {
-        return None;
-    }
-    let samples = match doc.get("samples")? {
-        Json::Arr(items) => items,
-        _ => return None,
-    };
-    let mut out = Vec::with_capacity(samples.len());
-    for s in samples {
-        let index = s.get("index")?.as_num()?;
-        if index < 0.0 || index.fract() != 0.0 {
-            return None;
-        }
-        let outcome = if s.get("ok")?.as_bool()? {
-            SampleOutcome::Ok(s.get("iip2_dbm")?.as_num()?)
-        } else {
-            SampleOutcome::Failed(ConvergenceTrace::new(s.get("trace")?.as_str()?))
-        };
-        out.push((index as usize, outcome));
-    }
-    Some(out)
-}
-
-/// Reads and validates the checkpoint at `path`; `None` when the file is
-/// missing, unreadable, malformed, or from a different configuration.
-pub fn load(path: &Path, mm: &MismatchConfig) -> Option<Vec<(usize, SampleOutcome)>> {
-    let restored = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| restore(&text, mm));
-    checkpoint_event(
-        "load",
-        path,
-        restored.is_some(),
-        restored.as_ref().map_or(0, Vec::len),
-    );
-    restored
-}
-
-// ---------------------------------------------------------------------
-// Generic study checkpoints (version 2)
-// ---------------------------------------------------------------------
-
-const STUDY_VERSION: f64 = 2.0;
-
-/// Outcome of one completed study unit, in the flat form the version-2
-/// checkpoint persists.
+/// Outcome of one completed study unit, in the flat form the checkpoint
+/// persists.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StudyOutcome {
     /// The unit solved; its result flattened to scalars (the study
@@ -433,168 +63,8 @@ pub enum StudyOutcome {
     Failed(String),
 }
 
-/// Renders a version-2 study checkpoint for the completed `records`
-/// (`(index, outcome)` pairs, any order).
-///
-/// Successful records containing non-finite values are dropped rather
-/// than emitted as invalid JSON; those units simply recompute on resume.
-pub fn render_study(
-    study: &str,
-    config: &[(String, f64)],
-    records: &[(usize, StudyOutcome)],
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"version\": {STUDY_VERSION:?},");
-    let _ = writeln!(out, "  \"study\": \"{}\",", escape_json(study));
-    let _ = writeln!(out, "  \"config\": [");
-    for (i, (name, value)) in config.iter().enumerate() {
-        let comma = if i + 1 == config.len() { "" } else { "," };
-        let _ = writeln!(out, "    [\"{}\", {value:?}]{comma}", escape_json(name));
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"records\": [");
-    let mut first = true;
-    for (index, outcome) in records {
-        let line = match outcome {
-            StudyOutcome::Ok(values) if values.iter().all(|v| v.is_finite()) => {
-                let joined = values
-                    .iter()
-                    .map(|v| format!("{v:?}"))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                format!("    {{\"index\": {index}, \"ok\": true, \"values\": [{joined}]}}")
-            }
-            StudyOutcome::Ok(_) => continue,
-            StudyOutcome::Failed(trace) => format!(
-                "    {{\"index\": {index}, \"ok\": false, \"trace\": \"{}\"}}",
-                escape_json(trace)
-            ),
-        };
-        if !first {
-            let _ = writeln!(out, ",");
-        }
-        let _ = write!(out, "{line}");
-        first = false;
-    }
-    let _ = writeln!(out);
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
-/// Writes the version-2 study checkpoint to `path`, atomically (see
-/// [`atomic_write`]): a kill mid-save leaves the previous checkpoint,
-/// never a torn file.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from the underlying write or rename.
-pub fn save_study(
-    path: &Path,
-    study: &str,
-    config: &[(String, f64)],
-    records: &[(usize, StudyOutcome)],
-) -> std::io::Result<()> {
-    let result = atomic_write(path, &render_study(study, config, records));
-    checkpoint_event("save_study", path, result.is_ok(), records.len());
-    result
-}
-
-/// Parses version-2 checkpoint text into `(index, outcome)` pairs, or
-/// `None` when the document is malformed or was written for a different
-/// study label or configuration fingerprint.
-pub fn restore_study(
-    text: &str,
-    study: &str,
-    config: &[(String, f64)],
-) -> Option<Vec<(usize, StudyOutcome)>> {
-    let doc = parse(text)?;
-    if doc.get("version")?.as_num()? != STUDY_VERSION {
-        return None;
-    }
-    if doc.get("study")?.as_str()? != study {
-        return None;
-    }
-    let stored = match doc.get("config")? {
-        Json::Arr(items) => items,
-        _ => return None,
-    };
-    if stored.len() != config.len() {
-        return None;
-    }
-    for (item, (name, value)) in stored.iter().zip(config) {
-        let pair = match item {
-            Json::Arr(pair) if pair.len() == 2 => pair,
-            _ => return None,
-        };
-        if pair[0].as_str()? != name || pair[1].as_num()? != *value {
-            return None;
-        }
-    }
-    let records = match doc.get("records")? {
-        Json::Arr(items) => items,
-        _ => return None,
-    };
-    let mut out = Vec::with_capacity(records.len());
-    for r in records {
-        let index = r.get("index")?.as_num()?;
-        if index < 0.0 || index.fract() != 0.0 {
-            return None;
-        }
-        let outcome = if r.get("ok")?.as_bool()? {
-            let values = match r.get("values")? {
-                Json::Arr(items) => items
-                    .iter()
-                    .map(|v| v.as_num())
-                    .collect::<Option<Vec<f64>>>()?,
-                _ => return None,
-            };
-            StudyOutcome::Ok(values)
-        } else {
-            StudyOutcome::Failed(r.get("trace")?.as_str()?.to_string())
-        };
-        out.push((index as usize, outcome));
-    }
-    Some(out)
-}
-
-/// Reads and validates the version-2 checkpoint at `path`; `None` when
-/// the file is missing, unreadable, malformed, or from a different study
-/// or configuration.
-pub fn load_study(
-    path: &Path,
-    study: &str,
-    config: &[(String, f64)],
-) -> Option<Vec<(usize, StudyOutcome)>> {
-    let restored = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| restore_study(&text, study, config));
-    checkpoint_event(
-        "load_study",
-        path,
-        restored.is_some(),
-        restored.as_ref().map_or(0, Vec::len),
-    );
-    restored
-}
-
-// ---------------------------------------------------------------------
-// Bitmap study checkpoints (version 3)
-// ---------------------------------------------------------------------
-
-const BITMAP_VERSION: f64 = 3.0;
-
-/// Renders a version-3 bitmap study checkpoint.
-///
-/// Version 2 implicitly assumed in-order completion: a document was the
-/// records written so far, and resuming trusted whatever prefix it
-/// held. A work-stealing pool completes units *out of order*, so
-/// version 3 makes the completed set explicit: a `total` unit count, a
-/// `completed` bitmap (`'1'` per finished index), and sparse, any-order
-/// records. The bitmap and the record index set must match exactly —
-/// any divergence (a torn file, a partial external edit) rejects the
-/// whole document rather than resuming from a lie.
+/// Renders a version-3 study checkpoint for the completed `records`
+/// (`(index, outcome)` pairs, any order) of a `total`-unit study.
 ///
 /// Successful records containing non-finite values are dropped (bit
 /// cleared) rather than emitted as invalid JSON; those units simply
@@ -622,11 +92,11 @@ pub fn render_study_v3(
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"version\": {BITMAP_VERSION:?},");
-    let _ = writeln!(out, "  \"study\": \"{}\",", escape_json(study));
+    let _ = writeln!(out, "  \"study\": {},", json_str(study));
     let _ = writeln!(out, "  \"config\": [");
     for (i, (name, value)) in config.iter().enumerate() {
         let comma = if i + 1 == config.len() { "" } else { "," };
-        let _ = writeln!(out, "    [\"{}\", {value:?}]{comma}", escape_json(name));
+        let _ = writeln!(out, "    [{}, {value:?}]{comma}", json_str(name));
     }
     let _ = writeln!(out, "  ],");
     let _ = writeln!(out, "  \"total\": {total},");
@@ -648,8 +118,8 @@ pub fn render_study_v3(
                 format!("    {{\"index\": {index}, \"ok\": true, \"values\": [{joined}]}}{comma}")
             }
             StudyOutcome::Failed(trace) => format!(
-                "    {{\"index\": {index}, \"ok\": false, \"trace\": \"{}\"}}{comma}",
-                escape_json(trace)
+                "    {{\"index\": {index}, \"ok\": false, \"trace\": {}}}{comma}",
+                json_str(trace)
             ),
         };
         let _ = writeln!(out, "{line}");
@@ -659,8 +129,10 @@ pub fn render_study_v3(
     out
 }
 
-/// Writes the version-3 bitmap checkpoint to `path`, atomically: a kill
-/// between any two saves leaves one complete, self-consistent document.
+/// Writes the version-3 checkpoint to `path` through the crash-safe
+/// [`remix_exec::atomic_write`] (tmp + fsync + rename): a kill between
+/// any two saves leaves one complete, self-consistent document, never a
+/// torn prefix that would lose every completed unit.
 ///
 /// # Errors
 ///
@@ -672,97 +144,82 @@ pub fn save_study_v3(
     total: usize,
     records: &[(usize, StudyOutcome)],
 ) -> std::io::Result<()> {
-    let result = atomic_write(path, &render_study_v3(study, config, total, records));
+    let result = remix_exec::atomic_write(path, &render_study_v3(study, config, total, records));
     checkpoint_event("save_bitmap", path, result.is_ok(), records.len());
     result
 }
 
-/// Parses version-3 checkpoint text into `(index, outcome)` pairs
-/// sorted by index and clipped to `total`, or `None` when the document
-/// is malformed, from a different study/configuration, or internally
-/// inconsistent (bitmap and record set must agree bit-for-bit — a torn
-/// or hand-edited document is rejected outright, never half-trusted).
-/// A document written for a different unit count loads fine: per-index
-/// seeding makes studies prefix-stable, so size changes clip or extend
-/// rather than reject.
-pub fn restore_study_v3(
+/// A JSON number, strictly. Telemetry's [`JsonValue::as_f64`] reads
+/// `null` as NaN for gauge round-trips; a checkpoint holding `null`
+/// where a number belongs is malformed, not a NaN payload.
+fn number(value: &JsonValue) -> Option<f64> {
+    match value {
+        JsonValue::Num(v) => Some(*v),
+        JsonValue::Int(v) => Some(*v as f64),
+        _ => None,
+    }
+}
+
+/// A non-negative integral JSON number (an index or a unit count).
+fn count(value: &JsonValue) -> Option<usize> {
+    usize::try_from(value.as_u64()?).ok()
+}
+
+/// Parses version-3 checkpoint text into `(index, outcome)` pairs sorted
+/// by index and clipped to `total`, or `None` when the document is
+/// malformed, from a different study/configuration, or internally
+/// inconsistent.
+///
+/// The document is validated against its *own* recorded size: a study
+/// may legitimately be re-run with a different unit count (per-index
+/// seeding makes a short study a strict prefix of a long one), so a size
+/// difference clips or extends rather than rejects — but any internal
+/// bitmap/record divergence still rejects outright.
+fn restore_v3(
     text: &str,
     study: &str,
     config: &[(String, f64)],
     total: usize,
 ) -> Option<Vec<(usize, StudyOutcome)>> {
-    let doc = parse(text)?;
-    if doc.get("version")?.as_num()? != BITMAP_VERSION {
+    let doc = parse_json(text).ok()?;
+    if number(doc.get("version")?)? != BITMAP_VERSION || doc.get("study")?.as_str()? != study {
         return None;
     }
-    if doc.get("study")?.as_str()? != study {
-        return None;
-    }
-    let stored = match doc.get("config")? {
-        Json::Arr(items) => items,
-        _ => return None,
-    };
+    let stored = doc.get("config")?.as_arr()?;
     if stored.len() != config.len() {
         return None;
     }
     for (item, (name, value)) in stored.iter().zip(config) {
-        let pair = match item {
-            Json::Arr(pair) if pair.len() == 2 => pair,
+        match item.as_arr()? {
+            [n, v] if n.as_str()? == name && number(v)? == *value => {}
             _ => return None,
-        };
-        if pair[0].as_str()? != name || pair[1].as_num()? != *value {
-            return None;
         }
     }
-    // The document is validated against its *own* recorded size: a
-    // study may legitimately be re-run with a different unit count
-    // (per-index seeding makes a short study a strict prefix of a long
-    // one), so a size difference filters rather than rejects — but any
-    // internal bitmap/record divergence still rejects outright.
-    let stored_total = doc.get("total")?.as_num()?;
-    if stored_total < 0.0 || stored_total.fract() != 0.0 {
+    let stored_total = count(doc.get("total")?)?;
+    let bitmap = doc.get("completed")?.as_str()?.as_bytes();
+    if bitmap.len() != stored_total || bitmap.iter().any(|&b| b != b'0' && b != b'1') {
         return None;
     }
-    let stored_total = stored_total as usize;
-    let bitmap = doc.get("completed")?.as_str()?;
-    if bitmap.len() != stored_total || bitmap.bytes().any(|b| b != b'0' && b != b'1') {
-        return None;
-    }
-    let records = match doc.get("records")? {
-        Json::Arr(items) => items,
-        _ => return None,
-    };
     let mut seen = vec![false; stored_total];
-    let mut out = Vec::with_capacity(records.len());
-    for r in records {
-        let index = r.get("index")?.as_num()?;
-        if index < 0.0 || index.fract() != 0.0 {
-            return None;
-        }
-        let index = index as usize;
+    let mut out = Vec::new();
+    for r in doc.get("records")?.as_arr()? {
+        let index = count(r.get("index")?)?;
         // Every record must be inside the document, claimed by the
         // bitmap, and unique.
-        if index >= stored_total || bitmap.as_bytes()[index] != b'1' || seen[index] {
+        if index >= stored_total || bitmap[index] != b'1' || seen[index] {
             return None;
         }
         seen[index] = true;
         let outcome = if r.get("ok")?.as_bool()? {
-            let values = match r.get("values")? {
-                Json::Arr(items) => items
-                    .iter()
-                    .map(|v| v.as_num())
-                    .collect::<Option<Vec<f64>>>()?,
-                _ => return None,
-            };
-            StudyOutcome::Ok(values)
+            let values = r.get("values")?.as_arr()?;
+            StudyOutcome::Ok(values.iter().map(number).collect::<Option<_>>()?)
         } else {
             StudyOutcome::Failed(r.get("trace")?.as_str()?.to_string())
         };
         out.push((index, outcome));
     }
     // …and every bitmap claim must be backed by a record.
-    let claimed = bitmap.bytes().filter(|&b| b == b'1').count();
-    if claimed != out.len() {
+    if bitmap.iter().filter(|&&b| b == b'1').count() != out.len() {
         return None;
     }
     // Only now, with the document proven self-consistent, clip to the
@@ -772,10 +229,11 @@ pub fn restore_study_v3(
     Some(out)
 }
 
-/// Reads and validates the version-3 checkpoint at `path`; `None` when
-/// missing, unreadable, malformed, inconsistent, or from a different
-/// study shape.
-pub fn load_study_v3(
+/// Reads and validates the checkpoint at `path` as `(index, outcome)`
+/// pairs sorted by index and clipped to `total`; `None` when the file is
+/// missing, unreadable, malformed, internally inconsistent, or from a
+/// different study label or configuration fingerprint.
+pub fn load_study_any(
     path: &Path,
     study: &str,
     config: &[(String, f64)],
@@ -783,39 +241,7 @@ pub fn load_study_v3(
 ) -> Option<Vec<(usize, StudyOutcome)>> {
     let restored = std::fs::read_to_string(path)
         .ok()
-        .and_then(|text| restore_study_v3(&text, study, config, total));
-    checkpoint_event(
-        "load_bitmap",
-        path,
-        restored.is_some(),
-        restored.as_ref().map_or(0, Vec::len),
-    );
-    restored
-}
-
-/// Loads a study checkpoint in whatever version it was written:
-/// version 3 (bitmap) first, then legacy version 2 — so a study
-/// interrupted under an older binary resumes seamlessly under the
-/// pooled drivers, which always *save* version 3. Legacy records with
-/// `index >= total` are dropped rather than trusted.
-pub fn load_study_any(
-    path: &Path,
-    study: &str,
-    config: &[(String, f64)],
-    total: usize,
-) -> Option<Vec<(usize, StudyOutcome)>> {
-    let restored = std::fs::read_to_string(path).ok().and_then(|text| {
-        restore_study_v3(&text, study, config, total).or_else(|| {
-            restore_study(&text, study, config).map(|records| {
-                let mut records: Vec<(usize, StudyOutcome)> = records
-                    .into_iter()
-                    .filter(|(index, _)| *index < total)
-                    .collect();
-                records.sort_by_key(|&(index, _)| index);
-                records
-            })
-        })
-    });
+        .and_then(|text| restore_v3(&text, study, config, total));
     checkpoint_event(
         "load_any",
         path,
@@ -825,9 +251,8 @@ pub fn load_study_any(
     restored
 }
 
-/// The version-3 configuration fingerprint of a Monte-Carlo mismatch
-/// study — the same trust boundary the version-1 format enforced
-/// through its dedicated `seed`/σ fields.
+/// The configuration fingerprint of a Monte-Carlo mismatch study: a
+/// checkpoint written for a different seed or σ is rejected.
 pub fn mc_study_config(mm: &MismatchConfig) -> Vec<(String, f64)> {
     vec![
         ("seed".to_string(), mm.seed as f64),
@@ -836,60 +261,11 @@ pub fn mc_study_config(mm: &MismatchConfig) -> Vec<(String, f64)> {
     ]
 }
 
-/// Converts a Monte-Carlo sample outcome into the flat study record
-/// version 3 persists (`Ok(iip2) → values: [iip2]`).
+/// Converts a Monte-Carlo sample outcome into the flat record the
+/// checkpoint persists (`Ok(iip2) → values: [iip2]`).
 pub fn mc_record(outcome: &SampleOutcome) -> StudyOutcome {
-    match outcome {
-        SampleOutcome::Ok(v) => StudyOutcome::Ok(vec![*v]),
-        SampleOutcome::Failed(trace) => StudyOutcome::Failed(trace.summary()),
-    }
-}
-
-/// Loads a Monte-Carlo checkpoint in whatever version it was written —
-/// version 3 (bitmap, what the pooled driver saves) first, then the
-/// pinned version-1 format — as `(index, outcome)` pairs. A restored
-/// failure carries its persisted trace summary, exactly as version 1
-/// did.
-pub fn load_mc_any(
-    path: &Path,
-    mm: &MismatchConfig,
-    total: usize,
-) -> Option<Vec<(usize, SampleOutcome)>> {
-    let config = mc_study_config(mm);
-    let restored = std::fs::read_to_string(path).ok().and_then(|text| {
-        restore_study_v3(&text, "mc_iip2", &config, total)
-            .map(|records| {
-                records
-                    .into_iter()
-                    .filter_map(|(index, outcome)| {
-                        let sample = match outcome {
-                            StudyOutcome::Ok(values) => SampleOutcome::Ok(*values.first()?),
-                            StudyOutcome::Failed(trace) => {
-                                SampleOutcome::Failed(ConvergenceTrace::new(&trace))
-                            }
-                        };
-                        Some((index, sample))
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .or_else(|| {
-                restore(&text, mm).map(|samples| {
-                    let mut samples: Vec<(usize, SampleOutcome)> = samples
-                        .into_iter()
-                        .filter(|(index, _)| *index < total)
-                        .collect();
-                    samples.sort_by_key(|&(index, _)| index);
-                    samples
-                })
-            })
-    });
-    checkpoint_event(
-        "load_any",
-        path,
-        restored.is_some(),
-        restored.as_ref().map_or(0, Vec::len),
-    );
-    restored
+    use crate::study::StudyRecord;
+    outcome.encode()
 }
 
 /// Counts and (when an observing sink is armed) logs one checkpoint
@@ -926,136 +302,131 @@ fn checkpoint_event(op: &'static str, path: &Path, ok: bool, records: usize) {
 mod tests {
     use super::*;
 
-    fn mm() -> MismatchConfig {
-        MismatchConfig::default()
-    }
-
-    #[test]
-    fn parser_handles_scalars_and_nesting() {
-        assert_eq!(parse("null"), Some(Json::Null));
-        assert_eq!(parse(" true "), Some(Json::Bool(true)));
-        assert_eq!(parse("-1.5e3"), Some(Json::Num(-1500.0)));
-        assert_eq!(parse(r#""a\"b\nA""#), Some(Json::Str("a\"b\nA".into())));
-        let doc = parse(r#"{"a": [1, {"b": false}], "c": "x"}"#).unwrap();
-        assert_eq!(doc.get("c").and_then(Json::as_str), Some("x"));
-        match doc.get("a") {
-            Some(Json::Arr(items)) => {
-                assert_eq!(items[0], Json::Num(1.0));
-                assert_eq!(items[1].get("b").and_then(Json::as_bool), Some(false));
-            }
-            other => panic!("expected array, got {other:?}"),
-        }
-        // Trailing garbage and truncation must not parse.
-        assert_eq!(parse("{} x"), None);
-        assert_eq!(parse(r#"{"a": "#), None);
-    }
-
-    #[test]
-    fn round_trips_passed_and_failed_samples() {
-        let outcomes = vec![
-            SampleOutcome::Ok(66.25),
-            SampleOutcome::Failed(ConvergenceTrace::new("dc operating point")),
-            SampleOutcome::Ok(58.0),
-        ];
-        let text = render(&mm(), &outcomes);
-        let restored = restore(&text, &mm()).unwrap();
-        assert_eq!(restored.len(), 3);
-        assert_eq!(restored[0], (0, SampleOutcome::Ok(66.25)));
-        assert_eq!(restored[2], (2, SampleOutcome::Ok(58.0)));
-        match &restored[1] {
-            (1, SampleOutcome::Failed(trace)) => {
-                assert!(trace.analysis.contains("dc operating point"));
-            }
-            other => panic!("expected failed sample, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn escaping_survives_hostile_trace_text() {
-        let trace = ConvergenceTrace::new("line\nwith \"quotes\" and \\slashes\\ and\ttabs");
-        let text = render(&mm(), &[SampleOutcome::Failed(trace.clone())]);
-        let restored = restore(&text, &mm()).unwrap();
-        match &restored[0].1 {
-            SampleOutcome::Failed(t) => assert!(t.analysis.contains("\"quotes\"")),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn mismatched_config_is_rejected() {
-        let text = render(&mm(), &[SampleOutcome::Ok(70.0)]);
-        let other_seed = MismatchConfig {
-            seed: mm().seed + 1,
-            ..mm()
-        };
-        assert!(restore(&text, &other_seed).is_none());
-        let other_sigma = MismatchConfig {
-            sigma_vt: 9e-3,
-            ..mm()
-        };
-        assert!(restore(&text, &other_sigma).is_none());
-        assert!(restore("not json at all", &mm()).is_none());
-    }
-
     fn study_config() -> Vec<(String, f64)> {
         vec![("base.vdd".into(), 1.2), ("corner0.temp_c".into(), 27.0)]
-    }
-
-    #[test]
-    fn study_round_trips_records_in_order() {
-        let records = vec![
-            (0, StudyOutcome::Ok(vec![1.0, -2.5e-3])),
-            (
-                1,
-                StudyOutcome::Failed("dc operating point: gave up".into()),
-            ),
-            (3, StudyOutcome::Ok(vec![])),
-        ];
-        let text = render_study("corners", &study_config(), &records);
-        let restored = restore_study(&text, "corners", &study_config()).unwrap();
-        assert_eq!(restored, records);
-    }
-
-    #[test]
-    fn study_rejects_wrong_label_config_or_version() {
-        let records = vec![(0, StudyOutcome::Ok(vec![7.0]))];
-        let text = render_study("corners", &study_config(), &records);
-        assert!(restore_study(&text, "sweeps", &study_config()).is_none());
-        let mut other = study_config();
-        other[0].1 = 1.3;
-        assert!(restore_study(&text, "corners", &other).is_none());
-        other = study_config();
-        other.pop();
-        assert!(restore_study(&text, "corners", &other).is_none());
-        // A v1 Monte-Carlo document must not load as a study and vice
-        // versa.
-        let v1 = render(&mm(), &[SampleOutcome::Ok(60.0)]);
-        assert!(restore_study(&v1, "corners", &study_config()).is_none());
-        assert!(restore(&text, &mm()).is_none());
-    }
-
-    #[test]
-    fn study_drops_non_finite_payloads() {
-        let records = vec![
-            (0, StudyOutcome::Ok(vec![f64::NAN])),
-            (1, StudyOutcome::Ok(vec![4.0])),
-        ];
-        let text = render_study("corners", &study_config(), &records);
-        let restored = restore_study(&text, "corners", &study_config()).unwrap();
-        assert_eq!(restored, vec![(1, StudyOutcome::Ok(vec![4.0]))]);
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("remix_ckpt_{}_{name}", std::process::id()))
     }
 
+    /// The exact text of a document exercising every rendering rule:
+    /// mixed ok/failed records in completion order, hostile trace and
+    /// config-name text, a non-finite payload and an out-of-range index
+    /// (both dropped, bits cleared), an empty payload and an empty trace.
+    /// Checkpoints already on disk must keep loading and re-saving
+    /// byte-for-byte, so the rendered text is pinned.
+    #[test]
+    fn render_matches_the_golden_document() {
+        let records = vec![
+            (
+                4,
+                StudyOutcome::Ok(vec![66.25, -1.5e-3, 1e21, 0.1, -0.0, 5e-324]),
+            ),
+            (
+                0,
+                StudyOutcome::Failed(
+                    "dc operating point: \"quoted\"\n\ttab \\ back \u{1} ctl \u{e9} / end".into(),
+                ),
+            ),
+            (2, StudyOutcome::Ok(vec![1.0, f64::NAN])),
+            (3, StudyOutcome::Ok(vec![])),
+            (1, StudyOutcome::Failed(String::new())),
+            (9, StudyOutcome::Ok(vec![1.0])),
+            (5, StudyOutcome::Ok(vec![f64::NEG_INFINITY])),
+        ];
+        let config = vec![
+            ("base.vdd".to_string(), 1.2),
+            ("seed".to_string(), 53733.0),
+            ("name \"with\" \\ odd\tchars".to_string(), -2.5e-7),
+        ];
+        let text = render_study_v3("corners", &config, 7, &records);
+        assert_eq!(text, include_str!("../tests/golden/checkpoint_v3.json"));
+        let restored = restore_v3(&text, "corners", &config, 7).expect("golden loads");
+        let kept = |i: usize| records.iter().find(|(j, _)| *j == i).cloned();
+        let expected: Vec<_> = [0, 1, 3, 4].into_iter().filter_map(kept).collect();
+        assert_eq!(restored, expected);
+    }
+
+    #[test]
+    fn bitmap_rejects_wrong_shape_and_inconsistency() {
+        let records = vec![(1, StudyOutcome::Ok(vec![7.0]))];
+        let text = render_study_v3("corners", &study_config(), 4, &records);
+        // Wrong label or config: rejected.
+        assert!(restore_v3(&text, "sweeps", &study_config(), 4).is_none());
+        let mut other = study_config();
+        other[0].1 = 1.3;
+        assert!(restore_v3(&text, "corners", &other, 4).is_none());
+        other = study_config();
+        other.pop();
+        assert!(restore_v3(&text, "corners", &other, 4).is_none());
+        assert!(restore_v3("not json at all", "corners", &study_config(), 4).is_none());
+        // A different requested size clips/extends instead of rejecting
+        // (studies are prefix-stable), so the record at index 1 survives
+        // both a grow and a shrink-to-2, but not a shrink-to-1.
+        assert_eq!(
+            restore_v3(&text, "corners", &study_config(), 6).unwrap(),
+            vec![(1, StudyOutcome::Ok(vec![7.0]))]
+        );
+        assert!(restore_v3(&text, "corners", &study_config(), 1)
+            .unwrap()
+            .is_empty());
+        // Another format version is not this format.
+        let v2 = text.replace("\"version\": 3.0", "\"version\": 2.0");
+        assert!(restore_v3(&v2, "corners", &study_config(), 4).is_none());
+        // Bitmap claiming an index with no record backing it: rejected.
+        let lying = text.replace("\"0100\"", "\"0110\"");
+        assert!(restore_v3(&lying, "corners", &study_config(), 4).is_none());
+        // Record present but bitmap denies it: rejected.
+        let denying = text.replace("\"0100\"", "\"0000\"");
+        assert!(restore_v3(&denying, "corners", &study_config(), 4).is_none());
+    }
+
+    /// Payloads the format never writes must not load. Telemetry's
+    /// parser reads `null` as a NaN number, so each of these would slip
+    /// through a loader built on `as_f64` alone.
+    #[test]
+    fn null_bad_index_and_duplicate_records_are_rejected() {
+        let records = vec![
+            (0, StudyOutcome::Ok(vec![1.0, 2.0])),
+            (2, StudyOutcome::Failed("gave up".into())),
+        ];
+        let text = render_study_v3("corners", &study_config(), 4, &records);
+        assert!(restore_v3(&text, "corners", &study_config(), 4).is_some());
+        let edits = [
+            // `null` where a number belongs.
+            ("\"values\": [1.0, 2.0]", "\"values\": [1.0, null]"),
+            ("[\"base.vdd\", 1.2]", "[\"base.vdd\", null]"),
+            ("\"version\": 3.0", "\"version\": null"),
+            ("\"total\": 4", "\"total\": null"),
+            // Indices that are not non-negative integers.
+            ("\"index\": 0,", "\"index\": null,"),
+            ("\"index\": 0,", "\"index\": -1,"),
+            ("\"index\": 0,", "\"index\": 0.5,"),
+            ("\"total\": 4", "\"total\": -4"),
+            ("\"total\": 4", "\"total\": 4.5"),
+            // The same index recorded twice (the bitmap still claims two
+            // units, so only uniqueness catches it).
+            ("\"index\": 2,", "\"index\": 0,"),
+        ];
+        for (from, to) in edits {
+            assert!(text.contains(from), "{from}");
+            let edited = text.replace(from, to);
+            assert!(
+                restore_v3(&edited, "corners", &study_config(), 4).is_none(),
+                "accepted after {from} -> {to}:\n{edited}"
+            );
+        }
+    }
+
     #[test]
     fn save_is_atomic_and_leaves_no_temp_files() {
         let path = temp_path("atomic.json");
         let _ = std::fs::remove_file(&path);
-        save(&path, &mm(), &[SampleOutcome::Ok(66.0)]).expect("save");
-        let restored = load(&path, &mm()).expect("load");
-        assert_eq!(restored, vec![(0, SampleOutcome::Ok(66.0))]);
+        let records = vec![(0, StudyOutcome::Ok(vec![66.0]))];
+        save_study_v3(&path, "corners", &study_config(), 2, &records).expect("save");
+        let restored = load_study_any(&path, "corners", &study_config(), 2).expect("load");
+        assert_eq!(restored, records);
         // No .tmp siblings linger after a successful save.
         let dir = path.parent().expect("parent");
         let stem = path
@@ -1083,133 +454,6 @@ mod tests {
         // loader must reject the torn file outright (no partial trust),
         // and the next save must restore a loadable checkpoint.
         let path = temp_path("torn.json");
-        let outcomes = vec![
-            SampleOutcome::Ok(66.25),
-            SampleOutcome::Failed(ConvergenceTrace::new("dc operating point")),
-            SampleOutcome::Ok(58.0),
-        ];
-        save(&path, &mm(), &outcomes).expect("save");
-        let full = std::fs::read_to_string(&path).expect("read");
-        for cut in [1, full.len() / 2, full.len() - 2] {
-            std::fs::write(&path, &full[..cut]).expect("tear");
-            assert!(
-                load(&path, &mm()).is_none(),
-                "torn checkpoint (cut at {cut}) must be rejected, not half-trusted"
-            );
-        }
-        // Resume path: the study recomputes and saves again; the new
-        // checkpoint round-trips in full.
-        save(&path, &mm(), &outcomes).expect("re-save");
-        let restored = load(&path, &mm()).expect("reload");
-        assert_eq!(restored.len(), 3);
-        assert_eq!(restored[0], (0, SampleOutcome::Ok(66.25)));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn torn_study_checkpoint_is_rejected_then_resume_recovers() {
-        let path = temp_path("torn_study.json");
-        let records = vec![
-            (0, StudyOutcome::Ok(vec![1.0, 2.0])),
-            (2, StudyOutcome::Failed("gave up".into())),
-        ];
-        save_study(&path, "corners", &study_config(), &records).expect("save");
-        let full = std::fs::read_to_string(&path).expect("read");
-        std::fs::write(&path, &full[..full.len() * 2 / 3]).expect("tear");
-        assert!(load_study(&path, "corners", &study_config()).is_none());
-        save_study(&path, "corners", &study_config(), &records).expect("re-save");
-        assert_eq!(
-            load_study(&path, "corners", &study_config()).expect("reload"),
-            records
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn atomic_write_to_unwritable_dir_errors_cleanly() {
-        let path = Path::new("/nonexistent-remix-dir/ckpt.json");
-        assert!(save(path, &mm(), &[SampleOutcome::Ok(1.0)]).is_err());
-    }
-
-    #[test]
-    fn non_finite_values_are_dropped_not_emitted() {
-        let text = render(
-            &mm(),
-            &[SampleOutcome::Ok(f64::NAN), SampleOutcome::Ok(60.0)],
-        );
-        let restored = restore(&text, &mm()).unwrap();
-        assert_eq!(restored, vec![(1, SampleOutcome::Ok(60.0))]);
-    }
-
-    #[test]
-    fn bitmap_round_trips_out_of_order_sparse_records() {
-        // A pool completes units in arbitrary order; the document must
-        // come back sorted, with holes preserved as holes.
-        let records = vec![
-            (5, StudyOutcome::Ok(vec![5.0])),
-            (0, StudyOutcome::Failed("gave up".into())),
-            (3, StudyOutcome::Ok(vec![-1.0, 2.0])),
-        ];
-        let text = render_study_v3("corners", &study_config(), 8, &records);
-        assert!(text.contains("\"completed\": \"10010100\""));
-        let restored = restore_study_v3(&text, "corners", &study_config(), 8).unwrap();
-        assert_eq!(
-            restored,
-            vec![
-                (0, StudyOutcome::Failed("gave up".into())),
-                (3, StudyOutcome::Ok(vec![-1.0, 2.0])),
-                (5, StudyOutcome::Ok(vec![5.0])),
-            ]
-        );
-    }
-
-    #[test]
-    fn bitmap_rejects_wrong_shape_and_inconsistency() {
-        let records = vec![(1, StudyOutcome::Ok(vec![7.0]))];
-        let text = render_study_v3("corners", &study_config(), 4, &records);
-        // Wrong label or config: rejected.
-        assert!(restore_study_v3(&text, "sweeps", &study_config(), 4).is_none());
-        let mut other = study_config();
-        other[0].1 = 1.3;
-        assert!(restore_study_v3(&text, "corners", &other, 4).is_none());
-        // A different requested size clips/extends instead of rejecting
-        // (studies are prefix-stable), so the record at index 1 survives
-        // both a grow and a shrink-to-2, but not a shrink-to-1.
-        assert_eq!(
-            restore_study_v3(&text, "corners", &study_config(), 6).unwrap(),
-            vec![(1, StudyOutcome::Ok(vec![7.0]))]
-        );
-        assert!(restore_study_v3(&text, "corners", &study_config(), 1)
-            .unwrap()
-            .is_empty());
-        // A v2 document is not a v3 document and vice versa.
-        let v2 = render_study("corners", &study_config(), &records);
-        assert!(restore_study_v3(&v2, "corners", &study_config(), 4).is_none());
-        assert!(restore_study(&text, "corners", &study_config()).is_none());
-        // Bitmap claiming an index with no record backing it: rejected.
-        let lying = text.replace("\"0100\"", "\"0110\"");
-        assert!(restore_study_v3(&lying, "corners", &study_config(), 4).is_none());
-        // Record present but bitmap denies it: rejected.
-        let denying = text.replace("\"0100\"", "\"0000\"");
-        assert!(restore_study_v3(&denying, "corners", &study_config(), 4).is_none());
-    }
-
-    #[test]
-    fn bitmap_drops_non_finite_and_out_of_range_records() {
-        let records = vec![
-            (0, StudyOutcome::Ok(vec![f64::INFINITY])),
-            (1, StudyOutcome::Ok(vec![4.0])),
-            (9, StudyOutcome::Ok(vec![1.0])), // beyond total
-        ];
-        let text = render_study_v3("corners", &study_config(), 3, &records);
-        assert!(text.contains("\"completed\": \"010\""));
-        let restored = restore_study_v3(&text, "corners", &study_config(), 3).unwrap();
-        assert_eq!(restored, vec![(1, StudyOutcome::Ok(vec![4.0]))]);
-    }
-
-    #[test]
-    fn torn_bitmap_checkpoint_is_rejected() {
-        let path = temp_path("torn_bitmap.json");
         let records = vec![
             (0, StudyOutcome::Ok(vec![1.0])),
             (2, StudyOutcome::Failed("gave up".into())),
@@ -1219,70 +463,23 @@ mod tests {
         for cut in [1, full.len() / 2, full.len() - 2] {
             std::fs::write(&path, &full[..cut]).expect("tear");
             assert!(
-                load_study_v3(&path, "corners", &study_config(), 4).is_none(),
-                "torn bitmap checkpoint (cut at {cut}) must be rejected"
+                load_study_any(&path, "corners", &study_config(), 4).is_none(),
+                "torn checkpoint (cut at {cut}) must be rejected, not half-trusted"
             );
         }
         save_study_v3(&path, "corners", &study_config(), 4, &records).expect("re-save");
         assert_eq!(
-            load_study_v3(&path, "corners", &study_config(), 4).expect("reload"),
+            load_study_any(&path, "corners", &study_config(), 4).expect("reload"),
             records
         );
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn load_study_any_reads_both_versions() {
-        let path = temp_path("any_version.json");
-        let records = vec![(0, StudyOutcome::Ok(vec![1.5]))];
-        // Legacy v2 document on disk → still resumes.
-        save_study(&path, "corners", &study_config(), &records).expect("save v2");
-        assert_eq!(
-            load_study_any(&path, "corners", &study_config(), 4).expect("v2 fallback"),
-            records
-        );
-        // v3 document → preferred path.
-        save_study_v3(&path, "corners", &study_config(), 4, &records).expect("save v3");
-        assert_eq!(
-            load_study_any(&path, "corners", &study_config(), 4).expect("v3"),
-            records
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn load_mc_any_reads_v1_and_v3_monte_carlo_checkpoints() {
-        let path = temp_path("mc_any.json");
-        let outcomes = vec![
-            SampleOutcome::Ok(66.25),
-            SampleOutcome::Failed(ConvergenceTrace::new("dc operating point")),
-        ];
-        // Legacy v1 document.
-        save(&path, &mm(), &outcomes).expect("save v1");
-        let from_v1 = load_mc_any(&path, &mm(), 4).expect("v1 fallback");
-        assert_eq!(from_v1.len(), 2);
-        assert_eq!(from_v1[0], (0, SampleOutcome::Ok(66.25)));
-        // v3 bitmap document written by the pooled driver.
-        let records: Vec<(usize, StudyOutcome)> = outcomes
-            .iter()
-            .enumerate()
-            .map(|(i, o)| (i, mc_record(o)))
-            .collect();
-        save_study_v3(&path, "mc_iip2", &mc_study_config(&mm()), 4, &records).expect("save v3");
-        let from_v3 = load_mc_any(&path, &mm(), 4).expect("v3");
-        assert_eq!(from_v3[0], (0, SampleOutcome::Ok(66.25)));
-        match &from_v3[1].1 {
-            SampleOutcome::Failed(trace) => {
-                assert!(trace.analysis.contains("dc operating point"));
-            }
-            other => panic!("expected failure, got {other:?}"),
-        }
-        // A different mismatch config rejects both versions.
-        let other = MismatchConfig {
-            seed: mm().seed + 1,
-            ..mm()
-        };
-        assert!(load_mc_any(&path, &other, 4).is_none());
-        let _ = std::fs::remove_file(&path);
+    fn save_to_unwritable_dir_errors_cleanly() {
+        let path = Path::new("/nonexistent-remix-dir/ckpt.json");
+        let records = vec![(0, StudyOutcome::Ok(vec![1.0]))];
+        assert!(save_study_v3(path, "corners", &study_config(), 1, &records).is_err());
+        assert!(load_study_any(path, "corners", &study_config(), 1).is_none());
     }
 }

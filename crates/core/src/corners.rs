@@ -5,10 +5,17 @@
 //! classic five process corners and over temperature. Corners scale the
 //! device models (`kp`, `vt0`, flicker) with standard first-order laws and
 //! re-run the *entire* extraction flow — nothing is special-cased.
+//!
+//! A sweep is resumable: it is one caller of the shared study driver,
+//! [`crate::study::run_study`], which persists every completed
+//! corner and restores them on the next invocation. This module supplies
+//! the per-corner extraction, the configuration fingerprint a checkpoint
+//! is bound to, and the corner codec ([`ExtractedParams::to_flat`]).
 
 use crate::checkpoint::StudyOutcome;
 use crate::config::MixerConfig;
 use crate::model::ExtractedParams;
+use crate::study::{run_study, StudyRecord};
 use remix_analysis::{
     AnalysisError, ConvergenceTrace, Interrupted, Partial, StageKind, TraceStage,
 };
@@ -230,28 +237,22 @@ fn study_config(base: &MixerConfig, corners: &[Corner]) -> Vec<(String, f64)> {
     cfg
 }
 
-fn study_record(outcome: &CornerOutcome) -> StudyOutcome {
-    match outcome {
-        CornerOutcome::Ok(p) => StudyOutcome::Ok(p.to_flat()),
-        CornerOutcome::Failed(t) => StudyOutcome::Failed(t.summary()),
-    }
-}
+impl StudyRecord for CornerOutcome {
+    const UNIT: &'static str = "corner";
 
-/// Maps a pool outcome back into the sweep's vocabulary: a contained
-/// panic or an exhausted per-corner deadline is a *failed corner* with
-/// a one-line trace, never a dead sweep.
-fn pool_corner(outcome: &remix_exec::TaskOutcome<CornerOutcome>) -> CornerOutcome {
-    match outcome {
-        remix_exec::TaskOutcome::Done(corner) => corner.clone(),
-        remix_exec::TaskOutcome::Failed(trace) => {
-            CornerOutcome::Failed(ConvergenceTrace::new(trace.clone()))
+    fn encode(&self) -> StudyOutcome {
+        match self {
+            CornerOutcome::Ok(p) => StudyOutcome::Ok(p.to_flat()),
+            CornerOutcome::Failed(t) => StudyOutcome::Failed(t.summary()),
         }
-        remix_exec::TaskOutcome::TimedOut {
-            attempts,
-            budget_ms,
-        } => CornerOutcome::Failed(ConvergenceTrace::new(format!(
-            "corner timed out: {attempts} attempt(s) exhausted the {budget_ms} ms per-corner budget"
-        ))),
+    }
+
+    fn decode_ok(values: &[f64]) -> Option<Self> {
+        ExtractedParams::from_flat(values).map(|p| CornerOutcome::Ok(Box::new(p)))
+    }
+
+    fn failed(trace: ConvergenceTrace) -> Self {
+        CornerOutcome::Failed(trace)
     }
 }
 
@@ -281,14 +282,13 @@ pub fn sweep_corners_resumable(
 /// [`sweep_corners`] with checkpoint/resume, run-budget awareness and
 /// an explicit [`remix_exec::PoolOptions`] — the parallel entry point.
 ///
-/// When `checkpoint` names a file, every completed corner (pass *or*
-/// fail) is persisted there as a version-3 bitmap study checkpoint
-/// ([`crate::checkpoint::save_study_v3`]) — correct under out-of-order
-/// completion — and a compatible existing checkpoint (version 3 or
-/// legacy version 2) is resumed: completed corners are restored, not
-/// re-run. A checkpoint written for a different base configuration or
-/// corner list is ignored, as is a record whose payload no longer
-/// deserializes.
+/// The sweep runs on [`crate::study::run_study`]. When
+/// `checkpoint` names a file, every completed corner (pass *or* fail)
+/// is persisted there — correct under out-of-order completion — and a
+/// compatible existing checkpoint is resumed: completed corners are
+/// restored, not re-run. A checkpoint written for a different base
+/// configuration or corner list is ignored, as is a record whose
+/// payload no longer deserializes.
 ///
 /// When a [`RunBudget`](remix_exec::RunBudget) armed on this thread
 /// trips — at a corner boundary or inside an extraction — the sweep
@@ -302,30 +302,6 @@ pub fn sweep_corners_resumable_with(
     checkpoint: Option<&Path>,
     pool: &remix_exec::PoolOptions,
 ) -> Partial<CornerSweep> {
-    let config = study_config(base, corners);
-    let mut slots: Vec<Option<CornerOutcome>> = vec![None; corners.len()];
-    let mut records: Vec<(usize, StudyOutcome)> = Vec::new();
-    if let Some(path) = checkpoint {
-        for (i, rec) in
-            crate::checkpoint::load_study_any(path, CORNER_STUDY, &config, corners.len())
-                .unwrap_or_default()
-        {
-            let outcome = match rec {
-                StudyOutcome::Ok(values) => {
-                    ExtractedParams::from_flat(&values).map(|p| CornerOutcome::Ok(Box::new(p)))
-                }
-                StudyOutcome::Failed(trace) => {
-                    Some(CornerOutcome::Failed(ConvergenceTrace::new(trace)))
-                }
-            };
-            if let Some(outcome) = outcome {
-                records.push((i, study_record(&outcome)));
-                slots[i] = Some(outcome);
-            }
-        }
-    }
-    let resumed = records.len();
-    let todo: Vec<usize> = (0..corners.len()).filter(|&i| slots[i].is_none()).collect();
     // A budget trip mid-extraction carries the analysis trace; the pool
     // reports only the typed interruption, so the first trace is handed
     // out-of-band to the Partial below.
@@ -335,8 +311,11 @@ pub fn sweep_corners_resumable_with(
     // per corner — the deterministic parallel semantics).
     #[cfg(feature = "fault-inject")]
     let caller_fault = remix_analysis::active_plan();
-    let run = remix_exec::run_tasks(
-        &todo,
+    let run = run_study(
+        CORNER_STUDY,
+        &study_config(base, corners),
+        corners.len(),
+        checkpoint,
         pool,
         |ctx| {
             let i = ctx.index;
@@ -369,37 +348,13 @@ pub fn sweep_corners_resumable_with(
                 )),
             }
         },
-        |index, outcome| {
-            records.push((index, study_record(&pool_corner(outcome))));
-            if let Some(path) = checkpoint {
-                // Checkpoint write failures must not kill the sweep the
-                // checkpoint exists to protect; the run just loses
-                // resumability.
-                let _ = crate::checkpoint::save_study_v3(
-                    path,
-                    CORNER_STUDY,
-                    &config,
-                    corners.len(),
-                    &records,
-                );
-            }
-        },
+        |_| {},
     );
-    let computed = run.outcomes.len();
-    for (i, outcome) in &run.outcomes {
-        slots[*i] = Some(pool_corner(outcome));
-    }
-    let mut sweep = CornerSweep {
-        results: Vec::with_capacity(corners.len()),
-        computed,
-        resumed,
+    let sweep = CornerSweep {
+        results: corners.iter().copied().zip(run.outcomes).collect(),
+        computed: run.computed,
+        resumed: run.resumed,
     };
-    for (i, slot) in slots.iter_mut().enumerate() {
-        match slot.take() {
-            Some(done) => sweep.results.push((corners[i], done)),
-            None => break,
-        }
-    }
     match run.interrupted {
         None => Partial::complete(sweep),
         Some(interruption) => {
@@ -533,8 +488,12 @@ mod tests {
             vdd: base.vdd + 0.1,
             ..base.clone()
         };
-        let cfg = study_config(&other, &[Corner::typical()]);
-        assert!(crate::checkpoint::load_study(&path, CORNER_STUDY, &cfg).is_none());
+        let load = |cfg: &MixerConfig| {
+            let fingerprint = study_config(cfg, &[Corner::typical()]);
+            crate::checkpoint::load_study_any(&path, CORNER_STUDY, &fingerprint, 1)
+        };
+        assert_eq!(load(&base).map(|records| records.len()), Some(1));
+        assert!(load(&other).is_none());
         let _ = std::fs::remove_file(&path);
     }
 

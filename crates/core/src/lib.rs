@@ -51,6 +51,7 @@ pub mod montecarlo;
 pub mod plans;
 pub mod quad;
 pub mod sensitivity;
+pub mod study;
 pub mod tca;
 pub mod tg;
 pub mod tia;

@@ -247,7 +247,7 @@ impl ExtractedParams {
     }
 
     /// Serializes every extracted quantity to a flat scalar vector — the
-    /// success payload of version-2 study checkpoints
+    /// success payload of corner-sweep study checkpoints
     /// ([`StudyOutcome::Ok`](crate::checkpoint::StudyOutcome)). Layout:
     /// 23 scalars (TCA 9, TIA 6, Gm-pair polynomial 3, then `ron_quad`,
     /// `rdeg`, `power_active_mw`, `power_passive_mw`,

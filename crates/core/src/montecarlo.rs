@@ -16,9 +16,13 @@
 //! sweeping, and reports yield. Samples draw from *independently seeded*
 //! RNG streams (SplitMix64 of the study seed and the sample index), so a
 //! run interrupted after sample `k` resumes from a JSON checkpoint
-//! without replaying samples `0..k`: see [`crate::checkpoint`].
+//! without replaying samples `0..k`. The study is one caller of the
+//! shared resumable driver, [`crate::study::run_study`]; this
+//! module supplies the per-sample work and the sample codec.
 
+use crate::checkpoint::StudyOutcome;
 use crate::config::MixerConfig;
+use crate::study::{run_study, StudyRecord};
 use crate::tca::{build_tca_half, TcaHalf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -256,21 +260,22 @@ pub(crate) fn failure_trace(e: &AnalysisError) -> ConvergenceTrace {
     }
 }
 
-/// Maps a pool outcome back into the study's sample vocabulary: a
-/// contained panic or an exhausted per-sample deadline is a *failed
-/// sample* with a one-line trace, never a dead study.
-fn pool_sample(outcome: &remix_exec::TaskOutcome<SampleOutcome>) -> SampleOutcome {
-    match outcome {
-        remix_exec::TaskOutcome::Done(sample) => sample.clone(),
-        remix_exec::TaskOutcome::Failed(trace) => {
-            SampleOutcome::Failed(ConvergenceTrace::new(trace.clone()))
+impl StudyRecord for SampleOutcome {
+    const UNIT: &'static str = "sample";
+
+    fn encode(&self) -> StudyOutcome {
+        match self {
+            SampleOutcome::Ok(v) => StudyOutcome::Ok(vec![*v]),
+            SampleOutcome::Failed(trace) => StudyOutcome::Failed(trace.summary()),
         }
-        remix_exec::TaskOutcome::TimedOut {
-            attempts,
-            budget_ms,
-        } => SampleOutcome::Failed(ConvergenceTrace::new(format!(
-            "sample timed out: {attempts} attempt(s) exhausted the {budget_ms} ms per-sample budget"
-        ))),
+    }
+
+    fn decode_ok(values: &[f64]) -> Option<Self> {
+        values.first().copied().map(SampleOutcome::Ok)
+    }
+
+    fn failed(trace: ConvergenceTrace) -> Self {
+        SampleOutcome::Failed(trace)
     }
 }
 
@@ -301,10 +306,10 @@ pub fn iip2_study(base: &MixerConfig, mm: &MismatchConfig, checkpoint: Option<&P
 /// outcomes and its `without_timings()` snapshot identical for any
 /// worker count, including chaos-injected panics (which land as typed
 /// [`SampleOutcome::Failed`] records, keyed deterministically by
-/// sample index). Checkpoints are written in the version-3 bitmap
-/// format after every completion, so a kill mid-study resumes exactly
-/// the uncomputed set even when completion ran out of order; legacy
-/// version-1 checkpoints still load.
+/// sample index). The study runs on [`crate::study::run_study`]:
+/// the checkpoint is saved after every completion, so a kill mid-study
+/// resumes exactly the uncomputed set even when completion ran out of
+/// order.
 ///
 /// Under an interruption, [`McStudy::outcomes`] keeps the longest
 /// contiguous completed prefix (the serial contract), while the
@@ -315,26 +320,17 @@ pub fn iip2_study_with(
     checkpoint: Option<&Path>,
     pool: &remix_exec::PoolOptions,
 ) -> McStudy {
-    let mut slots: Vec<Option<SampleOutcome>> = vec![None; mm.n_runs];
-    let mut records: Vec<(usize, crate::checkpoint::StudyOutcome)> = Vec::new();
-    if let Some(path) = checkpoint {
-        for (i, outcome) in crate::checkpoint::load_mc_any(path, mm, mm.n_runs).unwrap_or_default()
-        {
-            records.push((i, crate::checkpoint::mc_record(&outcome)));
-            slots[i] = Some(outcome);
-        }
-    }
-    let resumed = records.len();
-    let todo: Vec<usize> = (0..mm.n_runs).filter(|&i| slots[i].is_none()).collect();
-    let config = crate::checkpoint::mc_study_config(mm);
     // A fault plan armed on the caller thread must also bite on pool
     // workers: capture it here and re-arm per task (counters restart
     // per sample — the deterministic parallel semantics). The study's
     // own `fault_sample` casualty takes precedence for its sample.
     #[cfg(feature = "fault-inject")]
     let caller_fault = remix_analysis::active_plan();
-    let run = remix_exec::run_tasks(
-        &todo,
+    let run = run_study(
+        "mc_iip2",
+        &crate::checkpoint::mc_study_config(mm),
+        mm.n_runs,
+        checkpoint,
         pool,
         |ctx| {
             let i = ctx.index;
@@ -359,8 +355,7 @@ pub fn iip2_study_with(
                 },
             }
         },
-        |index, outcome| {
-            let sample = pool_sample(outcome);
+        |sample| {
             remix_telemetry::counter_add(
                 match sample {
                     SampleOutcome::Ok(_) => remix_telemetry::names::CORE_MONTECARLO_SAMPLES_OK,
@@ -370,31 +365,12 @@ pub fn iip2_study_with(
                 },
                 1,
             );
-            records.push((index, crate::checkpoint::mc_record(&sample)));
-            if let Some(path) = checkpoint {
-                // Checkpoint write failures must not kill the study the
-                // checkpoint exists to protect; the run just loses
-                // resumability.
-                let _ =
-                    crate::checkpoint::save_study_v3(path, "mc_iip2", &config, mm.n_runs, &records);
-            }
         },
     );
-    let computed = run.outcomes.len();
-    for (i, outcome) in &run.outcomes {
-        slots[*i] = Some(pool_sample(outcome));
-    }
-    let mut outcomes = Vec::with_capacity(mm.n_runs);
-    for slot in &mut slots {
-        match slot.take() {
-            Some(done) => outcomes.push(done),
-            None => break,
-        }
-    }
     McStudy {
-        outcomes,
-        computed,
-        resumed,
+        outcomes: run.outcomes,
+        computed: run.computed,
+        resumed: run.resumed,
         interrupted: run.interrupted,
     }
 }

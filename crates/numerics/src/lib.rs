@@ -14,8 +14,6 @@
 //!   pivoting;
 //! * [`TripletMatrix`] / [`CsrMatrix`] / [`SparseLu`] — sparse stamping and
 //!   a threshold-pivoting sparse LU;
-//! * [`newton_solve`] — damped Newton–Raphson for the nonlinear MNA
-//!   residual;
 //! * [`IntegrationMethod`] — companion-model coefficients and LTE
 //!   estimation for the transient engine;
 //! * root finding ([`roots`]), least squares ([`fit`]), interpolation
@@ -46,7 +44,6 @@ pub mod fit;
 pub mod integrate;
 pub mod interp;
 pub mod lu;
-pub mod newton;
 pub mod roots;
 pub mod scalar;
 pub mod sparse;
@@ -57,7 +54,6 @@ pub use dense::{vecops, DenseMatrix};
 pub use fit::{fit_line, fit_line_fixed_slope, polyfit, polyval, Line};
 pub use integrate::{rk4, CompanionCoeffs, IntegrationMethod, LteEstimator};
 pub use lu::{solve_dense, FactorError, LuFactor};
-pub use newton::{newton_solve, NewtonError, NewtonOptions, NewtonReport, NonlinearSystem};
 pub use roots::{bisect, brent, RootError};
 pub use scalar::Scalar;
 pub use sparse::{CsrMatrix, SparseLu, TripletMatrix};

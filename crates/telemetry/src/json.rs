@@ -1,14 +1,15 @@
 //! Minimal hand-rolled JSON: a string escaper for rendering and a
-//! recursive-descent parser for reading records back. The build
-//! environment has no serde; this mirrors the parser the checkpoint
-//! protocol uses, trimmed to what [`BenchRecord`](crate::BenchRecord)
-//! needs.
+//! recursive-descent parser for reading documents back. The workspace
+//! carries no serde; this is its one JSON implementation, shared by
+//! [`BenchRecord`](crate::BenchRecord), the study checkpoints in
+//! `remix-core` and the `remix-serve` protocol.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// JSON string literal with the escapes JSON requires.
-pub(crate) fn json_str(s: &str) -> String {
+/// JSON string literal (quotes included) with the escapes JSON
+/// requires.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for ch in s.chars() {

@@ -57,7 +57,7 @@ mod record;
 mod sink;
 mod span;
 
-pub use json::{parse_json, JsonError, JsonValue};
+pub use json::{json_str, parse_json, JsonError, JsonValue};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricEntry, MetricValue, MetricsRegistry,
     MetricsSnapshot, SpanRollup, DEFAULT_DURATION_BUCKETS_MS, DEFAULT_RESIDUAL_BUCKETS,

@@ -21,12 +21,6 @@ pub const LU_FILL_NNZ: &str = "remix.numerics.lu.fill_nnz";
 /// Gauge: cheap `min|Uii|/max|Uii|` condition estimate of the most
 /// recent factorization.
 pub const LU_RCOND: &str = "remix.numerics.lu.rcond";
-/// Span: one damped-Newton solve.
-pub const NEWTON_SOLVE: &str = "remix.numerics.newton.solve";
-/// Counter: Newton iterations across all solves.
-pub const NEWTON_ITERATIONS: &str = "remix.numerics.newton.iterations";
-/// Histogram: residual norms observed by the Newton loop.
-pub const NEWTON_RESIDUAL_NORM: &str = "remix.numerics.newton.residual_norm";
 
 /// Span: one operating-point analysis.
 pub const ANALYSIS_OP: &str = "remix.analysis.op";
@@ -213,9 +207,6 @@ pub const ALL: &[&str] = &[
     LU_FACTORIZATIONS,
     LU_FILL_NNZ,
     LU_RCOND,
-    NEWTON_ITERATIONS,
-    NEWTON_RESIDUAL_NORM,
-    NEWTON_SOLVE,
     SERVE_CACHE_HITS,
     SERVE_CACHE_JOINS,
     SERVE_CACHE_MISSES,
