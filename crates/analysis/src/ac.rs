@@ -8,7 +8,7 @@ use crate::error::AnalysisError;
 use crate::op::OperatingPoint;
 use crate::stamp::assemble_ac;
 use remix_circuit::{Circuit, ElementId, MnaLayout, Node};
-use remix_numerics::{Complex, TripletMatrix};
+use remix_numerics::{Complex, SparseSolver, TripletMatrix};
 
 /// Result of an AC sweep.
 #[derive(Debug, Clone)]
@@ -81,6 +81,7 @@ pub fn ac_sweep(
         .with_field("points", freqs.len());
     let mut m = TripletMatrix::<Complex>::new(dim, dim);
     let mut rhs = vec![Complex::ZERO; dim];
+    let mut solver = SparseSolver::new();
     let mut solutions = Vec::with_capacity(freqs.len());
     for &f in freqs {
         if let Err(i) = remix_exec::checkpoint() {
@@ -102,7 +103,7 @@ pub fn ac_sweep(
             &mut m,
             &mut rhs,
         );
-        let lu = crate::fault::factor(&m.to_csr())
+        let lu = crate::fault::factor(&mut solver, &m)
             .map_err(|e| AnalysisError::singular_at_point(circuit, "ac sweep", f, e))?;
         solutions.push(
             lu.solve(&rhs)

@@ -17,7 +17,7 @@ use crate::op::OperatingPoint;
 use crate::stamp::assemble_ac;
 use remix_circuit::consts::{BOLTZMANN, ROOM_TEMP};
 use remix_circuit::{stamp_current, Circuit, Element, Node};
-use remix_numerics::{Complex, TripletMatrix};
+use remix_numerics::{Complex, SparseSolver, TripletMatrix};
 
 /// One noise generator discovered in the circuit.
 #[derive(Debug, Clone)]
@@ -163,6 +163,8 @@ pub fn output_noise(
     let dim = layout.dim();
     let mut m = TripletMatrix::<Complex>::new(dim, dim);
     let mut rhs = vec![Complex::ZERO; dim];
+    let mut solver = SparseSolver::new();
+    let mut inj = vec![Complex::ZERO; dim];
 
     let mut total = vec![0.0; freqs.len()];
     let mut contributions: Vec<(String, Vec<f64>)> = sources
@@ -190,11 +192,11 @@ pub fn output_noise(
             &mut m,
             &mut rhs,
         );
-        let lu = crate::fault::factor(&m.to_csr())
+        let lu = crate::fault::factor(&mut solver, &m)
             .map_err(|e| AnalysisError::singular_at_point(circuit, "ac noise", f, e))?;
         for (si, s) in sources.iter().enumerate() {
             // Unit current injection a → b.
-            let mut inj = vec![Complex::ZERO; dim];
+            inj.fill(Complex::ZERO);
             stamp_current(&mut inj, s.a, s.b, Complex::ONE);
             let sol = lu
                 .solve(&inj)

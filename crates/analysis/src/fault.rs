@@ -220,16 +220,18 @@ pub(crate) fn newton_cap(budget: usize) -> usize {
     }
 }
 
-/// Factors a real/complex CSR matrix through the fault hook: the
-/// single chokepoint every analysis uses, so an armed
-/// [`FaultKind::SingularPivot`] plan is seen by all of them.
-pub(crate) fn factor<T: remix_numerics::Scalar>(
-    m: &remix_numerics::CsrMatrix<T>,
-) -> Result<remix_numerics::SparseLu<T>, remix_numerics::FactorError> {
+/// Factors an assembled real/complex system with the analysis call's
+/// solver, through the fault hook: the single chokepoint every analysis
+/// uses, so an armed [`FaultKind::SingularPivot`] plan is seen by all of
+/// them, one event per factorization.
+pub(crate) fn factor<'s, T: remix_numerics::Scalar>(
+    solver: &'s mut remix_numerics::SparseSolver<T>,
+    m: &remix_numerics::TripletMatrix<T>,
+) -> Result<&'s remix_numerics::SparseLu<T>, remix_numerics::FactorError> {
     if fail_factor() {
         return Err(remix_numerics::FactorError::Singular { step: 0 });
     }
-    remix_numerics::SparseLu::factor(m)
+    solver.factor(m)
 }
 
 #[cfg(all(test, feature = "fault-inject"))]

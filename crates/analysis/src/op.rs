@@ -20,7 +20,7 @@ use crate::convergence::{
 use crate::error::{AnalysisError, PartialProgress};
 use crate::stamp::{assemble_real, RealMode};
 use remix_circuit::{Circuit, Element, ElementId, MnaLayout, MosCaps, MosEval, Node};
-use remix_numerics::{FactorError, LuFactor, SparseLu, TripletMatrix};
+use remix_numerics::{FactorError, LuFactor, SparseLu, SparseSolver, TripletMatrix};
 
 /// Which linear-algebra path factors the MNA system each Newton step.
 ///
@@ -70,12 +70,12 @@ impl Default for OpOptions {
 }
 
 /// One factored MNA system, behind either linear-algebra path.
-enum Factored {
-    Sparse(SparseLu<f64>),
+enum Factored<'s> {
+    Sparse(&'s SparseLu<f64>),
     Dense(LuFactor<f64>),
 }
 
-impl Factored {
+impl Factored<'_> {
     fn rcond_estimate(&self) -> f64 {
         match self {
             Factored::Sparse(lu) => lu.rcond_estimate(),
@@ -92,12 +92,16 @@ impl Factored {
 }
 
 /// Factors the assembled system through the selected path. The sparse
-/// path keeps the fault-injection hook; the dense reference path
-/// deliberately bypasses it so the oracle's two solves fail
-/// independently.
-fn factor_system(m: &TripletMatrix<f64>, kind: LinearSolverKind) -> Result<Factored, FactorError> {
+/// path keeps the fault-injection hook and reuses the call's solver; the
+/// dense reference path deliberately bypasses both so the oracle's two
+/// solves fail independently.
+fn factor_system<'s>(
+    solver: &'s mut SparseSolver<f64>,
+    m: &TripletMatrix<f64>,
+    kind: LinearSolverKind,
+) -> Result<Factored<'s>, FactorError> {
     match kind {
-        LinearSolverKind::Sparse => crate::fault::factor(&m.to_csr()).map(Factored::Sparse),
+        LinearSolverKind::Sparse => crate::fault::factor(solver, m).map(Factored::Sparse),
         LinearSolverKind::Dense => LuFactor::factor(&m.to_csr().to_dense()).map(Factored::Dense),
     }
 }
@@ -202,6 +206,7 @@ fn converge_stage(
     stage: TraceStage,
     opts: &OpOptions,
     mos_evals: &mut Vec<Option<MosEval>>,
+    solver: &mut SparseSolver<f64>,
 ) -> StageRun {
     let dim = layout.dim();
     let mut m = TripletMatrix::<f64>::new(dim, dim);
@@ -236,7 +241,7 @@ fn converge_stage(
                 rhs[i] += diag_load * x[i];
             }
         }
-        let lu = match factor_system(&m, opts.solver) {
+        let lu = match factor_system(solver, &m, opts.solver) {
             Ok(lu) => lu,
             Err(e) => {
                 attempt.outcome = factor_outcome(&e);
@@ -342,6 +347,7 @@ fn run_stage(
     stage_opts: &OpOptions,
     target_gmin: f64,
     mos_evals: &mut Vec<Option<MosEval>>,
+    solver: &mut SparseSolver<f64>,
     trace: &mut ConvergenceTrace,
 ) -> (bool, Option<FactorError>, Option<remix_exec::Interruption>) {
     x.iter_mut().for_each(|v| *v = 0.0);
@@ -374,6 +380,7 @@ fn run_stage(
                 stage,
                 stage_opts,
                 mos_evals,
+                solver,
             );
             record(run, &mut last_ferr, &mut interrupted, trace)
         }
@@ -381,7 +388,7 @@ fn run_stage(
             let mut ok = true;
             for g in ConvergencePolicy::gmin_rungs(start, target_gmin) {
                 let run = converge_stage(
-                    circuit, layout, x, g, 1.0, 0.0, stage, stage_opts, mos_evals,
+                    circuit, layout, x, g, 1.0, 0.0, stage, stage_opts, mos_evals, solver,
                 );
                 if !record(run, &mut last_ferr, &mut interrupted, trace) {
                     ok = false;
@@ -405,6 +412,7 @@ fn run_stage(
                     stage,
                     stage_opts,
                     mos_evals,
+                    solver,
                 );
                 if !record(run, &mut last_ferr, &mut interrupted, trace) {
                     ok = false;
@@ -433,6 +441,7 @@ fn run_stage(
                     stage,
                     stage_opts,
                     mos_evals,
+                    solver,
                 );
                 record(run, &mut last_ferr, &mut interrupted, trace);
                 if interrupted.is_some() {
@@ -453,6 +462,7 @@ fn run_stage(
                 stage,
                 stage_opts,
                 mos_evals,
+                solver,
             );
             record(run, &mut last_ferr, &mut interrupted, trace)
         }
@@ -494,6 +504,9 @@ pub fn dc_operating_point(
     let mut x = vec![0.0; dim];
     let mut mos_evals: Vec<Option<MosEval>> = vec![None; n_elem];
     let mut trace = ConvergenceTrace::new("dc operating point");
+    // One solver for every stage of this call: a stage whose matrix
+    // pattern matches the previous factorization's refactors in it.
+    let mut solver = SparseSolver::new();
 
     // Walk the policy ladder, retried with progressively tighter damping:
     // strong feedback loops (the TIA around its two-stage OTA) can
@@ -515,6 +528,7 @@ pub fn dc_operating_point(
                 &stage_opts,
                 opts.gmin,
                 &mut mos_evals,
+                &mut solver,
                 &mut trace,
             );
             if ferr.is_some() {

@@ -18,7 +18,7 @@ use crate::stamp::{
     assemble_real, cap_companion_current, mos_cap_branches, CapState, ElementState, RealMode,
 };
 use remix_circuit::{Circuit, Element, MnaLayout, Node};
-use remix_numerics::{FactorError, IntegrationMethod, TripletMatrix};
+use remix_numerics::{FactorError, IntegrationMethod, SparseSolver, TripletMatrix};
 
 /// Options controlling a transient run.
 #[derive(Debug, Clone)]
@@ -153,6 +153,11 @@ struct Integrator<'a> {
     mos_caps: Vec<Option<remix_circuit::MosCaps>>,
     x: Vec<f64>,
     opts: &'a TranOptions,
+    /// The run's MNA system and solver, reused by every Newton
+    /// iteration of every step.
+    m: TripletMatrix<f64>,
+    rhs: Vec<f64>,
+    solver: SparseSolver<f64>,
 }
 
 impl<'a> Integrator<'a> {
@@ -186,6 +191,7 @@ impl<'a> Integrator<'a> {
             };
             states.push(st);
         }
+        let dim = layout.dim();
         Ok(Integrator {
             circuit,
             layout,
@@ -193,6 +199,9 @@ impl<'a> Integrator<'a> {
             mos_caps: op.mos_caps,
             x,
             opts,
+            m: TripletMatrix::new(dim, dim),
+            rhs: vec![0.0; dim],
+            solver: SparseSolver::new(),
         })
     }
 
@@ -201,8 +210,6 @@ impl<'a> Integrator<'a> {
     fn step(&mut self, t: f64, h: f64, method: IntegrationMethod) -> Result<(), AnalysisError> {
         let coeffs = method.coeffs(h);
         let dim = self.layout.dim();
-        let mut m = TripletMatrix::<f64>::new(dim, dim);
-        let mut rhs = vec![0.0; dim];
         let mut x = self.x.clone();
 
         let mut attempt = StageAttempt::new(TraceStage::TranStep { t, h });
@@ -256,11 +263,11 @@ impl<'a> Integrator<'a> {
                 &self.layout,
                 &x,
                 &mode,
-                &mut m,
-                &mut rhs,
+                &mut self.m,
+                &mut self.rhs,
                 None,
             );
-            let lu = match crate::fault::factor(&m.to_csr()) {
+            let lu = match crate::fault::factor(&mut self.solver, &self.m) {
                 Ok(lu) => lu,
                 Err(FactorError::Budget(i)) => {
                     attempt.outcome = AttemptOutcome::Interrupted(i);
@@ -285,7 +292,7 @@ impl<'a> Integrator<'a> {
                 }
             };
             attempt.rcond = Some(lu.rcond_estimate());
-            let x_new = match lu.solve(&rhs) {
+            let x_new = match lu.solve(&self.rhs) {
                 Ok(v) => v,
                 Err(e) => return Err(fail(attempt, AttemptOutcome::NotFinite, Some(e))),
             };
@@ -399,8 +406,9 @@ impl<'a> Integrator<'a> {
             }
             if worst > opts.lte_tol && h > opts.h_min * 2.0 {
                 // Reject: roll back and retry with a smaller step. The
-                // estimator history keeps the rejected point, which only
-                // makes the next estimate more conservative.
+                // histories already hold the rejected point, so every
+                // estimator is reset to empty; no estimate is made
+                // until the retried steps have refilled them.
                 self.restore(snap);
                 *h_state = (h / 2.0).max(opts.h_min);
                 for e in estimators.iter_mut() {

@@ -255,6 +255,43 @@ fn tran_step_singular_records_a_tran_step_trace() {
 }
 
 #[test]
+fn one_event_window_fails_exactly_the_third_factorization_of_a_transient() {
+    // A linear RC driven below the op's 0.3 V damping limit: the op
+    // converges in two undamped Newton iterations (two factorizations),
+    // so event 2 is the first Newton iteration of the first timestep.
+    // Faults count factorizations, refactorizations included, one
+    // event each.
+    let mut c = Circuit::new();
+    let a = c.node("a");
+    let b = c.node("b");
+    c.add_vsource("v1", a, Circuit::gnd(), Waveform::Dc(0.2));
+    c.add_resistor("r1", a, b, 1e3);
+    c.add_capacitor("c1", b, Circuit::gnd(), 1e-12);
+    let op = dc_operating_point(&c, &OpOptions::default()).unwrap();
+    assert_eq!(op.trace.total_iterations(), 2);
+    let opts = TranOptions::new(1e-9, 1e-11);
+    let _guard = FaultPlan::singular_pivot()
+        .starting_at(2)
+        .for_events(1)
+        .arm();
+    match transient(&c, &opts) {
+        Err(AnalysisError::Singular { trace, .. }) => {
+            assert_eq!(trace.analysis, "transient step");
+            assert_eq!(trace.attempts.len(), 1);
+            assert_eq!(trace.attempts[0].iterations, 1);
+            match trace.attempts[0].stage {
+                TraceStage::TranStep { t, h } => {
+                    assert_eq!(h, opts.h);
+                    assert!((t - opts.h).abs() < 1e-24, "t = {t:e}");
+                }
+                other => panic!("expected a tran-step trace, got {other:?}"),
+            }
+        }
+        other => panic!("expected Singular at the first timestep, got {other:?}"),
+    }
+}
+
+#[test]
 fn op_recovers_from_a_single_poisoned_eval() {
     // One poisoned MOSFET evaluation fails the direct stage; the gmin
     // ladder then runs un-poisoned and must still find the bias point.

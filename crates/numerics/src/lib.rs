@@ -56,4 +56,4 @@ pub use integrate::{rk4, CompanionCoeffs, IntegrationMethod, LteEstimator};
 pub use lu::{solve_dense, FactorError, LuFactor};
 pub use roots::{bisect, brent, RootError};
 pub use scalar::Scalar;
-pub use sparse::{CsrMatrix, SparseLu, TripletMatrix};
+pub use sparse::{CsrMatrix, SparseLu, SparseSolver, TripletMatrix};

@@ -1,15 +1,25 @@
 //! Sparse matrices for MNA systems.
 //!
 //! Circuit matrices are structurally sparse (a node touches only its
-//! neighbours), and the sparsity pattern is fixed across Newton iterations
-//! and time steps — only the values change. This module provides:
+//! neighbours), and the sparsity pattern is fixed across Newton iterations,
+//! time steps and frequency points — only the values change. The solver is
+//! therefore split into work done once per pattern and work done once per
+//! matrix:
 //!
 //! * [`TripletMatrix`] — a coordinate-format accumulator that element stamps
 //!   write into;
 //! * [`CsrMatrix`] — compressed sparse row storage with fast mat-vec;
-//! * [`SparseLu`] — an LU factorization with threshold partial pivoting,
-//!   operating on row linked-lists with a scattered working row (the
-//!   classic right-looking "GP"-style elimination).
+//! * [`SparseLu`] — an LU factorization with threshold partial pivoting.
+//!   [`SparseLu::factor`] runs the pivot search (right-looking elimination
+//!   on row lists), then the symbolic phase (the structural fill pattern of
+//!   L and U for the chosen row order) and the numeric phase (row-by-row
+//!   elimination into flat value arrays on that pattern).
+//!   [`SparseLu::refactor`] reruns only the numeric phase on a new matrix
+//!   with the same pattern, and falls back to a fresh pivot search when a
+//!   reused pivot no longer passes the threshold test;
+//! * [`SparseSolver`] — one analysis call's solver: triplets are converted
+//!   to CSR through a remembered slot map (refilled in place while the
+//!   coordinate sequence repeats), then factored once and refactored after.
 //!
 //! The sparse solver is validated against the dense one in tests and by
 //! property tests at the crate boundary.
@@ -83,16 +93,30 @@ impl<T: Scalar> TripletMatrix<T> {
         self.entries.clear();
     }
 
-    /// Converts to CSR, summing duplicates and dropping explicit zeros is
-    /// *not* done (structural zeros are kept so patterns stay stable).
+    /// Converts to CSR. Entries pushed at the same coordinates are summed
+    /// in push order. Entries whose value is zero are kept, so the CSR
+    /// pattern depends only on the coordinates pushed, never on the values.
     pub fn to_csr(&self) -> CsrMatrix<T> {
-        let mut sorted = self.entries.clone();
-        sorted.sort_by_key(|a| (a.0, a.1));
+        self.to_csr_with_slots().0
+    }
+
+    /// [`to_csr`](Self::to_csr) plus, for every pushed entry, the index
+    /// of the CSR value it was summed into.
+    fn to_csr_with_slots(&self) -> (CsrMatrix<T>, Vec<usize>) {
+        let mut order: Vec<(usize, usize, usize)> = self
+            .entries
+            .iter()
+            .enumerate()
+            .map(|(k, &(r, c, _))| (r, c, k))
+            .collect();
+        order.sort_unstable();
         let mut row_ptr = vec![0usize; self.rows + 1];
-        let mut col_idx = Vec::with_capacity(sorted.len());
-        let mut values: Vec<T> = Vec::with_capacity(sorted.len());
+        let mut col_idx = Vec::with_capacity(order.len());
+        let mut values: Vec<T> = Vec::with_capacity(order.len());
+        let mut slots = vec![0usize; order.len()];
         let mut last: Option<(usize, usize)> = None;
-        for (r, c, v) in sorted {
+        for (r, c, k) in order {
+            let v = self.entries[k].2;
             if last == Some((r, c)) {
                 let n = values.len();
                 values[n - 1] += v;
@@ -102,17 +126,19 @@ impl<T: Scalar> TripletMatrix<T> {
                 row_ptr[r + 1] += 1;
                 last = Some((r, c));
             }
+            slots[k] = values.len() - 1;
         }
         for i in 0..self.rows {
             row_ptr[i + 1] += row_ptr[i];
         }
-        CsrMatrix {
+        let csr = CsrMatrix {
             rows: self.rows,
             cols: self.cols,
             row_ptr,
             col_idx,
             values,
-        }
+        };
+        (csr, slots)
     }
 
     /// Converts to a dense matrix (test/debug helper).
@@ -201,26 +227,89 @@ impl<T: Scalar> CsrMatrix<T> {
     }
 }
 
-/// Sparse LU factorization with threshold partial pivoting.
+/// Triplet-to-CSR conversion that remembers where each pushed entry
+/// landed. While the shape and the coordinate sequence repeat exactly
+/// (checked on every call, entry by entry), a conversion scatter-adds the
+/// new values into the kept CSR; any difference rebuilds it.
+#[derive(Debug, Clone)]
+struct CsrRefill<T> {
+    /// Coordinates of the entries the kept CSR was built from, in push order.
+    coords: Vec<(usize, usize)>,
+    /// CSR value index of each of those entries.
+    slots: Vec<usize>,
+    csr: CsrMatrix<T>,
+}
+
+impl<T: Scalar> CsrRefill<T> {
+    fn new() -> Self {
+        CsrRefill {
+            coords: Vec::new(),
+            slots: Vec::new(),
+            csr: CsrMatrix {
+                rows: 0,
+                cols: 0,
+                row_ptr: vec![0],
+                col_idx: Vec::new(),
+                values: Vec::new(),
+            },
+        }
+    }
+
+    /// The CSR form of `t`, equal to `t.to_csr()`.
+    fn convert(&mut self, t: &TripletMatrix<T>) -> &CsrMatrix<T> {
+        let same_pattern = t.rows == self.csr.rows
+            && t.cols == self.csr.cols
+            && t.entries.len() == self.coords.len()
+            && t.entries
+                .iter()
+                .zip(&self.coords)
+                .all(|(&(r, c, _), &rc)| (r, c) == rc);
+        if same_pattern {
+            self.csr.values.fill(T::zero());
+            for (&(_, _, v), &slot) in t.entries.iter().zip(&self.slots) {
+                self.csr.values[slot] += v;
+            }
+        } else {
+            (self.csr, self.slots) = t.to_csr_with_slots();
+            self.coords.clear();
+            self.coords
+                .extend(t.entries.iter().map(|&(r, c, _)| (r, c)));
+        }
+        &self.csr
+    }
+}
+
+/// Sparse LU factorization `P·A = L·U` with threshold partial pivoting.
 ///
-/// Rows are held as sorted `(col, value)` vectors; elimination scatters the
-/// current row into a dense working buffer, updates, and gathers back. For
-/// the matrix sizes the simulator produces (≲ a few hundred unknowns) this
-/// is both simple and fast, while preserving sparsity where it exists.
+/// The factors live in one flat row-compressed store: factored row `i`
+/// holds its unit-lower multipliers (columns `< i`) followed by its upper
+/// entries (diagonal first), all sorted by column. The store's pattern is
+/// the structural fill of the input pattern under the row order `P`, so
+/// [`refactor`](Self::refactor) can refill it for any matrix with the same
+/// pattern without searching for pivots again.
 #[derive(Debug, Clone)]
 pub struct SparseLu<T> {
     n: usize,
-    /// Unit-lower-triangular factors: `lower[i]` holds the `(col, mult)`
-    /// multipliers of permuted row `i` (all with `col < i`). The lists are
-    /// swapped together with the rows during pivoting so they stay attached
-    /// to the correct (permuted) row.
-    lower: Vec<Vec<(usize, T)>>,
-    /// Upper-triangular rows (sorted by column, diagonal first).
-    upper: Vec<Vec<(usize, T)>>,
-    /// Row permutation applied to the RHS.
+    /// Row permutation: factored row `i` is input row `perm[i]`.
     perm: Vec<usize>,
+    /// Start of each factored row in `col`/`val` (length `n + 1`).
+    ptr: Vec<usize>,
+    /// Position of each row's diagonal entry, its first upper entry.
+    diag: Vec<usize>,
+    col: Vec<usize>,
+    val: Vec<T>,
+    /// Row pointers and column indices of the input the pattern was
+    /// derived from; [`refactor`](Self::refactor) reuses the pattern only
+    /// for this exact input pattern.
+    a_ptr: Vec<usize>,
+    a_col: Vec<usize>,
     /// Largest |a_ij| of the factored matrix (for pivot-growth estimates).
     scale: f64,
+    /// Dense working row of the numeric phase, all zero between rows.
+    work: Vec<T>,
+    /// Per column, the largest candidate-pivot magnitude seen by the
+    /// numeric phase (the threshold test's column maximum).
+    col_max: Vec<f64>,
 }
 
 /// Pivot tolerance relative to the largest candidate in the column.
@@ -228,138 +317,278 @@ const PIVOT_THRESHOLD: f64 = 1e-3;
 /// Magnitude below which an eliminated fill-in entry is dropped.
 const DROP_TOL: f64 = 0.0; // keep everything: exactness over speed
 
+/// Checks a matrix before factoring it and returns its scale, the
+/// largest |a_ij| (floored at the smallest positive double).
+fn check_input<T: Scalar>(a: &CsrMatrix<T>) -> Result<f64, FactorError> {
+    remix_exec::check_matrix_dim(a.rows()).map_err(FactorError::Budget)?;
+    if a.rows() != a.cols() {
+        return Err(FactorError::NotSquare {
+            rows: a.rows(),
+            cols: a.cols(),
+        });
+    }
+    let mut scale = 0.0f64;
+    for v in &a.values {
+        if !v.is_finite_scalar() {
+            return Err(FactorError::NotFinite);
+        }
+        scale = scale.max(v.magnitude());
+    }
+    Ok(scale.max(f64::MIN_POSITIVE))
+}
+
+/// The pivot search: right-looking elimination on row lists that picks,
+/// at each step, the row order `perm` (input row of each pivot).
+///
+/// Threshold partial pivoting: among rows whose candidate pivot is within
+/// [`PIVOT_THRESHOLD`] of the column maximum, choose the sparsest (a cheap
+/// Markowitz-style fill heuristic).
+fn pivot_order<T: Scalar>(a: &CsrMatrix<T>, scale: f64) -> Result<Vec<usize>, FactorError> {
+    let n = a.rows();
+    let mut rows: Vec<Vec<(usize, T)>> = (0..n).map(|r| a.row(r).collect()).collect();
+    let mut perm: Vec<usize> = (0..n).collect();
+
+    // Dense scatter buffer reused per eliminated row.
+    let mut work = vec![T::zero(); n];
+    let mut pattern: Vec<usize> = Vec::with_capacity(n);
+
+    for k in 0..n {
+        // --- pivot selection among rows k..n having an entry in col k ---
+        // Two passes keep the logic obviously correct.
+        let candidates: Vec<(usize, f64, usize)> = rows
+            .iter()
+            .enumerate()
+            .skip(k)
+            .filter_map(|(ri, row)| {
+                row.binary_search_by_key(&k, |e| e.0)
+                    .ok()
+                    .map(|pos| (ri, row[pos].1.magnitude(), row.len()))
+                    .filter(|&(_, m, _)| m > 0.0)
+            })
+            .collect();
+        let max_mag = candidates.iter().map(|c| c.1).fold(0.0, f64::max);
+        let best_row = candidates
+            .iter()
+            .filter(|c| c.1 >= PIVOT_THRESHOLD * max_mag)
+            .min_by_key(|c| c.2)
+            .map(|c| c.0)
+            .unwrap_or(usize::MAX);
+        if best_row == usize::MAX || max_mag <= 1e-13 * scale {
+            return Err(FactorError::Singular { step: k });
+        }
+        rows.swap(k, best_row);
+        perm.swap(k, best_row);
+
+        let pivot_row = std::mem::take(&mut rows[k]);
+        // The pivot-selection scan above only accepts rows holding
+        // a finite entry in column k, so the search cannot miss; a
+        // miss would be a broken factorization invariant, not a
+        // property of the input matrix.
+        let Ok(pivot_pos) = pivot_row.binary_search_by_key(&k, |e| e.0) else {
+            unreachable!("pivot entry must exist"); // audit: allow(AUD002): a miss is a broken factorization invariant, per the comment above
+        };
+        let pivot_val = pivot_row[pivot_pos].1;
+
+        // --- eliminate column k from all remaining rows ---
+        for row in rows.iter_mut().skip(k + 1) {
+            let Ok(pos) = row.binary_search_by_key(&k, |e| e.0) else {
+                continue;
+            };
+            let mult = row[pos].1 / pivot_val;
+
+            // Scatter target row.
+            pattern.clear();
+            for &(c, v) in row.iter() {
+                if c != k {
+                    work[c] = v;
+                    pattern.push(c);
+                }
+            }
+            // Subtract mult * pivot_row (entries beyond column k).
+            for &(c, v) in &pivot_row[pivot_pos + 1..] {
+                let delta = mult * v;
+                if work[c] == T::zero() && !pattern.contains(&c) {
+                    pattern.push(c);
+                }
+                work[c] -= delta;
+            }
+            // Gather back, sorted.
+            pattern.sort_unstable();
+            row.clear();
+            for &c in &pattern {
+                let v = work[c];
+                work[c] = T::zero();
+                if v.magnitude() > DROP_TOL {
+                    row.push((c, v));
+                }
+            }
+        }
+    }
+    Ok(perm)
+}
+
 impl<T: Scalar> SparseLu<T> {
-    /// Factors a CSR matrix.
+    /// Factors a CSR matrix: pivot search, then symbolic and numeric
+    /// phases on the chosen row order.
     ///
     /// # Errors
     ///
     /// [`FactorError::NotSquare`] / [`FactorError::NotFinite`] /
-    /// [`FactorError::Singular`] as for the dense factorization.
+    /// [`FactorError::Singular`] as for the dense factorization, and
+    /// [`FactorError::Budget`] when the dimension exceeds an armed
+    /// [`RunBudget`](remix_exec::RunBudget).
     pub fn factor(a: &CsrMatrix<T>) -> Result<Self, FactorError> {
-        remix_exec::check_matrix_dim(a.rows()).map_err(FactorError::Budget)?;
-        if a.rows() != a.cols() {
-            return Err(FactorError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
+        let scale = check_input(a)?;
+        let lu = Self::search(a, scale)?;
+        lu.record();
+        Ok(lu)
+    }
+
+    /// Factors `a` in place, reusing the stored row order and fill
+    /// pattern when `a` has the pattern this factorization was derived
+    /// from and every reused pivot still passes the threshold test
+    /// (|pivot| ≥ 10⁻³ × column maximum, column maximum > 10⁻¹³ × scale).
+    /// Otherwise runs a fresh pivot search, exactly as
+    /// [`factor`](Self::factor) would.
+    ///
+    /// # Errors
+    ///
+    /// As for [`factor`](Self::factor). After an error the factors are
+    /// unusable until the next successful `factor` or `refactor`.
+    pub fn refactor(&mut self, a: &CsrMatrix<T>) -> Result<(), FactorError> {
+        let scale = check_input(a)?;
+        let same_pattern = a.row_ptr == self.a_ptr && a.col_idx == self.a_col;
+        if !(same_pattern && self.numeric(a, scale).is_ok()) {
+            *self = Self::search(a, scale)?;
         }
-        if !a.values.iter().all(|v| v.is_finite_scalar()) {
-            return Err(FactorError::NotFinite);
-        }
-        let n = a.rows();
-        let scale = a
-            .values
-            .iter()
-            .map(|v| v.magnitude())
-            .fold(0.0, f64::max)
-            .max(f64::MIN_POSITIVE);
+        self.record();
+        Ok(())
+    }
 
-        // Mutable row storage.
-        let mut rows: Vec<Vec<(usize, T)>> = (0..n).map(|r| a.row(r).collect()).collect();
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut lower: Vec<Vec<(usize, T)>> = vec![Vec::new(); n];
-        let mut upper: Vec<Vec<(usize, T)>> = vec![Vec::new(); n];
-
-        // Dense scatter buffer reused per eliminated row.
-        let mut work = vec![T::zero(); n];
-        let mut pattern: Vec<usize> = Vec::with_capacity(n);
-
-        for k in 0..n {
-            // --- pivot selection among rows k..n having an entry in col k ---
-            // Threshold partial pivoting: among rows whose candidate pivot is
-            // within PIVOT_THRESHOLD of the column maximum, choose the
-            // sparsest (a cheap Markowitz-style fill heuristic). Two passes
-            // keep the logic obviously correct.
-            let candidates: Vec<(usize, f64, usize)> = rows
-                .iter()
-                .enumerate()
-                .skip(k)
-                .filter_map(|(ri, row)| {
-                    row.binary_search_by_key(&k, |e| e.0)
-                        .ok()
-                        .map(|pos| (ri, row[pos].1.magnitude(), row.len()))
-                        .filter(|&(_, m, _)| m > 0.0)
-                })
-                .collect();
-            let max_mag = candidates.iter().map(|c| c.1).fold(0.0, f64::max);
-            let best_row = candidates
-                .iter()
-                .filter(|c| c.1 >= PIVOT_THRESHOLD * max_mag)
-                .min_by_key(|c| c.2)
-                .map(|c| c.0)
-                .unwrap_or(usize::MAX);
-            let best_mag = max_mag;
-            if best_row == usize::MAX || best_mag <= 1e-13 * scale {
-                return Err(FactorError::Singular { step: k });
-            }
-            rows.swap(k, best_row);
-            perm.swap(k, best_row);
-            lower.swap(k, best_row);
-
-            // --- extract pivot row into U ---
-            let pivot_row = std::mem::take(&mut rows[k]);
-            // The pivot-selection scan above only accepts rows holding
-            // a finite entry in column k, so the search cannot miss; a
-            // miss would be a broken factorization invariant, not a
-            // property of the input matrix.
-            let Ok(pivot_pos) = pivot_row.binary_search_by_key(&k, |e| e.0) else {
-                unreachable!("pivot entry must exist"); // audit: allow(AUD002): a miss is a broken factorization invariant, per the comment above
-            };
-            let pivot_val = pivot_row[pivot_pos].1;
-
-            // --- eliminate column k from all remaining rows ---
-            for ri in (k + 1)..n {
-                let Ok(pos) = rows[ri].binary_search_by_key(&k, |e| e.0) else {
-                    continue;
-                };
-                let mult = rows[ri][pos].1 / pivot_val;
-                lower[ri].push((k, mult));
-
-                // Scatter target row.
-                pattern.clear();
-                for &(c, v) in &rows[ri] {
-                    if c != k {
-                        work[c] = v;
-                        pattern.push(c);
-                    }
-                }
-                // Subtract mult * pivot_row (entries beyond column k).
-                for &(c, v) in &pivot_row[pivot_pos + 1..] {
-                    let delta = mult * v;
-                    if work[c] == T::zero() && !pattern.contains(&c) {
-                        pattern.push(c);
-                    }
-                    work[c] -= delta;
-                }
-                // Gather back, sorted.
-                pattern.sort_unstable();
-                let mut new_row = Vec::with_capacity(pattern.len());
-                for &c in &pattern {
-                    let v = work[c];
-                    work[c] = T::zero();
-                    if v.magnitude() > DROP_TOL {
-                        new_row.push((c, v));
-                    }
-                }
-                rows[ri] = new_row;
-            }
-
-            upper[k] = pivot_row[pivot_pos..].to_vec();
-        }
-
-        let lu = SparseLu {
-            n,
-            lower,
-            upper,
-            perm,
-            scale,
-        };
+    /// A fresh factorization of a checked matrix: pivot search, symbolic
+    /// phase, numeric phase.
+    fn search(a: &CsrMatrix<T>, scale: f64) -> Result<Self, FactorError> {
+        let perm = pivot_order(a, scale)?;
+        let mut lu = Self::symbolic(a, perm);
+        // The numeric phase repeats the search's arithmetic on a superset
+        // pattern, so it accepts the pivots the search chose.
+        lu.numeric(a, scale)
+            .map_err(|step| FactorError::Singular { step })?;
         if remix_telemetry::is_armed() {
-            remix_telemetry::counter_add(remix_telemetry::names::LU_FACTORIZATIONS, 1);
-            remix_telemetry::gauge_set(remix_telemetry::names::LU_FILL_NNZ, lu.fill_nnz() as f64);
-            remix_telemetry::gauge_set(remix_telemetry::names::LU_RCOND, lu.rcond_estimate());
+            remix_telemetry::counter_add(remix_telemetry::names::LU_PIVOT_SEARCHES, 1);
         }
         Ok(lu)
+    }
+
+    /// The symbolic phase: the structural pattern of L and U for row
+    /// order `perm`, assuming no cancellation, so that every matrix with
+    /// `a`'s pattern factors into it. Values are left zero.
+    fn symbolic(a: &CsrMatrix<T>, perm: Vec<usize>) -> Self {
+        let n = a.rows();
+        let mut ptr = Vec::with_capacity(n + 1);
+        let mut diag = Vec::with_capacity(n);
+        let mut col: Vec<usize> = Vec::with_capacity(a.nnz());
+        ptr.push(0);
+        // mark[c] == i: column c is in factored row i's pattern.
+        let mut mark = vec![usize::MAX; n];
+        for (i, &src) in perm.iter().enumerate() {
+            for &c in &a.col_idx[a.row_ptr[src]..a.row_ptr[src + 1]] {
+                mark[c] = i;
+            }
+            mark[i] = i;
+            // Eliminating column k < i brings in U row k's pattern; those
+            // columns all exceed k, so one ascending pass sees them all.
+            for k in 0..i {
+                if mark[k] == i {
+                    for &c in &col[diag[k] + 1..ptr[k + 1]] {
+                        mark[c] = i;
+                    }
+                }
+            }
+            for (c, &m) in mark.iter().enumerate() {
+                if m == i {
+                    if c == i {
+                        diag.push(col.len());
+                    }
+                    col.push(c);
+                }
+            }
+            ptr.push(col.len());
+        }
+        let fill = col.len();
+        SparseLu {
+            n,
+            perm,
+            ptr,
+            diag,
+            col,
+            val: vec![T::zero(); fill],
+            a_ptr: a.row_ptr.clone(),
+            a_col: a.col_idx.clone(),
+            scale: 0.0,
+            work: vec![T::zero(); n],
+            col_max: vec![0.0; n],
+        }
+    }
+
+    /// The numeric phase: row-by-row elimination of `a` into the stored
+    /// pattern and row order. Each entry sees the same operations in the
+    /// same order as in the right-looking pivot search. Returns the first
+    /// step whose pivot fails the zero, threshold or singularity test.
+    fn numeric(&mut self, a: &CsrMatrix<T>, scale: f64) -> Result<(), usize> {
+        let SparseLu {
+            perm,
+            ptr,
+            diag,
+            col,
+            val,
+            work,
+            col_max,
+            ..
+        } = self;
+        col_max.fill(0.0);
+        for (i, &src) in perm.iter().enumerate() {
+            for (c, v) in a.row(src) {
+                work[c] = v;
+            }
+            let (lo, d, hi) = (ptr[i], diag[i], ptr[i + 1]);
+            // Rows above i are final; row i is being written.
+            let (done, row) = val.split_at_mut(lo);
+            for (l, &k) in row.iter_mut().zip(&col[lo..d]) {
+                let x = std::mem::replace(&mut work[k], T::zero());
+                col_max[k] = col_max[k].max(x.magnitude());
+                let (dk, end) = (diag[k], ptr[k + 1]);
+                let mult = x / done[dk];
+                *l = mult;
+                for (&c, &u) in col[dk + 1..end].iter().zip(&done[dk + 1..end]) {
+                    work[c] -= mult * u;
+                }
+            }
+            for (u, &c) in row[d - lo..hi - lo].iter_mut().zip(&col[d..hi]) {
+                *u = std::mem::replace(&mut work[c], T::zero());
+            }
+            let pivot = row[d - lo].magnitude();
+            if pivot == 0.0 || pivot.is_nan() {
+                return Err(i);
+            }
+            col_max[i] = col_max[i].max(pivot);
+        }
+        for (k, &m) in col_max.iter().enumerate() {
+            if m <= 1e-13 * scale || val[diag[k]].magnitude() < PIVOT_THRESHOLD * m {
+                return Err(k);
+            }
+        }
+        self.scale = scale;
+        Ok(())
+    }
+
+    /// Counts one numeric factorization in the armed telemetry.
+    fn record(&self) {
+        if remix_telemetry::is_armed() {
+            remix_telemetry::counter_add(remix_telemetry::names::LU_FACTORIZATIONS, 1);
+            remix_telemetry::gauge_set(remix_telemetry::names::LU_FILL_NNZ, self.fill_nnz() as f64);
+            remix_telemetry::gauge_set(remix_telemetry::names::LU_RCOND, self.rcond_estimate());
+        }
     }
 
     /// Dimension of the factored system.
@@ -369,8 +598,7 @@ impl<T: Scalar> SparseLu<T> {
 
     /// Number of stored entries in L plus U (fill measure).
     pub fn fill_nnz(&self) -> usize {
-        self.lower.iter().map(Vec::len).sum::<usize>()
-            + self.upper.iter().map(Vec::len).sum::<usize>()
+        self.val.len()
     }
 
     /// Crude reciprocal condition estimate from the pivot magnitudes:
@@ -381,9 +609,8 @@ impl<T: Scalar> SparseLu<T> {
     pub fn rcond_estimate(&self) -> f64 {
         let mut min = f64::INFINITY;
         let mut max = 0.0f64;
-        for row in &self.upper {
-            // Diagonal is stored first in each upper row.
-            let m = row[0].1.magnitude();
+        for &d in &self.diag {
+            let m = self.val[d].magnitude();
             min = min.min(m);
             max = max.max(m);
         }
@@ -399,8 +626,8 @@ impl<T: Scalar> SparseLu<T> {
     /// factorization was numerically unstable on this matrix.
     pub fn recip_pivot_growth(&self) -> f64 {
         let mut umax = 0.0f64;
-        for row in &self.upper {
-            for &(_, v) in row {
+        for i in 0..self.n {
+            for v in &self.val[self.diag[i]..self.ptr[i + 1]] {
                 umax = umax.max(v.magnitude());
             }
         }
@@ -425,25 +652,76 @@ impl<T: Scalar> SparseLu<T> {
         if !b.iter().all(|v| v.is_finite_scalar()) {
             return Err(FactorError::NotFinite);
         }
-        let mut x: Vec<T> = (0..self.n).map(|i| b[self.perm[i]]).collect();
+        let (ptr, diag, col, val) = (&self.ptr, &self.diag, &self.col, &self.val);
+        let mut x: Vec<T> = self.perm.iter().map(|&p| b[p]).collect();
         // Forward substitution with unit-diagonal L.
         for i in 0..self.n {
+            let (lo, d) = (ptr[i], diag[i]);
             let mut acc = x[i];
-            for &(k, mult) in &self.lower[i] {
-                acc -= mult * x[k];
+            for (&c, &l) in col[lo..d].iter().zip(&val[lo..d]) {
+                acc -= l * x[c];
             }
             x[i] = acc;
         }
         // Backward with U.
         for i in (0..self.n).rev() {
-            let row = &self.upper[i];
+            let (d, hi) = (diag[i], ptr[i + 1]);
             let mut acc = x[i];
-            for &(c, v) in &row[1..] {
-                acc -= v * x[c];
+            for (&c, &u) in col[d + 1..hi].iter().zip(&val[d + 1..hi]) {
+                acc -= u * x[c];
             }
-            x[i] = acc / row[0].1;
+            x[i] = acc / val[d];
         }
         Ok(x)
+    }
+}
+
+/// One analysis call's sparse solver: assembled triplets in, factors out.
+///
+/// The first [`factor`](Self::factor) converts the triplets to CSR and
+/// runs a full [`SparseLu::factor`]. Each later call refills that CSR in
+/// place while the triplets' coordinate sequence repeats, and
+/// [`refactor`](SparseLu::refactor)s in the stored pattern; whichever
+/// step no longer applies is redone from scratch. A solver carries state
+/// from one solve to the next only to save work: its factors equal a
+/// fresh factorization's up to rounding. Create one per analysis call.
+#[derive(Debug, Clone)]
+pub struct SparseSolver<T> {
+    csr: CsrRefill<T>,
+    lu: Option<SparseLu<T>>,
+}
+
+impl<T: Scalar> Default for SparseSolver<T> {
+    fn default() -> Self {
+        SparseSolver {
+            csr: CsrRefill::new(),
+            lu: None,
+        }
+    }
+}
+
+impl<T: Scalar> SparseSolver<T> {
+    /// A solver with nothing factored yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Factors the matrix assembled in `t`. After an error the next call
+    /// starts with a fresh pivot search.
+    ///
+    /// # Errors
+    ///
+    /// As for [`SparseLu::factor`].
+    pub fn factor(&mut self, t: &TripletMatrix<T>) -> Result<&SparseLu<T>, FactorError> {
+        let a = self.csr.convert(t);
+        let lu = match self.lu.take() {
+            Some(mut lu) => {
+                lu.refactor(a)?;
+                lu
+            }
+            None => SparseLu::factor(a)?,
+        };
+        Ok(self.lu.insert(lu))
     }
 }
 
@@ -619,6 +897,196 @@ mod tests {
         let csr = t.to_csr();
         let row: Vec<(usize, f64)> = csr.row(0).collect();
         assert_eq!(row, vec![(1, 1.0), (3, 3.0)]);
+    }
+
+    /// Runs `f` with a fresh telemetry context armed and returns its
+    /// (factorizations, pivot searches) counts.
+    fn lu_counts(f: impl FnOnce()) -> (u64, u64) {
+        let tel = remix_telemetry::Telemetry::new();
+        {
+            let _g = tel.arm();
+            f();
+        }
+        let snap = tel.snapshot();
+        let count = |name| snap.counter(name).unwrap_or(0);
+        (
+            count(remix_telemetry::names::LU_FACTORIZATIONS),
+            count(remix_telemetry::names::LU_PIVOT_SEARCHES),
+        )
+    }
+
+    #[test]
+    fn refactor_reuses_the_pivot_order_while_pivots_hold() {
+        let two_by_two = |d: f64| {
+            let mut t = TripletMatrix::new(2, 2);
+            t.push(0, 0, d);
+            t.push(0, 1, 1.0);
+            t.push(1, 0, 1.0);
+            t.push(1, 1, 1.0);
+            t.to_csr()
+        };
+        let (factors, searches) = lu_counts(|| {
+            let mut lu = SparseLu::factor(&two_by_two(2.0)).unwrap();
+            lu.refactor(&two_by_two(3.0)).unwrap();
+            lu.refactor(&two_by_two(0.5)).unwrap();
+            assert_eq!(lu.perm, vec![0, 1]);
+        });
+        assert_eq!((factors, searches), (3, 1));
+    }
+
+    #[test]
+    fn decayed_pivot_triggers_a_fresh_search() {
+        // Row 0 pivots first while its diagonal is large; once it decays
+        // below 1e-3 of the column maximum the stored order is unstable
+        // and refactor must search again (and pick row 1).
+        let two_by_two = |d: f64| {
+            let mut t = TripletMatrix::new(2, 2);
+            t.push(0, 0, d);
+            t.push(0, 1, 1.0);
+            t.push(1, 0, 1.0);
+            t.push(1, 1, 2.0);
+            t.to_csr()
+        };
+        let (factors, searches) = lu_counts(|| {
+            let mut lu = SparseLu::factor(&two_by_two(1.0)).unwrap();
+            assert_eq!(lu.perm, vec![0, 1]);
+            let decayed = two_by_two(1e-5);
+            lu.refactor(&decayed).unwrap();
+            assert_eq!(lu.perm, vec![1, 0]);
+            let b = [1.0, 2.0];
+            let r = vecops::sub(&decayed.mat_vec(&lu.solve(&b).unwrap()), &b);
+            assert!(vecops::norm_inf(&r) < 1e-12, "residual {r:?}");
+        });
+        assert_eq!((factors, searches), (2, 2));
+    }
+
+    #[test]
+    fn refactor_reports_singular_and_not_finite() {
+        let mut t = TripletMatrix::new(2, 2);
+        t.push(0, 0, 1.0);
+        t.push(0, 1, 2.0);
+        t.push(1, 0, 3.0);
+        t.push(1, 1, 4.0);
+        let good = t.to_csr();
+        let mut lu = SparseLu::factor(&good).unwrap();
+
+        let mut singular = TripletMatrix::new(2, 2);
+        for (r, c, v) in [(0, 0, 1.0), (0, 1, 2.0), (1, 0, 0.5), (1, 1, 1.0)] {
+            singular.push(r, c, v);
+        }
+        match lu.refactor(&singular.to_csr()) {
+            Err(FactorError::Singular { step }) => assert_eq!(step, 1),
+            other => panic!("expected singular, got {other:?}"),
+        }
+
+        let mut poisoned = TripletMatrix::new(2, 2);
+        for (r, c, v) in [(0, 0, 1.0), (0, 1, f64::NAN), (1, 0, 3.0), (1, 1, 4.0)] {
+            poisoned.push(r, c, v);
+        }
+        assert!(matches!(
+            lu.refactor(&poisoned.to_csr()),
+            Err(FactorError::NotFinite)
+        ));
+
+        // A later good matrix factors again after the failures.
+        lu.refactor(&good).unwrap();
+        let x = lu.solve(&[5.0, 11.0]).unwrap();
+        assert!(
+            (x[0] - 1.0).abs() < 1e-12 && (x[1] - 2.0).abs() < 1e-12,
+            "{x:?}"
+        );
+    }
+
+    #[test]
+    fn refactor_with_a_new_pattern_starts_over() {
+        let mut diag = TripletMatrix::new(3, 3);
+        for i in 0..3 {
+            diag.push(i, i, 2.0);
+        }
+        let mut lu = SparseLu::factor(&diag.to_csr()).unwrap();
+        let mut coupled = TripletMatrix::new(3, 3);
+        for (r, c, v) in [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 2, 1.0)] {
+            coupled.push(r, c, v);
+        }
+        let csr = coupled.to_csr();
+        let (_, searches) = lu_counts(|| lu.refactor(&csr).unwrap());
+        assert_eq!(searches, 1);
+        let b = [1.0, 5.0, 2.0];
+        let r = vecops::sub(&csr.mat_vec(&lu.solve(&b).unwrap()), &b);
+        assert!(vecops::norm_inf(&r) < 1e-12, "residual {r:?}");
+    }
+
+    #[test]
+    fn refill_tracks_values_and_rebuilds_on_changed_coordinates() {
+        let mut refill = CsrRefill::new();
+        let mut t = TripletMatrix::new(3, 3);
+        for (r, c, v) in [(2, 2, 1.0), (0, 1, 2.0), (2, 2, 3.0), (1, 0, 4.0)] {
+            t.push(r, c, v);
+        }
+        assert_eq!(*refill.convert(&t), t.to_csr());
+
+        // Same coordinates, new values: refilled in place.
+        let mut same = TripletMatrix::new(3, 3);
+        for (r, c, v) in [(2, 2, -1.0), (0, 1, 0.0), (2, 2, 5.0), (1, 0, 7.0)] {
+            same.push(r, c, v);
+        }
+        assert_eq!(*refill.convert(&same), same.to_csr());
+
+        // Same length, different coordinates: a scatter through the old
+        // slot map would put (0, 2) into the (0, 1) slot.
+        let mut moved = TripletMatrix::new(3, 3);
+        for (r, c, v) in [(2, 2, 1.0), (0, 2, 2.0), (2, 2, 3.0), (1, 0, 4.0)] {
+            moved.push(r, c, v);
+        }
+        let csr = refill.convert(&moved);
+        assert_eq!(*csr, moved.to_csr());
+        assert_eq!(csr.get(0, 2), 2.0);
+        assert_eq!(csr.get(0, 1), 0.0);
+
+        // A longer sequence and a new shape rebuild too.
+        moved.push(0, 0, 9.0);
+        assert_eq!(*refill.convert(&moved), moved.to_csr());
+        let mut wide = TripletMatrix::new(3, 4);
+        wide.push(2, 3, 1.0);
+        assert_eq!(*refill.convert(&wide), wide.to_csr());
+    }
+
+    #[test]
+    fn solver_follows_pattern_changes() {
+        // One random diagonally dominant pattern carrying new values each
+        // round; every third round adds a diagonal load (new pattern),
+        // like a pseudo-transient stage.
+        let mut solver = SparseSolver::new();
+        let mut state = 0x5EED_0003u64;
+        let n = 12;
+        let mut coords = Vec::new();
+        for r in 0..n {
+            coords.push((r, r));
+            for _ in 0..3 {
+                let c = ((lcg(&mut state).abs() * n as f64) as usize).min(n - 1);
+                coords.push((r, c));
+            }
+        }
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
+        for round in 0..6 {
+            let mut t = TripletMatrix::new(n, n);
+            for &(r, c) in &coords {
+                let v = lcg(&mut state);
+                t.push(r, c, if r == c { 3.0 + v.abs() } else { v });
+            }
+            if round % 3 == 2 {
+                for i in 0..n {
+                    t.push(i, i, 1.0);
+                }
+            }
+            let x = solver.factor(&t).unwrap().solve(&b).unwrap();
+            let y = SparseLu::factor(&t.to_csr()).unwrap().solve(&b).unwrap();
+            let r = vecops::sub(&x, &y);
+            assert!(
+                vecops::norm_inf(&r) < 1e-12 * vecops::norm_inf(&y),
+                "round {round}"
+            );
+        }
     }
 
     #[test]

@@ -14,9 +14,14 @@
 //! [`MetricsSnapshot::without_timings`](crate::MetricsSnapshot::without_timings)
 //! can mask them deterministically.
 
-/// Counter: matrix factorizations performed (dense and sparse LU).
+/// Counter: matrix factorizations performed (dense and sparse LU; a
+/// sparse refactorization in a stored pattern counts as one).
 pub const LU_FACTORIZATIONS: &str = "remix.numerics.lu.factorizations";
-/// Gauge: non-zeros in the most recent sparse LU's filled factors.
+/// Counter: sparse LU factorizations that searched for a fresh pivot
+/// order (the rest reused a stored order and fill pattern).
+pub const LU_PIVOT_SEARCHES: &str = "remix.numerics.lu.pivot_searches";
+/// Gauge: entries stored in the most recent sparse LU's filled factors
+/// (its structural fill pattern, kept even where values cancel to zero).
 pub const LU_FILL_NNZ: &str = "remix.numerics.lu.fill_nnz";
 /// Gauge: cheap `min|Uii|/max|Uii|` condition estimate of the most
 /// recent factorization.
@@ -206,6 +211,7 @@ pub const ALL: &[&str] = &[
     EXEC_WATCHDOG_TRIPS,
     LU_FACTORIZATIONS,
     LU_FILL_NNZ,
+    LU_PIVOT_SEARCHES,
     LU_RCOND,
     SERVE_CACHE_HITS,
     SERVE_CACHE_JOINS,

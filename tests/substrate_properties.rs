@@ -9,7 +9,9 @@
 use proptest::prelude::*;
 use remix::circuit::MosModel;
 use remix::dsp::{amplitude_spectrum, goertzel_amplitude};
-use remix::numerics::{solve_dense, vecops, DenseMatrix, SparseLu, TripletMatrix};
+use remix::numerics::{
+    solve_dense, vecops, Complex, DenseMatrix, Scalar, SparseLu, SparseSolver, TripletMatrix,
+};
 use remix::rfkit::Poly3;
 
 proptest! {
@@ -40,6 +42,49 @@ proptest! {
         let xd = solve_dense(&t.to_dense(), &b).unwrap();
         for (a, d) in xs.iter().zip(xd.iter()) {
             prop_assert!((a - d).abs() < 1e-8, "sparse {a} vs dense {d}");
+        }
+    }
+
+    /// Refactoring in a stored pattern must solve like a fresh
+    /// factorization: a sequence of same-pattern random systems (real
+    /// and complex) through one solver agrees with factoring each from
+    /// scratch to 1e-12 relative.
+    #[test]
+    fn refactor_matches_fresh_factor(
+        n in 2usize..20,
+        seed in any::<u64>(),
+    ) {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 32) as f64 / (1u64 << 31) as f64) - 1.0
+        };
+        let mut coords = Vec::new();
+        for r in 0..n {
+            coords.push((r, r));
+            for _ in 0..2 {
+                coords.push((r, ((next().abs() * n as f64) as usize).min(n - 1)));
+            }
+        }
+        let b: Vec<f64> = (0..n).map(|_| next()).collect();
+        let bc: Vec<Complex> = b.iter().map(|&v| Complex::new(v, 1.0 - v)).collect();
+        let mut real = SparseSolver::new();
+        let mut complex = SparseSolver::new();
+        for _ in 0..4 {
+            let mut t = TripletMatrix::new(n, n);
+            let mut tc = TripletMatrix::new(n, n);
+            for &(r, c) in &coords {
+                let (v, w) = (next(), next());
+                let bias = if r == c { 4.0 } else { 0.0 };
+                t.push(r, c, v + bias);
+                tc.push(r, c, Complex::new(v + bias, w));
+            }
+            let x = real.factor(&t).unwrap().solve(&b).unwrap();
+            let y = SparseLu::factor(&t.to_csr()).unwrap().solve(&b).unwrap();
+            prop_assert!(rel_diff(&x, &y) < 1e-12, "real: {x:?} vs {y:?}");
+            let x = complex.factor(&tc).unwrap().solve(&bc).unwrap();
+            let y = SparseLu::factor(&tc.to_csr()).unwrap().solve(&bc).unwrap();
+            prop_assert!(rel_diff(&x, &y) < 1e-12, "complex: {x:?} vs {y:?}");
         }
     }
 
@@ -270,4 +315,15 @@ fn op_matches_analytic_ladders() {
             "k = {k}: {v0} vs {v0_expected}"
         );
     }
+}
+
+/// Largest entry-wise difference of two solutions, relative to the
+/// largest entry of the second.
+fn rel_diff<T: Scalar>(x: &[T], y: &[T]) -> f64 {
+    let scale = y.iter().map(|v| v.magnitude()).fold(0.0, f64::max);
+    x.iter()
+        .zip(y)
+        .map(|(&a, &b)| (a - b).magnitude())
+        .fold(0.0, f64::max)
+        / scale.max(f64::MIN_POSITIVE)
 }
