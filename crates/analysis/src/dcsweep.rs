@@ -227,19 +227,6 @@ pub fn dc_sweep_parallel(
                     trace: crate::convergence::ConvergenceTrace::new(trace),
                 });
             }
-            remix_exec::TaskOutcome::TimedOut {
-                attempts,
-                budget_ms,
-            } => {
-                return Err(AnalysisError::NoConvergence {
-                    context: format!("dc sweep point {i}"),
-                    iterations: 0,
-                    trace: crate::convergence::ConvergenceTrace::new(format!(
-                        "point timed out: {attempts} attempt(s) exhausted the {budget_ms} ms \
-                         per-point budget"
-                    )),
-                });
-            }
         }
     }
     let mut points = Vec::with_capacity(values.len());

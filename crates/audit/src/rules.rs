@@ -28,8 +28,8 @@ use std::path::Path;
 /// home, where a CLI's exit status is the contract.
 const PROCESS_EXIT_ALLOW: &[&str] = &["crates/bench/src/lib.rs"];
 
-/// Crates allowed to read wall clocks directly: the budget/watchdog
-/// machinery, the telemetry span layer, and the serve frontier (frame
+/// Crates allowed to read wall clocks directly: the budget machinery
+/// (deadlines), the telemetry span layer, and the serve frontier (frame
 /// deadlines, admission latency, load-shed estimates are wall-clock by
 /// nature); everything else is required to go through them.
 const TIMING_ALLOW_PREFIXES: &[&str] = &[
@@ -38,10 +38,10 @@ const TIMING_ALLOW_PREFIXES: &[&str] = &[
     "crates/serve/src/",
 ];
 
-/// Crates allowed to spawn threads: the supervised executor, and the
-/// serve crate's accept/connection/worker loops (each worker still
-/// runs jobs through `Supervisor::run`, so budgets and telemetry are
-/// re-armed per job).
+/// Crates allowed to spawn threads: the study pool's scoped workers,
+/// and the serve crate's accept/connection/worker loops (each worker
+/// arms a fresh budget and runs the job inside `remix_exec::contain`,
+/// so budgets and telemetry are re-armed per job).
 const SPAWN_ALLOW_PREFIXES: &[&str] = &["crates/exec/src/", "crates/serve/src/"];
 
 /// The metric-name catalog module (`remix_telemetry::names`), the one
@@ -409,7 +409,7 @@ mod tests {
             rules_of(&audit_one("crates/core/src/montecarlo.rs", src)),
             vec![AuditRule::ThreadSpawn]
         );
-        assert!(audit_one("crates/exec/src/supervisor.rs", src).is_empty());
+        assert!(audit_one("crates/exec/src/pool.rs", src).is_empty());
     }
 
     #[test]

@@ -88,12 +88,6 @@ fn run() {
             remix_exec::TaskOutcome::Failed(why) => {
                 println!("{:<8} died: {why}", modes[*i].label());
             }
-            remix_exec::TaskOutcome::TimedOut { attempts, .. } => {
-                println!(
-                    "{:<8} timed out after {attempts} attempt(s)",
-                    modes[*i].label()
-                );
-            }
         }
     }
     if let Some(why) = &run.interrupted {

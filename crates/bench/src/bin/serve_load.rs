@@ -15,7 +15,7 @@
 //! retries-exhausted) and the server drains cleanly. A panic or a
 //! wedge is the only failure.
 
-use remix_exec::{env_u64_or_warn, Job, JobError, Supervisor, SupervisorOptions};
+use remix_exec::{env_u64_or_warn, run_tasks, Parallelism, PoolOptions, TaskOutcome, TaskResult};
 use remix_serve::protocol::{JobKind, JobRequest};
 use remix_serve::{call_with_retry, ClientError, RetryPolicy, ServeConfig, Server, Status};
 use remix_telemetry::names;
@@ -93,52 +93,44 @@ fn run() -> Result<bool, String> {
         backoff_base: Duration::from_millis(5),
         backoff_cap: Duration::from_millis(100),
     };
-    let jobs: Vec<Job<Observation>> = (0..total_jobs)
-        .map(|i| {
-            let policy = policy.clone();
-            Job::new(&format!("load-{i}"), move |_token| {
-                let request = build_job(i);
-                // audit: allow(AUD004): client-observed latency is the
-                // measurand here; server-side budgets still govern the work.
-                let started = Instant::now();
-                let outcome = call_with_retry(addr, &request, &policy);
-                let latency_ms = started.elapsed().as_secs_f64() * 1e3;
-                match outcome {
-                    Ok(response) => Ok(Observation {
-                        latency_ms,
-                        status: Some(response.status),
-                        shed_or_exhausted: response.status == Status::Shed,
-                    }),
-                    Err(ClientError::RetriesExhausted(_)) => Ok(Observation {
-                        latency_ms,
-                        status: None,
-                        shed_or_exhausted: true,
-                    }),
-                    Err(e) => Err(JobError::Fatal(format!("client failure: {e}"))),
-                }
-            })
-        })
-        .collect();
-
-    let supervisor = Supervisor::new(SupervisorOptions {
-        max_retries: 0,
-        ..SupervisorOptions::default()
-    });
+    let indices: Vec<usize> = (0..total_jobs as usize).collect();
     // audit: allow(AUD004): wall-clock window for the jobs/sec figure.
     let started = Instant::now();
-    let reports = supervisor.run_queue(jobs, clients);
+    let run = run_tasks(
+        &indices,
+        &PoolOptions::with_parallelism(Parallelism::Workers(clients)),
+        |ctx| {
+            let request = build_job(ctx.index as u64);
+            // audit: allow(AUD004): client-observed latency is the
+            // measurand here; server-side budgets still govern the work.
+            let started = Instant::now();
+            let outcome = call_with_retry(addr, &request, &policy);
+            let latency_ms = started.elapsed().as_secs_f64() * 1e3;
+            match outcome {
+                Ok(response) => TaskResult::Done(Observation {
+                    latency_ms,
+                    status: Some(response.status),
+                    shed_or_exhausted: response.status == Status::Shed,
+                }),
+                Err(ClientError::RetriesExhausted(_)) => TaskResult::Done(Observation {
+                    latency_ms,
+                    status: None,
+                    shed_or_exhausted: true,
+                }),
+                Err(e) => TaskResult::Failed(format!("client failure: {e}")),
+            }
+        },
+        |_, _| {},
+    );
     let wall_s = started.elapsed().as_secs_f64();
 
+    // Outcomes come back sorted by index; a failed client (or a
+    // contained panic, traced `panic: …`) fails the run.
     let mut observations = Vec::new();
-    for report in reports {
-        match report.outcome {
-            remix_exec::JobOutcome::Done(obs) => observations.push(obs),
-            remix_exec::JobOutcome::Failed(msg) => {
-                return Err(format!("{}: {msg}", report.name));
-            }
-            remix_exec::JobOutcome::Panicked(msg) => {
-                return Err(format!("{} panicked: {msg}", report.name));
-            }
+    for (i, outcome) in run.outcomes {
+        match outcome {
+            TaskOutcome::Done(obs) => observations.push(obs),
+            TaskOutcome::Failed(msg) => return Err(format!("load-{i}: {msg}")),
         }
     }
     let snapshot = server.shutdown();

@@ -16,13 +16,13 @@
 //! on the workloads behind those artifacts.
 
 use remix_core::{eval::MixerEvaluator, MixerConfig};
-use remix_exec::{JobError, JobOutcome, RunBudget, Supervisor, SupervisorOptions};
+use remix_exec::{contain, RunBudget};
 use remix_lint::{lint_plan, LintConfig, SimPlan};
 use remix_telemetry::{BenchRecord, JsonLinesSink, Telemetry, TelemetryGuard};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// Environment variable capping a supervised bench run's wall clock in
+/// Environment variable capping a bench run's wall clock in
 /// milliseconds (see [`run_bin`]). Unset or unparsable means unlimited.
 pub const DEADLINE_ENV: &str = "REMIX_BENCH_DEADLINE_MS";
 
@@ -47,22 +47,21 @@ fn bin_budget() -> RunBudget {
     }
 }
 
-/// Shared driver for the bench binaries: runs `body` as one supervised
-/// job ([`remix_exec::Supervisor`]) and turns its outcome into the
-/// process exit status, replacing the per-bin `if let Err(e) = run()` /
-/// `exit(1)` boilerplate.
+/// Shared driver for the bench binaries: runs `body` once on the main
+/// thread and turns its outcome into the process exit status, replacing
+/// the per-bin `if let Err(e) = run()` / `exit(1)` boilerplate.
 ///
 /// * The body executes with a fresh budget token armed on the thread.
 ///   Set [`DEADLINE_ENV`] (`REMIX_BENCH_DEADLINE_MS`) to cap the wall
-///   clock: a watchdog thread then trips the token past the deadline
-///   and every budget-hooked analysis returns
-///   `AnalysisError::BudgetExceeded` — with its convergence trace —
-///   instead of running long.
+///   clock: past the deadline every budget hook reports it, so each
+///   budget-hooked analysis returns `AnalysisError::BudgetExceeded` —
+///   with its convergence trace — instead of running long. A failed
+///   run would fail again, so nothing is retried.
 /// * Errors print as `<label> failed: <error>` and exit with status 1
 ///   (analysis errors render their attempt table through `Display`).
-/// * Panics are caught by the supervisor and print as
+/// * Panics are caught by [`remix_exec::contain`] and print as
 ///   `<label> panicked: <payload>`, exiting with status 101 like an
-///   unsupervised panic would.
+///   uncaught panic would.
 /// * Unless [`RECORD_ENV`] (`REMIX_BENCH_RECORD`) is `0`, the run
 ///   executes under an armed telemetry context: spans and counters from
 ///   every instrumented layer accumulate in a fresh registry, lifecycle
@@ -71,26 +70,20 @@ fn bin_budget() -> RunBudget {
 ///   snapshot is written as a versioned [`BenchRecord`] to
 ///   `BENCH_<bin>.json` — pass or fail, so a failed run still leaves
 ///   its perf trail.
-pub fn run_bin(label: &str, mut body: impl FnMut() -> Result<(), Box<dyn std::error::Error>>) -> ! {
+pub fn run_bin(label: &str, body: impl FnOnce() -> Result<(), Box<dyn std::error::Error>>) -> ! {
     let recorder = BenchRecorder::arm(label);
-    let sup = Supervisor::new(SupervisorOptions {
-        budget: bin_budget(),
-        // Figure regeneration is deterministic: a failed run would fail
-        // again, so spend no retries on it.
-        max_retries: 0,
-        ..SupervisorOptions::default()
-    });
-    let report = sup.run(label, |_token| {
-        body().map_err(|e| JobError::Fatal(e.to_string()))
-    });
-    recorder.finish(report.outcome.is_done());
-    match report.outcome {
-        JobOutcome::Done(()) => std::process::exit(0),
-        JobOutcome::Failed(msg) => {
+    let outcome = {
+        let _budget = bin_budget().token().arm();
+        contain(|| body().map_err(|e| e.to_string()))
+    };
+    recorder.finish(matches!(outcome, Ok(Ok(()))));
+    match outcome {
+        Ok(Ok(())) => std::process::exit(0),
+        Ok(Err(msg)) => {
             eprintln!("{label} failed: {msg}");
             std::process::exit(1);
         }
-        JobOutcome::Panicked(msg) => {
+        Err(msg) => {
             eprintln!("{label} panicked: {msg}");
             std::process::exit(101);
         }
@@ -103,7 +96,7 @@ pub fn run_bin(label: &str, mut body: impl FnMut() -> Result<(), Box<dyn std::er
 /// writes the frozen snapshot as a versioned [`BenchRecord`] to
 /// `BENCH_<bin>.json` on [`finish`](BenchRecorder::finish).
 ///
-/// [`run_bin`] uses it around the supervised job; binaries with their
+/// [`run_bin`] uses it around the bench body; binaries with their
 /// own exit semantics (the `lint` CLI) wrap their body in one directly.
 pub struct BenchRecorder {
     telemetry: Telemetry,

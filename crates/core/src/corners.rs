@@ -238,8 +238,6 @@ fn study_config(base: &MixerConfig, corners: &[Corner]) -> Vec<(String, f64)> {
 }
 
 impl StudyRecord for CornerOutcome {
-    const UNIT: &'static str = "corner";
-
     fn encode(&self) -> StudyOutcome {
         match self {
             CornerOutcome::Ok(p) => StudyOutcome::Ok(p.to_flat()),
@@ -332,10 +330,9 @@ pub fn sweep_corners_resumable_with(
                     trace,
                     ..
                 }) => {
-                    // Interrupts the *sweep* (or re-dispatches a
-                    // straggler under a per-corner deadline); nothing
-                    // is recorded for the corner, so a resumed run
-                    // recomputes it in full.
+                    // Interrupts the *sweep*; nothing is recorded for
+                    // the corner, so a resumed run recomputes it in
+                    // full.
                     if let Ok(mut slot) = first_trace.lock() {
                         if slot.is_none() {
                             *slot = Some(trace);

@@ -261,8 +261,6 @@ pub(crate) fn failure_trace(e: &AnalysisError) -> ConvergenceTrace {
 }
 
 impl StudyRecord for SampleOutcome {
-    const UNIT: &'static str = "sample";
-
     fn encode(&self) -> StudyOutcome {
         match self {
             SampleOutcome::Ok(v) => StudyOutcome::Ok(vec![*v]),
@@ -346,10 +344,9 @@ pub fn iip2_study_with(
             match iip2_sample(base, &mut rng, mm) {
                 Ok(v) => remix_exec::TaskResult::Done(SampleOutcome::Ok(v)),
                 Err(e) => match e.interruption() {
-                    // A budget trip mid-sample interrupts the *study*
-                    // (or, under a per-sample deadline, re-dispatches
-                    // the straggler); nothing is recorded for the
-                    // sample, so a resumed run recomputes it in full.
+                    // A budget trip mid-sample interrupts the *study*;
+                    // nothing is recorded for the sample, so a resumed
+                    // run recomputes it in full.
                     Some(intr) => remix_exec::TaskResult::Interrupted(intr),
                     None => remix_exec::TaskResult::Done(SampleOutcome::Failed(failure_trace(&e))),
                 },

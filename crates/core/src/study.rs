@@ -17,9 +17,6 @@ use std::path::Path;
 /// A study's per-unit outcome — solved, or failed with a trace — and its
 /// codec to and from the flat [`StudyOutcome`] the checkpoint persists.
 pub trait StudyRecord: Clone + Send {
-    /// The unit's name in timeout traces (`"sample"`, `"corner"`).
-    const UNIT: &'static str;
-
     /// The flat record persisted for this outcome.
     fn encode(&self) -> StudyOutcome;
 
@@ -45,20 +42,12 @@ pub struct StudyRun<T> {
     pub interrupted: Option<Interruption>,
 }
 
-/// Maps a pool outcome into the study's vocabulary: a contained panic or
-/// an exhausted per-unit deadline is a *failed unit* with a one-line
-/// trace, never a dead study.
+/// Maps a pool outcome into the study's vocabulary: a contained panic
+/// is a *failed unit* with a one-line trace, never a dead study.
 fn from_pool<T: StudyRecord>(outcome: &TaskOutcome<T>) -> T {
     match outcome {
         TaskOutcome::Done(done) => done.clone(),
         TaskOutcome::Failed(trace) => T::failed(ConvergenceTrace::new(trace.clone())),
-        TaskOutcome::TimedOut {
-            attempts,
-            budget_ms,
-        } => T::failed(ConvergenceTrace::new(format!(
-            "{unit} timed out: {attempts} attempt(s) exhausted the {budget_ms} ms per-{unit} budget",
-            unit = T::UNIT
-        ))),
     }
 }
 
@@ -208,17 +197,5 @@ mod tests {
         assert_eq!((third.computed, third.resumed), (3, 1));
         assert_eq!(third.outcomes.len(), 4);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn runner_timeout_trace_names_the_unit() {
-        let outcome: TaskOutcome<SampleOutcome> = TaskOutcome::TimedOut {
-            attempts: 2,
-            budget_ms: 50,
-        };
-        assert_eq!(
-            from_pool(&outcome).trace().map(|t| t.analysis.as_str()),
-            Some("sample timed out: 2 attempt(s) exhausted the 50 ms per-sample budget")
-        );
     }
 }

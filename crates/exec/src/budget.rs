@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The timestep allowance a supervised sweep assumes when nothing more
+/// The timestep allowance a budgeted sweep assumes when nothing more
 /// specific is configured. Deliberately generous — about a minute of
 /// transient work on the circuits in this workspace — so it only trips
 /// runs that genuinely got away. Plan lints (`SIM007`) warn when a
@@ -22,7 +22,7 @@ pub const DEFAULT_TIMESTEP_BUDGET: u64 = 1_000_000;
 /// from "the work was genuinely too large".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Interruption {
-    /// [`CancelToken::cancel`] was called (by a caller or a watchdog).
+    /// [`CancelToken::cancel`] was called.
     Cancelled,
     /// The wall-clock deadline passed.
     DeadlineExpired {
@@ -66,18 +66,6 @@ impl fmt::Display for Interruption {
                 write!(f, "matrix dimension {dim} exceeds the budget limit {limit}")
             }
         }
-    }
-}
-
-impl Interruption {
-    /// `true` when retrying the same work could succeed (a transient
-    /// deadline or cancellation), `false` when the work itself is too
-    /// large for the budget (iteration/step/matrix limits).
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            Interruption::Cancelled | Interruption::DeadlineExpired { .. }
-        )
     }
 }
 
@@ -224,8 +212,9 @@ impl Inner {
 
 /// A cloneable, thread-safe handle to one run's budget state.
 ///
-/// Clones share the same counters, so a watchdog thread holding one
-/// clone can trip the token while the solver thread charges another.
+/// Clones share the same counters, so another thread holding one clone
+/// can cancel the token while the solver thread charges another. There
+/// is no watchdog: the deadline is read by the hooks themselves.
 #[derive(Debug, Clone)]
 pub struct CancelToken {
     inner: Arc<Inner>,
@@ -250,26 +239,17 @@ impl CancelToken {
         self.inner.started.elapsed()
     }
 
-    /// `true` once this token's own wall-clock deadline has passed.
-    /// Deliberately ignores ancestors so a pool can tell a straggling
-    /// attempt (child deadline) from a dying study (parent deadline);
-    /// [`checkpoint`](Self::checkpoint) consults the whole chain.
-    pub fn deadline_expired(&self) -> bool {
-        self.inner.deadline_expired()
-    }
-
     /// Derives a child token for one sub-unit of this run (a pool
     /// attempt): charges propagate to this token — its cumulative
     /// Newton/timestep allowances still bind — and its cancellation or
     /// deadline is visible through the child, but cancelling the child
-    /// (or the child's own `deadline` expiring) never trips this token.
-    /// The child's clock starts now.
-    pub fn child(&self, deadline: Option<Duration>) -> CancelToken {
+    /// never trips this token. The child has no deadline of its own.
+    pub fn child(&self) -> CancelToken {
         CancelToken {
             inner: Arc::new(Inner {
                 cancelled: AtomicBool::new(false),
                 started: Instant::now(),
-                deadline,
+                deadline: None,
                 newton_used: AtomicU64::new(0),
                 newton_limit: u64::MAX,
                 steps_used: AtomicU64::new(0),
@@ -499,7 +479,7 @@ mod tests {
     #[test]
     fn child_charges_propagate_to_parent_allowance() {
         let parent = RunBudget::unlimited().with_newton_iterations(3).token();
-        let child = parent.child(None);
+        let child = parent.child();
         assert!(child.charge_newton().is_ok());
         assert!(child.charge_newton().is_ok());
         assert!(child.charge_newton().is_ok());
@@ -509,44 +489,30 @@ mod tests {
             Err(Interruption::NewtonIterations { limit: 3 })
         );
         // A sibling sees the same exhausted parent account.
-        let sibling = parent.child(None);
+        let sibling = parent.child();
         assert!(sibling.charge_newton().is_err());
     }
 
     #[test]
     fn cancellation_flows_down_the_chain_not_up() {
         let parent = RunBudget::unlimited().token();
-        let child = parent.child(None);
+        let child = parent.child();
         child.cancel();
         assert!(child.is_cancelled());
         assert!(!parent.is_cancelled(), "child cancel must not trip parent");
         assert!(parent.checkpoint().is_ok());
-        let child2 = parent.child(None);
+        let child2 = parent.child();
         parent.cancel();
         assert!(child2.is_cancelled());
         assert_eq!(child2.checkpoint(), Err(Interruption::Cancelled));
     }
 
     #[test]
-    fn child_deadline_is_attempt_local() {
-        let parent = RunBudget::unlimited().token();
-        let child = parent.child(Some(Duration::ZERO));
-        assert!(child.deadline_expired());
-        assert_eq!(
-            child.checkpoint(),
-            Err(Interruption::DeadlineExpired { budget_ms: 0 })
-        );
-        assert!(!parent.deadline_expired());
-        assert!(parent.checkpoint().is_ok());
-    }
-
-    #[test]
     fn parent_deadline_reported_through_child_checkpoint() {
         let parent = RunBudget::unlimited().with_deadline(Duration::ZERO).token();
-        let child = parent.child(None);
-        // deadline_expired is own-deadline only (straggler detection)…
-        assert!(!child.deadline_expired());
-        // …but the chain-aware checkpoint still reports the study dying.
+        let child = parent.child();
+        // The child has no deadline of its own; the chain-aware
+        // checkpoint still reports the study dying.
         assert_eq!(
             child.checkpoint(),
             Err(Interruption::DeadlineExpired { budget_ms: 0 })
@@ -557,7 +523,7 @@ mod tests {
     #[test]
     fn child_timestep_charges_bind_parent_limit() {
         let parent = RunBudget::unlimited().with_timesteps(2).token();
-        let child = parent.child(None);
+        let child = parent.child();
         assert!(child.charge_timestep().is_ok());
         assert!(child.charge_timestep().is_ok());
         assert_eq!(
@@ -595,15 +561,6 @@ mod tests {
             assert!(active_token().is_some());
         }
         assert!(active_token().is_none());
-    }
-
-    #[test]
-    fn retryability_classification() {
-        assert!(Interruption::Cancelled.is_retryable());
-        assert!(Interruption::DeadlineExpired { budget_ms: 5 }.is_retryable());
-        assert!(!Interruption::NewtonIterations { limit: 1 }.is_retryable());
-        assert!(!Interruption::Timesteps { limit: 1 }.is_retryable());
-        assert!(!Interruption::MatrixDim { dim: 2, limit: 1 }.is_retryable());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # remix-exec
 //!
 //! Bounded execution for the solver stack: cooperative cancellation,
-//! run budgets, and supervised job execution.
+//! run budgets, panic containment and the study pool.
 //!
 //! Nothing in a Newton ladder or a transient grid is intrinsically
 //! bounded — a pathological bias point spins the damping cascade, a
@@ -19,21 +19,22 @@
 //!   `remix-analysis`), so the solver crates call free hooks
 //!   ([`charge_newton_iteration`], [`charge_timestep`], [`checkpoint`],
 //!   [`check_matrix_dim`]) without threading a token through every
-//!   signature;
+//!   signature. The hooks are the only deadline enforcement: each one
+//!   reads the wall clock of the whole token chain before it charges,
+//!   so no watchdog thread is needed;
 //! * [`Interruption`] — the typed reason a budget tripped, carried
 //!   upward inside `AnalysisError::BudgetExceeded`;
-//! * [`Supervisor`] — a job runner with per-job `catch_unwind`
-//!   isolation, jittered exponential retry for retryable failures, a
-//!   work queue, and a [`Watchdog`] thread that trips tokens whose
-//!   deadline passed even when the job stops calling hooks;
+//! * [`contain`] — the one `catch_unwind` in the stack: runs a job body
+//!   and turns a panic into its message. The bench binaries and the
+//!   serve workers call it directly around each job;
 //! * [`run_tasks`] (the `pool` module) — a work-stealing study pool:
-//!   per-worker deques, panic isolation per task, per-attempt child
-//!   budget tokens, deterministic telemetry merge, a straggler
-//!   watchdog, and a deterministic chaos layer for soak testing;
+//!   per-worker deques, [`contain`]ed tasks, per-attempt child budget
+//!   tokens, deterministic telemetry merge, and a deterministic chaos
+//!   layer for soak testing;
 //! * [`atomic_write`] — the crash-safe (tmp + fsync + rename) file
 //!   replacement under every persistence layer in the stack.
 //!
-//! The crate depends only on `remix-telemetry` (job lifecycle events)
+//! The crate depends only on `remix-telemetry` (pool lifecycle events)
 //! and knows nothing about circuits; the analysis layer owns the
 //! mapping from an [`Interruption`] to a typed partial result.
 
@@ -42,22 +43,20 @@
 
 mod admission;
 mod budget;
+mod contain;
 mod env;
 mod persist;
 mod pool;
-mod supervisor;
 
 pub use admission::{AdmissionQueue, Shed};
 pub use budget::{
     active_token, charge_newton_iteration, charge_timestep, check_matrix_dim, checkpoint,
     BudgetGuard, CancelToken, Interruption, RunBudget, DEFAULT_TIMESTEP_BUDGET,
 };
+pub use contain::contain;
 pub use env::{env_u64, env_u64_or_warn, warn_malformed, EnvValue};
 pub use persist::atomic_write;
 pub use pool::{
     run_tasks, Parallelism, PoolChaos, PoolOptions, PoolRun, PoolStats, TaskContext, TaskOutcome,
     TaskResult, WorkerContext, WorkerGuard, ENV_POOL_CHAOS, ENV_WORKERS,
-};
-pub use supervisor::{
-    retry_backoff, Job, JobError, JobOutcome, JobReport, Supervisor, SupervisorOptions, Watchdog,
 };

@@ -9,41 +9,37 @@
 //!    deliver that: tasks are seeded by *index* (the drivers'
 //!    prefix-stable SplitMix64 seeding), each task runs against a
 //!    [`Telemetry::fork`]ed registry that the caller absorbs in
-//!    ascending `(index, attempt)` order after the workers join (so
+//!    ascending index order after the workers join (so
 //!    last-value gauges land exactly as a serial loop would leave
 //!    them), and the pool itself writes **nothing** into the metrics
 //!    registry — lifecycle is events ([`names::EXEC_POOL`]) and a
 //!    [`PoolStats`] return value only.
-//! 2. **Containment.** Every task runs under `catch_unwind`; a panic
+//! 2. **Containment.** Every task runs under [`contain`]; a panic
 //!    becomes a typed [`TaskOutcome::Failed`] handed to the driver,
-//!    never a dead study. Each attempt arms its own budget child token
+//!    never a dead study. Each task arms its own budget child token
 //!    ([`CancelToken::child`]) and telemetry fork via the existing
 //!    RAII guards, so no state leaks between tasks sharing a worker.
-//! 3. **Liveness.** An optional per-task deadline plus a watchdog
-//!    thread turn stragglers into cancelled attempts that are
-//!    re-dispatched once and then reported as
-//!    [`TaskOutcome::TimedOut`] — one stuck sample cannot wedge the
-//!    pool.
 //!
-//! The study-level budget still binds: workers poll the caller's armed
-//! token between tasks and attempt tokens are children of it, so a
-//! study deadline, cancellation, or exhausted Newton/timestep
+//! The study-level budget binds every task: workers poll the caller's
+//! armed token between tasks and task tokens are children of it, so
+//! a study deadline, cancellation, or exhausted Newton/timestep
 //! allowance stops dispatch exactly as a serial loop's per-sample
-//! checkpoint would.
+//! checkpoint would. There is no per-task deadline and no watchdog
+//! thread; a task that returns [`TaskResult::Interrupted`] stops the
+//! study.
 //!
 //! A deterministic chaos layer ([`PoolChaos`], `REMIX_EXEC_POOL_CHAOS`)
 //! injects worker panics by task index, delays steals, and cancels the
 //! study after a fixed number of completions — the failure battery the
 //! parallel-soak CI job replays.
 
-use crate::budget::{active_token, CancelToken, Interruption, RunBudget};
+use crate::budget::{active_token, CancelToken, Interruption};
+use crate::contain::contain;
 use crate::env::env_u64_or_warn;
 use remix_telemetry::{names, FieldValue, Telemetry};
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -99,7 +95,7 @@ impl Parallelism {
 /// panic:<n>[,steal:<n>:<ms>][,cancel:<n>]
 /// ```
 ///
-/// `panic:7` panics the first attempt of every 7th task *index*
+/// `panic:7` panics every 7th task *index*
 /// (deterministic under any scheduling — the convicted set never
 /// depends on worker count); `steal:5:2` sleeps 2 ms before every 5th
 /// successful steal (perturbs interleaving without touching results);
@@ -107,7 +103,7 @@ impl Parallelism {
 /// mid-study kill between checkpoint writes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PoolChaos {
-    /// Panic the first attempt of every Nth task index (1-based).
+    /// Panic every Nth task index (1-based).
     pub panic_task_every: Option<u64>,
     /// Sleep `.1` ms before every `.0`th successful steal.
     pub steal_delay_every: Option<(u64, u64)>,
@@ -171,42 +167,19 @@ impl PoolChaos {
         self != &PoolChaos::default()
     }
 
-    fn panic_fires(&self, index: usize, attempt: u32) -> bool {
-        attempt == 0
-            && self
-                .panic_task_every
-                .is_some_and(|p| (index as u64 + 1).is_multiple_of(p))
+    fn panic_fires(&self, index: usize) -> bool {
+        self.panic_task_every
+            .is_some_and(|p| (index as u64 + 1).is_multiple_of(p))
     }
 }
 
 /// Pool policy knobs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PoolOptions {
     /// Worker-count policy.
     pub parallelism: Parallelism,
-    /// Per-attempt wall-clock allowance. When set, a watchdog thread
-    /// trips attempts that outlive it; the task is re-dispatched up to
-    /// [`PoolOptions::max_redispatch`] times, then reported as
-    /// [`TaskOutcome::TimedOut`].
-    pub task_deadline: Option<Duration>,
-    /// Watchdog poll interval (only spawned when a deadline is set).
-    pub watchdog_poll: Duration,
-    /// Re-dispatches allowed after a straggler-cancelled first attempt.
-    pub max_redispatch: u32,
     /// Deterministic fault schedule.
     pub chaos: PoolChaos,
-}
-
-impl Default for PoolOptions {
-    fn default() -> Self {
-        PoolOptions {
-            parallelism: Parallelism::Serial,
-            task_deadline: None,
-            watchdog_poll: Duration::from_millis(2),
-            max_redispatch: 1,
-            chaos: PoolChaos::default(),
-        }
-    }
 }
 
 impl PoolOptions {
@@ -226,18 +199,15 @@ impl PoolOptions {
         PoolOptions {
             parallelism: Parallelism::from_env(),
             chaos: PoolChaos::from_env(),
-            ..PoolOptions::default()
         }
     }
 }
 
-/// What one attempt of one task is told about itself.
+/// What one task is told about itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskContext {
     /// The task's stable study index (seeds its work).
     pub index: usize,
-    /// 0 on the first attempt, +1 per straggler re-dispatch.
-    pub attempt: u32,
     /// The executing worker's id (also armed thread-locally, see
     /// [`WorkerContext`]).
     pub worker: usize,
@@ -251,9 +221,8 @@ pub enum TaskResult<T> {
     /// The unit failed for a domain reason (non-convergence, …); the
     /// study records the typed trace and continues.
     Failed(String),
-    /// A budget hook tripped mid-unit. The pool classifies it: the
-    /// attempt's own deadline → straggler re-dispatch; anything from
-    /// the study-level budget → study interruption.
+    /// A budget hook tripped mid-unit: the study stops dispatching and
+    /// the unit stays uncomputed.
     Interrupted(Interruption),
 }
 
@@ -265,13 +234,6 @@ pub enum TaskOutcome<T> {
     /// The task failed — a domain failure *or a contained panic* (the
     /// trace then starts with `panic:`). The study goes on.
     Failed(String),
-    /// Every attempt outlived the per-task deadline.
-    TimedOut {
-        /// Attempts spent (first try + re-dispatches).
-        attempts: u32,
-        /// The per-task allowance, in ms.
-        budget_ms: u64,
-    },
 }
 
 impl<T> TaskOutcome<T> {
@@ -288,14 +250,12 @@ impl<T> TaskOutcome<T> {
 pub struct PoolStats {
     /// Workers that ran.
     pub workers: usize,
-    /// Attempts executed (completions + panics + cancelled attempts).
+    /// Tasks executed (completions + panics + interrupted tasks).
     pub executed: u64,
     /// Tasks taken from another worker's deque.
     pub steals: u64,
-    /// Attempts that panicked (contained).
+    /// Tasks that panicked (contained).
     pub panics: u64,
-    /// Straggler re-dispatches.
-    pub redispatches: u64,
     /// Chaos faults injected.
     pub chaos_injected: u64,
 }
@@ -354,20 +314,10 @@ impl Drop for WorkerGuard {
 }
 
 fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // Task bodies run under catch_unwind; a poisoned lock can only mean
+    // Task bodies run under `contain`; a poisoned lock can only mean
     // a bug in the pool machinery itself — recover the data instead of
     // cascading the panic across workers.
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Emits one `remix.exec.pool` lifecycle event (no-op unless an
@@ -384,12 +334,6 @@ fn pool_event(state: &'static str, mut fields: Vec<(&'static str, FieldValue)>) 
     remix_telemetry::event(names::EXEC_POOL, all);
 }
 
-/// One live attempt, registered for the straggler watchdog.
-struct AttemptWatch {
-    token: CancelToken,
-    straggler: Arc<AtomicBool>,
-}
-
 /// Runs `task` over `indices` on a work-stealing pool and reports each
 /// terminal outcome through `on_complete` (serialized — at most one
 /// call at a time, from whichever worker finished the task; drivers
@@ -397,10 +341,10 @@ struct AttemptWatch {
 ///
 /// The caller's armed budget token and telemetry context are captured
 /// before spawning: workers arm the telemetry as their base context,
-/// attempts run under child tokens of the budget, and per-task
-/// registry forks are absorbed back in ascending `(index, attempt)`
-/// order after the join — see the module docs for why that makes the
-/// run schedule-independent.
+/// tasks run under child tokens of the budget, and per-task registry
+/// forks are absorbed back in ascending index order after the join —
+/// see the module docs for why that makes the run
+/// schedule-independent.
 pub fn run_tasks<T, F, C>(
     indices: &[usize],
     opts: &PoolOptions,
@@ -431,24 +375,22 @@ where
 
     // Per-worker deques, round-robin pre-distribution in index order so
     // a single worker drains them exactly like the old serial loops.
-    let deques: Vec<Mutex<VecDeque<(usize, u32)>>> =
+    // Nothing is pushed after this point.
+    let deques: Vec<Mutex<VecDeque<usize>>> =
         (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
     for (k, &index) in indices.iter().enumerate() {
-        lock_or_recover(&deques[k % workers]).push_back((index, 0));
+        lock_or_recover(&deques[k % workers]).push_back(index);
     }
-    let slots: Vec<Mutex<Option<AttemptWatch>>> = (0..workers).map(|_| Mutex::new(None)).collect();
 
-    let remaining = AtomicUsize::new(indices.len());
     let stop = AtomicBool::new(false);
     let interrupted: Mutex<Option<Interruption>> = Mutex::new(None);
     let outcomes: Mutex<Vec<(usize, TaskOutcome<T>)>> = Mutex::new(Vec::new());
-    let registries: Mutex<Vec<(usize, u32, Telemetry)>> = Mutex::new(Vec::new());
+    let registries: Mutex<Vec<(usize, Telemetry)>> = Mutex::new(Vec::new());
     let completer = Mutex::new(on_complete);
     let completions = AtomicU64::new(0);
     let executed = AtomicU64::new(0);
     let steals = AtomicU64::new(0);
     let panics = AtomicU64::new(0);
-    let redispatches = AtomicU64::new(0);
     let chaos_injected = AtomicU64::new(0);
 
     let stop_study = |why: Interruption| {
@@ -460,34 +402,8 @@ where
     };
 
     std::thread::scope(|s| {
-        if opts.task_deadline.is_some() {
-            // Straggler watchdog: trips (and flags) any live attempt
-            // whose own deadline passed, so even hook-free spins come
-            // back as cancelled attempts instead of wedging a worker.
-            let slots = &slots;
-            let remaining = &remaining;
-            let stop = &stop;
-            let poll = opts.watchdog_poll;
-            s.spawn(move || {
-                while remaining.load(Ordering::Acquire) > 0 && !stop.load(Ordering::Acquire) {
-                    for slot in slots {
-                        let guard = lock_or_recover(slot);
-                        if let Some(watch) = guard.as_ref() {
-                            if watch.token.deadline_expired() && !watch.token.is_cancelled() {
-                                watch.straggler.store(true, Ordering::Release);
-                                watch.token.cancel();
-                            }
-                        }
-                    }
-                    std::thread::sleep(poll);
-                }
-            });
-        }
-
         for w in 0..workers {
             let deques = &deques;
-            let slots = &slots;
-            let remaining = &remaining;
             let stop = &stop;
             let outcomes = &outcomes;
             let registries = &registries;
@@ -496,7 +412,6 @@ where
             let executed = &executed;
             let steals = &steals;
             let panics = &panics;
-            let redispatches = &redispatches;
             let chaos_injected = &chaos_injected;
             let stop_study = &stop_study;
             let caller_token = &caller_token;
@@ -509,7 +424,7 @@ where
                 // telemetry; per-task forks shadow it during the body.
                 let _base = caller_telemetry.as_ref().map(Telemetry::arm);
                 pool_event("worker_up", vec![]);
-                let steal = || -> Option<(usize, u32)> {
+                let steal = || -> Option<usize> {
                     for offset in 1..workers {
                         let victim = (w + offset) % workers;
                         let job = lock_or_recover(&deques[victim]).pop_back();
@@ -552,65 +467,38 @@ where
                     // steal, and two workers stealing from each other
                     // then deadlock on each other's deques.
                     let own = lock_or_recover(&deques[w]).pop_front();
-                    let job = own.or_else(steal);
-                    let Some((index, attempt)) = job else {
-                        if remaining.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        // Another worker may still re-dispatch a
-                        // straggler; stay available to steal it.
-                        std::thread::yield_now();
-                        std::thread::sleep(Duration::from_micros(200));
-                        continue;
+                    // Every deque was seen empty and none is refilled:
+                    // this worker is done.
+                    let Some(index) = own.or_else(steal) else {
+                        break;
                     };
 
-                    let attempt_token = match (caller_token, opts.task_deadline) {
-                        (Some(t), deadline) => Some(t.child(deadline)),
-                        (None, Some(deadline)) => {
-                            Some(RunBudget::unlimited().with_deadline(deadline).token())
-                        }
-                        (None, None) => None,
-                    };
-                    let straggler = Arc::new(AtomicBool::new(false));
-                    if opts.task_deadline.is_some() {
-                        if let Some(token) = &attempt_token {
-                            *lock_or_recover(&slots[w]) = Some(AttemptWatch {
-                                token: token.clone(),
-                                straggler: Arc::clone(&straggler),
-                            });
-                        }
-                    }
+                    let task_token = caller_token.as_ref().map(CancelToken::child);
                     let fork = caller_telemetry.as_ref().map(Telemetry::fork);
-                    let chaos_panic = opts.chaos.panic_fires(index, attempt);
+                    let chaos_panic = opts.chaos.panic_fires(index);
                     if chaos_panic {
                         // audit: relaxed-ok: stat counter.
                         chaos_injected.fetch_add(1, Ordering::Relaxed);
                         pool_event("chaos_panic", vec![("index", FieldValue::from(index))]);
                     }
                     let result = {
-                        let _budget = attempt_token.as_ref().map(CancelToken::arm);
+                        let _budget = task_token.as_ref().map(CancelToken::arm);
                         let _telemetry = fork.as_ref().map(Telemetry::arm);
-                        catch_unwind(AssertUnwindSafe(|| {
+                        contain(|| {
                             if chaos_panic {
                                 // audit: allow(AUD002): deterministic chaos injection — the pool's own panic containment is the system under test here.
                                 panic!("chaos: injected worker panic (task {index})");
                             }
-                            task(&TaskContext {
-                                index,
-                                attempt,
-                                worker: w,
-                            })
-                        }))
+                            task(&TaskContext { index, worker: w })
+                        })
                     };
-                    *lock_or_recover(&slots[w]) = None;
                     // audit: relaxed-ok: stat counter.
                     executed.fetch_add(1, Ordering::Relaxed);
 
                     let finish = |outcome: TaskOutcome<T>, registry: Option<Telemetry>| {
                         if let Some(registry) = registry {
-                            lock_or_recover(registries).push((index, attempt, registry));
+                            lock_or_recover(registries).push((index, registry));
                         }
-                        remaining.fetch_sub(1, Ordering::AcqRel);
                         // audit: relaxed-ok: ordering against the
                         // cancel_after comparison below is irrelevant;
                         // the fetch_add's RMW atomicity alone makes the
@@ -635,18 +523,11 @@ where
                     };
 
                     match result {
-                        Err(payload) => {
+                        Err(message) => {
                             // audit: relaxed-ok: stat counter.
                             panics.fetch_add(1, Ordering::Relaxed);
-                            let message = panic_message(payload.as_ref());
-                            pool_event(
-                                "task_panicked",
-                                vec![
-                                    ("index", FieldValue::from(index)),
-                                    ("attempt", FieldValue::from(u64::from(attempt))),
-                                ],
-                            );
-                            // The panicked attempt's partial metrics are
+                            pool_event("task_panicked", vec![("index", FieldValue::from(index))]);
+                            // The panicked task's partial metrics are
                             // dropped with its fork: only completed
                             // work may shape the study's snapshot.
                             finish(TaskOutcome::Failed(format!("panic: {message}")), None);
@@ -656,52 +537,13 @@ where
                             finish(TaskOutcome::Failed(trace), fork);
                         }
                         Ok(TaskResult::Interrupted(why)) => {
-                            let study_dead = caller_token
-                                .as_ref()
-                                .is_some_and(|t| t.checkpoint().is_err());
-                            let attempt_expired = straggler.load(Ordering::Acquire)
-                                || attempt_token
-                                    .as_ref()
-                                    .is_some_and(CancelToken::deadline_expired);
-                            if !study_dead && attempt_expired && why.is_retryable() {
-                                if attempt < opts.max_redispatch {
-                                    // audit: relaxed-ok: stat counter.
-                                    redispatches.fetch_add(1, Ordering::Relaxed);
-                                    pool_event(
-                                        "straggler_redispatched",
-                                        vec![
-                                            ("index", FieldValue::from(index)),
-                                            (
-                                                "next_attempt",
-                                                FieldValue::from(u64::from(attempt) + 1),
-                                            ),
-                                        ],
-                                    );
-                                    lock_or_recover(&deques[w]).push_front((index, attempt + 1));
-                                } else {
-                                    let budget_ms = opts
-                                        .task_deadline
-                                        .map(|d| d.as_millis() as u64)
-                                        .unwrap_or(0);
-                                    // Wall-clock-shaped partial metrics
-                                    // are dropped with the fork.
-                                    finish(
-                                        TaskOutcome::TimedOut {
-                                            attempts: attempt + 1,
-                                            budget_ms,
-                                        },
-                                        None,
-                                    );
-                                }
-                            } else {
-                                // Study-level interruption (deadline,
-                                // cancellation, exhausted shared
-                                // allowance): stop dispatch, leave the
-                                // unit uncomputed — exactly the serial
-                                // break-at-boundary semantics.
-                                stop_study(why);
-                                break;
-                            }
+                            // Study-level interruption (deadline,
+                            // cancellation, exhausted shared allowance):
+                            // stop dispatch, leave the unit uncomputed —
+                            // exactly the serial break-at-boundary
+                            // semantics.
+                            stop_study(why);
+                            break;
                         }
                     }
                 }
@@ -709,14 +551,14 @@ where
         }
     });
 
-    // Deterministic ordered merge: ascending (index, attempt) replays
-    // the serial gauge history no matter which workers ran what.
+    // Deterministic ordered merge: ascending index replays the serial
+    // gauge history no matter which workers ran what.
     let mut forks = registries
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner);
-    forks.sort_by_key(|&(index, attempt, _)| (index, attempt));
+    forks.sort_by_key(|&(index, _)| index);
     if let Some(telemetry) = &caller_telemetry {
-        for (_, _, fork) in &forks {
+        for (_, fork) in &forks {
             telemetry.registry().absorb(fork.registry());
         }
     }
@@ -729,7 +571,6 @@ where
         executed: executed.into_inner(),
         steals: steals.into_inner(),
         panics: panics.into_inner(),
-        redispatches: redispatches.into_inner(),
         chaos_injected: chaos_injected.into_inner(),
     };
     pool_event(
@@ -739,7 +580,6 @@ where
             ("executed", FieldValue::from(stats.executed)),
             ("steals", FieldValue::from(stats.steals)),
             ("panics", FieldValue::from(stats.panics)),
-            ("redispatches", FieldValue::from(stats.redispatches)),
             ("chaos_injected", FieldValue::from(stats.chaos_injected)),
         ],
     );
@@ -755,6 +595,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::RunBudget;
     use remix_telemetry::MemorySink;
     use std::sync::atomic::AtomicU32;
 
@@ -828,7 +669,6 @@ mod tests {
         let opts = |workers| PoolOptions {
             parallelism: Parallelism::Workers(workers),
             chaos: PoolChaos::parse("panic:5").expect("spec"),
-            ..PoolOptions::default()
         };
         for workers in [1, 4] {
             let run = run_tasks(
@@ -888,84 +728,12 @@ mod tests {
     }
 
     #[test]
-    fn straggler_is_redispatched_then_completes() {
-        let opts = PoolOptions {
-            parallelism: Parallelism::Workers(2),
-            task_deadline: Some(Duration::from_millis(25)),
-            watchdog_poll: Duration::from_micros(500),
-            ..PoolOptions::default()
-        };
-        let run = run_tasks(
-            &indices(4),
-            &opts,
-            |ctx| {
-                if ctx.index == 2 && ctx.attempt == 0 {
-                    // Cooperative spin: only budget hooks notice the
-                    // watchdog tripping the attempt token.
-                    loop {
-                        if let Err(why) = crate::budget::checkpoint() {
-                            return TaskResult::Interrupted(why);
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-                TaskResult::Done(ctx.index)
-            },
-            |_, _| {},
-        );
-        assert!(run.interrupted.is_none(), "{:?}", run.interrupted);
-        assert_eq!(run.outcomes.len(), 4);
-        assert!(run.outcomes.iter().all(|(_, o)| o.is_done()));
-        assert_eq!(run.stats.redispatches, 1);
-    }
-
-    #[test]
-    fn hopeless_straggler_times_out_with_typed_outcome() {
-        let opts = PoolOptions {
-            parallelism: Parallelism::Workers(2),
-            task_deadline: Some(Duration::from_millis(15)),
-            watchdog_poll: Duration::from_micros(500),
-            max_redispatch: 1,
-            ..PoolOptions::default()
-        };
-        let run = run_tasks(
-            &indices(3),
-            &opts,
-            |ctx| {
-                if ctx.index == 0 {
-                    loop {
-                        if let Err(why) = crate::budget::checkpoint() {
-                            return TaskResult::Interrupted(why);
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-                TaskResult::Done(ctx.index)
-            },
-            |_, _| {},
-        );
-        assert!(run.interrupted.is_none());
-        match &run.outcomes[0].1 {
-            TaskOutcome::TimedOut {
-                attempts,
-                budget_ms,
-            } => {
-                assert_eq!(*attempts, 2);
-                assert_eq!(*budget_ms, 15);
-            }
-            other => panic!("expected timeout, got {other:?}"),
-        }
-        assert_eq!(run.stats.redispatches, 1);
-    }
-
-    #[test]
     fn chaos_cancel_stops_after_exact_completion_count() {
         let run = run_tasks(
             &indices(10),
             &PoolOptions {
                 parallelism: Parallelism::Workers(3),
                 chaos: PoolChaos::parse("cancel:4").expect("spec"),
-                ..PoolOptions::default()
             },
             |ctx| TaskResult::Done(ctx.index),
             |_, _| {},
@@ -1082,7 +850,6 @@ mod tests {
                 &PoolOptions {
                     parallelism: Parallelism::Workers(3),
                     chaos: PoolChaos::parse("steal:1:1").expect("spec"),
-                    ..PoolOptions::default()
                 },
                 |ctx| {
                     // Uneven task durations drain the deques at

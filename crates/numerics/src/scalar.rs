@@ -97,7 +97,7 @@ mod tests {
         let two = T::from_f64(2.0);
         assert_eq!(two + T::zero(), two);
         assert_eq!(two * T::one(), two);
-        assert_eq!((two - two).magnitude(), 0.0);
+        assert_eq!((two - (T::one() + T::one())).magnitude(), 0.0);
         assert!((two.magnitude() - 2.0).abs() < 1e-15);
         assert!(two.is_finite_scalar());
     }

@@ -11,7 +11,7 @@
 //! a budget or chaos artifact).
 //!
 //! Fingerprints are FNV-1a 64 — the same scheme the bench config
-//! fingerprint and the supervisor's retry jitter use.
+//! fingerprint and the client's retry jitter use.
 
 use crate::protocol::{JobKind, JobRequest};
 use std::collections::{HashMap, VecDeque};

@@ -11,8 +11,8 @@
 //! `drop:7` closes every 7th accepted connection before reading;
 //! `torn:11` truncates every 11th response frame mid-write and closes;
 //! `delay:5:20` sleeps 20 ms before reading every 5th frame;
-//! `panic:13` panics inside every 13th executed job (the supervisor's
-//! `catch_unwind` must contain it). Every injection counts on
+//! `panic:13` panics inside every 13th executed job (the worker's
+//! `remix_exec::contain` must contain it). Every injection counts on
 //! `remix.serve.chaos.injected`.
 
 use std::sync::atomic::{AtomicU64, Ordering};

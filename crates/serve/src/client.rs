@@ -1,12 +1,11 @@
 //! Client helper: connect, frame requests, parse responses, and retry
-//! shed / transport failures with the supervisor's deterministic
-//! jittered backoff. The `serve_load` generator drives the server
-//! through this same code path, so the retry policy the bench measures
-//! is the retry policy real callers get.
+//! shed / transport failures with a deterministic jittered backoff.
+//! The `serve_load` generator drives the server through this same code
+//! path, so the retry policy the bench measures is the retry policy
+//! real callers get.
 
 use crate::framing::{FrameError, FrameLimits, FrameReader};
 use crate::protocol::{encode_job, JobRequest, Status};
-use remix_exec::retry_backoff;
 use remix_telemetry::{parse_json, JsonValue};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -59,8 +58,8 @@ pub struct JobResponse {
     pub raw: String,
 }
 
-/// Retry policy for [`call_with_retry`]. Backoff is the supervisor's
-/// deterministic jitter: same job id + attempt → same delay.
+/// Retry policy for [`call_with_retry`]. Backoff is deterministically
+/// jittered: same job id + attempt → same delay.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Attempts beyond the first.
@@ -211,6 +210,36 @@ impl Client {
     }
 }
 
+/// SplitMix64 — the same deterministic mixer the Monte-Carlo seeding
+/// uses, so retry jitter is reproducible per (job, attempt).
+fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+fn name_hash(name: &str) -> u64 {
+    // FNV-1a; only mixes the jitter stream, no cryptographic needs.
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in name.bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
+}
+
+/// Jittered exponential backoff before retry `attempt` (0-based) of the
+/// named job: `base · 2^attempt · u`, `u ∈ [0.5, 1.0)` seeded from
+/// `(name, attempt)`, capped at `cap`. Deterministic, so retried runs
+/// replay exactly.
+fn retry_backoff(name: &str, attempt: u32, base: Duration, cap: Duration) -> Duration {
+    let exp = base.saturating_mul(1u32 << attempt.min(16));
+    let u = splitmix64(name_hash(name) ^ u64::from(attempt)) as f64 / u64::MAX as f64;
+    let jittered = exp.mul_f64(0.5 + 0.5 * u);
+    jittered.min(cap)
+}
+
 /// Submits `job` on a fresh connection per attempt, retrying sheds and
 /// transport failures under `policy`'s deterministic jittered backoff.
 /// Protocol-level rejections (`error` status) are NOT retried — a deck
@@ -258,9 +287,14 @@ mod tests {
     #[test]
     fn backoff_is_deterministic_per_job() {
         let p = RetryPolicy::default();
-        let a = retry_backoff("job-1", 0, p.backoff_base, p.backoff_cap);
-        let b = retry_backoff("job-1", 0, p.backoff_base, p.backoff_cap);
-        assert_eq!(a, b);
+        let backoff =
+            |name: &str, attempt| retry_backoff(name, attempt, p.backoff_base, p.backoff_cap);
+        let a = backoff("job-1", 0);
+        assert_eq!(a, backoff("job-1", 0), "jitter must be deterministic");
+        assert!(backoff("job-1", 4) >= a, "backoff must grow");
+        assert!(backoff("job-1", 30) <= p.backoff_cap);
+        // Different jobs jitter differently (with overwhelming odds).
+        assert_ne!(backoff("alpha", 2), backoff("beta", 2));
     }
 
     #[test]

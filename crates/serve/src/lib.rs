@@ -2,8 +2,8 @@
 //!
 //! JSON-lines over TCP: one request per line, one terminal response
 //! per request (optionally preceded by streamed event lines). Every
-//! job is lint-gated through `remix-lint` and executed on the
-//! `remix-exec` supervisor under a per-job `RunBudget`, so a hostile
+//! job is lint-gated through `remix-lint` and executed under a per-job
+//! `remix-exec` `RunBudget` with its panics contained, so a hostile
 //! or hopeless deck costs a bounded slice of server time and gets a
 //! typed refusal — never a hung worker.
 //!

@@ -1,16 +1,18 @@
 //! The service: accept loop, bounded connection handlers, admission-
 //! controlled worker pool, single-flight cache, chaos injection.
 //!
-//! Threading model (all spawns live here; jobs still run through
-//! `Supervisor::run`, so budgets, `catch_unwind`, and watchdogs are
-//! re-armed per job exactly as everywhere else in the stack):
+//! Threading model (all spawns live here). A worker runs each job on
+//! the worker thread itself, with the job's budget armed and the body
+//! inside `remix_exec::contain`, the same panic containment every pool
+//! task gets; the budget hooks in the analyses enforce the deadline, so
+//! no per-job watchdog thread exists:
 //!
 //! ```text
 //! accept thread ──▶ connection threads (≤ max_connections)
 //!                        │  frame → decode → cache lookup
 //!                        │  miss → AdmissionQueue::try_submit ── shed? ──▶ typed refusal
 //!                        ▼
-//!                   worker threads (workers) ── Supervisor::run ──▶ reply channel
+//!                   worker threads (workers) ── arm budget, contain ──▶ reply channel
 //! ```
 //!
 //! Overload sheds at two doors: the accept path refuses connections
@@ -30,7 +32,7 @@ use crate::protocol::{
 use remix_analysis::{
     dc_operating_point, dc_sweep_partial, transient_partial, AnalysisError, OpOptions, TranOptions,
 };
-use remix_exec::{env_u64_or_warn, AdmissionQueue, RunBudget, Supervisor, SupervisorOptions};
+use remix_exec::{contain, env_u64_or_warn, AdmissionQueue, RunBudget};
 use remix_lint::{lint_deck, lint_plan, LintConfig, LintReport, SimPlan};
 use remix_telemetry::names;
 use remix_telemetry::{FieldValue, MemorySink, MetricValue, Telemetry};
@@ -557,7 +559,8 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Executes one queued job under full supervision and replies.
+/// Executes one queued job under its budget, with panics contained,
+/// and replies.
 fn run_job(shared: &Arc<Shared>, item: QueuedJob) {
     let QueuedJob { job, guard, reply } = item;
     let started = Instant::now();
@@ -572,45 +575,41 @@ fn run_job(shared: &Arc<Shared>, item: QueuedJob) {
     if let Some(n) = job.timestep_budget {
         budget = budget.with_timesteps(n);
     }
-    let supervisor = Supervisor::new(SupervisorOptions {
-        budget,
-        max_retries: 0, // retries are the client's policy, not the server's
-        ..SupervisorOptions::default()
-    });
     let events_sink = job.events.then(|| Arc::new(MemorySink::new()));
-    let job2 = job.clone();
-    let sink2 = events_sink.clone();
-    let shared2 = Arc::clone(shared);
-    let report = supervisor.run(&format!("serve:{}", job.id), move |_token| {
-        let nested = sink2
-            .as_ref()
-            .map(|s| Telemetry::with_sink(Arc::clone(s) as Arc<dyn remix_telemetry::Sink>));
-        let _nested_guard = nested.as_ref().map(Telemetry::arm);
-        if shared2.chaos.panic_job() {
-            // audit: allow(AUD002): deterministic chaos injection — the
-            // supervisor's catch_unwind containment is the subject under test.
-            panic!("chaos: injected worker panic");
-        }
-        let outcome = execute(&job2);
-        if nested.is_some() {
-            remix_telemetry::event(
-                names::SERVE_JOB,
-                vec![
-                    ("job", FieldValue::from(job2.id.clone())),
-                    ("kind", FieldValue::from(job2.kind.name())),
-                    (
-                        "status",
-                        FieldValue::from(match &outcome {
-                            ExecOutcome::Complete(_) => "ok",
-                            ExecOutcome::Partial(..) => "partial",
-                            ExecOutcome::Failed { .. } => "error",
-                        }),
-                    ),
-                ],
-            );
-        }
-        Ok::<ExecOutcome, remix_exec::JobError>(outcome)
-    });
+    // Run once: retries are the client's policy, not the server's.
+    let result = {
+        let _budget = budget.token().arm();
+        contain(|| {
+            let nested = events_sink
+                .as_ref()
+                .map(|s| Telemetry::with_sink(Arc::clone(s) as Arc<dyn remix_telemetry::Sink>));
+            let _nested_guard = nested.as_ref().map(Telemetry::arm);
+            if shared.chaos.panic_job() {
+                // audit: allow(AUD002): deterministic chaos injection — the
+                // job's panic containment is the subject under test.
+                panic!("chaos: injected worker panic");
+            }
+            let outcome = execute(&job);
+            if nested.is_some() {
+                remix_telemetry::event(
+                    names::SERVE_JOB,
+                    vec![
+                        ("job", FieldValue::from(job.id.clone())),
+                        ("kind", FieldValue::from(job.kind.name())),
+                        (
+                            "status",
+                            FieldValue::from(match &outcome {
+                                ExecOutcome::Complete(_) => "ok",
+                                ExecOutcome::Partial(..) => "partial",
+                                ExecOutcome::Failed { .. } => "error",
+                            }),
+                        ),
+                    ],
+                );
+            }
+            outcome
+        })
+    };
     let event_lines = events_sink
         .map(|sink| {
             sink.events()
@@ -620,41 +619,34 @@ fn run_job(shared: &Arc<Shared>, item: QueuedJob) {
         })
         .unwrap_or_default();
     let elapsed = started.elapsed().as_millis() as u64;
-    let terminal = match report.outcome {
-        remix_exec::JobOutcome::Done(ExecOutcome::Complete(body)) => {
+    let terminal = match result {
+        Ok(ExecOutcome::Complete(body)) => {
             remix_telemetry::counter_add(names::SERVE_JOBS_OK, 1);
             if let Some(g) = guard {
                 shared.cache.publish(g, body.clone());
             }
             render::result(&job.id, "ok", &body, false, elapsed)
         }
-        remix_exec::JobOutcome::Done(ExecOutcome::Partial(body, interruption)) => {
+        Ok(ExecOutcome::Partial(body, interruption)) => {
             remix_telemetry::counter_add(names::SERVE_JOBS_PARTIAL, 1);
             if let Some(g) = guard {
                 shared.cache.abandon(g); // a prefix must never poison the cache
             }
             render::partial(&job.id, &body, &interruption, elapsed)
         }
-        remix_exec::JobOutcome::Done(ExecOutcome::Failed { code, message }) => {
+        Ok(ExecOutcome::Failed { code, message }) => {
             remix_telemetry::counter_add(names::SERVE_JOBS_FAILED, 1);
             if let Some(g) = guard {
                 shared.cache.abandon(g);
             }
             render::job_error(&job.id, code, &message)
         }
-        remix_exec::JobOutcome::Panicked(message) => {
+        Err(message) => {
             remix_telemetry::counter_add(names::SERVE_JOBS_FAILED, 1);
             if let Some(g) = guard {
                 shared.cache.abandon(g);
             }
             render::job_error(&job.id, "panic", &message)
-        }
-        remix_exec::JobOutcome::Failed(message) => {
-            remix_telemetry::counter_add(names::SERVE_JOBS_FAILED, 1);
-            if let Some(g) = guard {
-                shared.cache.abandon(g);
-            }
-            render::job_error(&job.id, "internal", &message)
         }
     };
     let _ = reply.send(WorkerReply {
@@ -674,7 +666,7 @@ fn lint_deny_summary(report: &LintReport) -> String {
 }
 
 /// Parses, lint-gates, and runs one job on the worker thread (budget
-/// already armed by the supervisor).
+/// already armed by [`run_job`]).
 fn execute(job: &JobRequest) -> ExecOutcome {
     // The string parser refuses `.include`: a deck that arrived over
     // the socket can never cause a server filesystem read.

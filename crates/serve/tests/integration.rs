@@ -24,11 +24,12 @@ fn job(id: &str, kind: JobKind, deck: &str) -> JobRequest {
 }
 
 fn boot(config: ServeConfig) -> Server {
-    Server::start(config).expect("bind ephemeral port")
+    Server::start(config).unwrap_or_else(|e| panic!("bind ephemeral port: {e}"))
 }
 
 fn client(server: &Server) -> Client {
-    Client::connect(server.addr(), Duration::from_secs(1)).expect("connect")
+    Client::connect(server.addr(), Duration::from_secs(1))
+        .unwrap_or_else(|e| panic!("connect: {e}"))
 }
 
 #[test]
@@ -425,5 +426,6 @@ fn cache_persists_across_a_restart_and_rejects_foreign_snapshots() {
 
 fn c_submit(server: &Server, id: &str) -> remix_serve::JobResponse {
     let mut c = client(server);
-    c.submit(&job(id, JobKind::Op, GOOD_DECK)).expect("submit")
+    c.submit(&job(id, JobKind::Op, GOOD_DECK))
+        .unwrap_or_else(|e| panic!("submit: {e}"))
 }

@@ -65,15 +65,10 @@ pub const CONVERGENCE_ATTEMPTS_AC_POINT: &str = "remix.analysis.convergence.atte
 pub const CONVERGENCE_ATTEMPTS_PSS_BOUNDARY: &str =
     "remix.analysis.convergence.attempts.pss_boundary";
 
-/// Event: supervised-job lifecycle transition (queued/started/retried/
-/// finished/watchdog_tripped).
-pub const EXEC_JOB: &str = "remix.exec.job";
-/// Counter: jobs submitted to a supervisor.
-pub const EXEC_JOBS: &str = "remix.exec.jobs";
-/// Counter: job retry attempts.
+/// Counter: server-side job retries. Nothing writes it — jobs run
+/// once and retrying is the client's policy — so it reads 0 (the
+/// benchmark's `serve.retries` reports it).
 pub const EXEC_RETRIES: &str = "remix.exec.retries";
-/// Counter: watchdog deadline trips.
-pub const EXEC_WATCHDOG_TRIPS: &str = "remix.exec.watchdog_trips";
 
 /// Counter: admission-queue rejections (queue full or hopeless
 /// deadline); the typed `Shed` response rides back to the caller.
@@ -88,8 +83,7 @@ pub const EXEC_ENV: &str = "remix.exec.env";
 pub const EXEC_ENV_MALFORMED: &str = "remix.exec.env.malformed";
 
 /// Event: work-stealing-pool lifecycle transition (started / worker
-/// up / task panicked / straggler redispatched / chaos injected /
-/// finished). Lifecycle rides on events only — the pool writes nothing
+/// up / task panicked / chaos injected / finished). Lifecycle rides on events only — the pool writes nothing
 /// into the registry, so serial and parallel runs snapshot
 /// byte-identically.
 pub const EXEC_POOL: &str = "remix.exec.pool";
@@ -203,12 +197,9 @@ pub const ALL: &[&str] = &[
     EXEC_ADMISSION_SHEDS,
     EXEC_ENV,
     EXEC_ENV_MALFORMED,
-    EXEC_JOB,
-    EXEC_JOBS,
     EXEC_POOL,
     EXEC_POOL_RUN,
     EXEC_RETRIES,
-    EXEC_WATCHDOG_TRIPS,
     LU_FACTORIZATIONS,
     LU_FILL_NNZ,
     LU_PIVOT_SEARCHES,

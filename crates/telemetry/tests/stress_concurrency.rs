@@ -128,7 +128,7 @@ fn snapshots_are_deterministic_across_interleavings() {
                         let x = rng();
                         counter_add("remix.stress.det_ops", x % 3);
                         histogram_observe("remix.stress.det_lat", (x % 50) as f64);
-                        if x % 5 == 0 {
+                        if x.is_multiple_of(5) {
                             counter_add("remix.stress.det_rare", 1);
                         }
                     }

@@ -332,12 +332,6 @@ fn pool_outcome(outcome: &TaskOutcome<StudyOutcome>) -> StudyOutcome {
     match outcome {
         TaskOutcome::Done(s) => s.clone(),
         TaskOutcome::Failed(trace) => StudyOutcome::Failed(trace.clone()),
-        TaskOutcome::TimedOut {
-            attempts,
-            budget_ms,
-        } => StudyOutcome::Failed(format!(
-            "timed out: {attempts} attempt(s) exhausted {budget_ms} ms"
-        )),
     }
 }
 

@@ -263,12 +263,6 @@ pub fn input_impedance_vs_lo(
             TaskOutcome::Done(Ok(z)) => ZinOutcome::Ok(*z),
             TaskOutcome::Done(Err(msg)) => ZinOutcome::Failed(msg.clone()),
             TaskOutcome::Failed(trace) => ZinOutcome::Failed(trace.clone()),
-            TaskOutcome::TimedOut {
-                attempts,
-                budget_ms,
-            } => ZinOutcome::Failed(format!(
-                "timed out: {attempts} attempt(s) exhausted {budget_ms} ms"
-            )),
         });
     }
     let points = bins

@@ -28,9 +28,7 @@ use remix::telemetry::{
     BenchRecord, Counter, Gauge, Histogram, JsonLinesSink, MemorySink, MetricsRegistry,
     MetricsSnapshot, NoopSink, Telemetry,
 };
-use remix_exec::{
-    CancelToken, Interruption, JobReport, RunBudget, Supervisor, SupervisorOptions, Watchdog,
-};
+use remix_exec::{CancelToken, Interruption, RunBudget};
 
 fn assert_send<T: Send>() {}
 fn assert_sync<T: Sync>() {}
@@ -82,13 +80,6 @@ fn worker_payload_types_are_send() {
     assert_send_sync::<RunBudget>();
     assert_send_sync::<CancelToken>();
     assert_send::<Interruption>();
-
-    // Supervisor machinery and per-job results.
-    assert_send_sync::<Supervisor>();
-    assert_send_sync::<SupervisorOptions>();
-    assert_send::<Watchdog>();
-    assert_send::<JobReport<()>>();
-    assert_send::<JobReport<MetricsSnapshot>>();
 
     // Results hauled back from workers to the aggregator.
     assert_send::<MetricsSnapshot>();
