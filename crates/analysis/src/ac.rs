@@ -6,9 +6,9 @@
 
 use crate::error::AnalysisError;
 use crate::op::OperatingPoint;
-use crate::stamp::assemble_ac;
+use crate::stamp::AcAssembler;
 use remix_circuit::{Circuit, ElementId, MnaLayout, Node};
-use remix_numerics::{Complex, SparseSolver, TripletMatrix};
+use remix_numerics::{Complex, SparseSolver};
 
 /// Result of an AC sweep.
 #[derive(Debug, Clone)]
@@ -79,7 +79,7 @@ pub fn ac_sweep(
         .with_field("analysis", "ac")
         .with_field("dim", dim)
         .with_field("points", freqs.len());
-    let mut m = TripletMatrix::<Complex>::new(dim, dim);
+    let mut asm = AcAssembler::new(&layout);
     let mut rhs = vec![Complex::ZERO; dim];
     let mut solver = SparseSolver::new();
     let mut solutions = Vec::with_capacity(freqs.len());
@@ -94,16 +94,15 @@ pub fn ac_sweep(
             ));
         }
         let omega = 2.0 * std::f64::consts::PI * f;
-        assemble_ac(
+        let a = asm.assemble(
             circuit,
             &layout,
             omega,
             &op.mos_evals,
             &op.mos_caps,
-            &mut m,
             &mut rhs,
         );
-        let lu = crate::fault::factor(&mut solver, &m)
+        let lu = crate::fault::factor(&mut solver, a)
             .map_err(|e| AnalysisError::singular_at_point(circuit, "ac sweep", f, e))?;
         solutions.push(
             lu.solve(&rhs)

@@ -14,10 +14,10 @@
 
 use crate::error::AnalysisError;
 use crate::op::OperatingPoint;
-use crate::stamp::assemble_ac;
+use crate::stamp::AcAssembler;
 use remix_circuit::consts::{BOLTZMANN, ROOM_TEMP};
 use remix_circuit::{stamp_current, Circuit, Element, Node};
-use remix_numerics::{Complex, SparseSolver, TripletMatrix};
+use remix_numerics::{Complex, SparseSolver};
 
 /// One noise generator discovered in the circuit.
 #[derive(Debug, Clone)]
@@ -161,10 +161,11 @@ pub fn output_noise(
     let sources = noise_sources(circuit, op, ROOM_TEMP);
     let layout = &op.layout;
     let dim = layout.dim();
-    let mut m = TripletMatrix::<Complex>::new(dim, dim);
+    let mut asm = AcAssembler::new(layout);
     let mut rhs = vec![Complex::ZERO; dim];
     let mut solver = SparseSolver::new();
     let mut inj = vec![Complex::ZERO; dim];
+    let mut sol = vec![Complex::ZERO; dim];
 
     let mut total = vec![0.0; freqs.len()];
     let mut contributions: Vec<(String, Vec<f64>)> = sources
@@ -183,23 +184,21 @@ pub fn output_noise(
             ));
         }
         let omega = 2.0 * std::f64::consts::PI * f;
-        assemble_ac(
+        let a = asm.assemble(
             circuit,
             layout,
             omega,
             &op.mos_evals,
             &op.mos_caps,
-            &mut m,
             &mut rhs,
         );
-        let lu = crate::fault::factor(&mut solver, &m)
+        let lu = crate::fault::factor(&mut solver, a)
             .map_err(|e| AnalysisError::singular_at_point(circuit, "ac noise", f, e))?;
         for (si, s) in sources.iter().enumerate() {
             // Unit current injection a → b.
             inj.fill(Complex::ZERO);
             stamp_current(&mut inj, s.a, s.b, Complex::ONE);
-            let sol = lu
-                .solve(&inj)
+            lu.solve_into(&inj, &mut sol)
                 .map_err(|e| AnalysisError::singular_at_point(circuit, "ac noise", f, e))?;
             let vout = match (out_p.unknown_index(), out_n.unknown_index()) {
                 (Some(p), Some(n)) => sol[p] - sol[n],

@@ -226,12 +226,12 @@ pub(crate) fn newton_cap(budget: usize) -> usize {
 /// them, one event per factorization.
 pub(crate) fn factor<'s, T: remix_numerics::Scalar>(
     solver: &'s mut remix_numerics::SparseSolver<T>,
-    m: &remix_numerics::TripletMatrix<T>,
+    a: &remix_numerics::CsrMatrix<T>,
 ) -> Result<&'s remix_numerics::SparseLu<T>, remix_numerics::FactorError> {
     if fail_factor() {
         return Err(remix_numerics::FactorError::Singular { step: 0 });
     }
-    solver.factor(m)
+    solver.factor(a)
 }
 
 #[cfg(all(test, feature = "fault-inject"))]

@@ -18,9 +18,9 @@ use crate::convergence::{
     ILL_CONDITION_RCOND,
 };
 use crate::error::{AnalysisError, PartialProgress};
-use crate::stamp::{assemble_real, RealMode};
+use crate::stamp::{assemble_real, stamp_diag_load, RealAssembler, RealMode};
 use remix_circuit::{Circuit, Element, ElementId, MnaLayout, MosCaps, MosEval, Node};
-use remix_numerics::{FactorError, LuFactor, SparseLu, SparseSolver, TripletMatrix};
+use remix_numerics::{CsrMatrix, FactorError, LuFactor, SparseLu, SparseSolver, TripletMatrix};
 
 /// Which linear-algebra path factors the MNA system each Newton step.
 ///
@@ -83,10 +83,13 @@ impl Factored<'_> {
         }
     }
 
-    fn solve(&self, b: &[f64]) -> Result<Vec<f64>, FactorError> {
+    fn solve_into(&self, b: &[f64], x: &mut [f64]) -> Result<(), FactorError> {
         match self {
-            Factored::Sparse(lu) => lu.solve(b),
-            Factored::Dense(lu) => lu.solve(b),
+            Factored::Sparse(lu) => lu.solve_into(b, x),
+            Factored::Dense(lu) => {
+                x.copy_from_slice(&lu.solve(b)?);
+                Ok(())
+            }
         }
     }
 }
@@ -97,12 +100,39 @@ impl Factored<'_> {
 /// solves fail independently.
 fn factor_system<'s>(
     solver: &'s mut SparseSolver<f64>,
-    m: &TripletMatrix<f64>,
+    a: &CsrMatrix<f64>,
     kind: LinearSolverKind,
 ) -> Result<Factored<'s>, FactorError> {
     match kind {
-        LinearSolverKind::Sparse => crate::fault::factor(solver, m).map(Factored::Sparse),
-        LinearSolverKind::Dense => LuFactor::factor(&m.to_csr().to_dense()).map(Factored::Dense),
+        LinearSolverKind::Sparse => crate::fault::factor(solver, a).map(Factored::Sparse),
+        LinearSolverKind::Dense => LuFactor::factor(&a.to_dense()).map(Factored::Dense),
+    }
+}
+
+/// One operating-point call's Newton workspace, kept across every stage:
+/// the compiled stamp plan, the sparse solver (a stage whose matrix
+/// pattern matches the previous factorization's refactors in it), and
+/// the rhs and solution buffers.
+struct NewtonSystem {
+    asm: RealAssembler,
+    solver: SparseSolver<f64>,
+    /// The dense reference path's triplet assembly, independent of the
+    /// plan.
+    triplets: TripletMatrix<f64>,
+    rhs: Vec<f64>,
+    x_new: Vec<f64>,
+}
+
+impl NewtonSystem {
+    fn new(layout: &MnaLayout) -> Self {
+        let dim = layout.dim();
+        NewtonSystem {
+            asm: RealAssembler::new(layout),
+            solver: SparseSolver::new(),
+            triplets: TripletMatrix::new(dim, dim),
+            rhs: vec![0.0; dim],
+            x_new: vec![0.0; dim],
+        }
     }
 }
 
@@ -206,12 +236,14 @@ fn converge_stage(
     stage: TraceStage,
     opts: &OpOptions,
     mos_evals: &mut Vec<Option<MosEval>>,
-    solver: &mut SparseSolver<f64>,
+    sys: &mut NewtonSystem,
 ) -> StageRun {
     let dim = layout.dim();
-    let mut m = TripletMatrix::<f64>::new(dim, dim);
-    let mut rhs = vec![0.0; dim];
+    let nodes = layout.node_unknowns();
     let mode = RealMode::Dc { gmin, source_scale };
+    if opts.solver == LinearSolverKind::Sparse {
+        sys.asm.begin(circuit, layout, &mode, diag_load);
+    }
 
     let mut attempt = StageAttempt::new(stage);
     attempt.gmin = gmin;
@@ -231,17 +263,23 @@ fn converge_stage(
             };
         }
         attempt.iterations = iter + 1;
-        assemble_real(circuit, layout, x, &mode, &mut m, &mut rhs, Some(mos_evals));
-        if diag_load > 0.0 {
-            // Pseudo-transient continuation: a diagonal load λ with a
-            // matching λ·v_prev on the RHS is one implicit-Euler step of
-            // C dv/dt = −f(v) through artificial time (C/h = λ).
-            for i in 0..layout.node_unknowns() {
-                m.push(i, i, diag_load);
-                rhs[i] += diag_load * x[i];
+        // Pseudo-transient continuation adds a diagonal load λ with a
+        // matching λ·v_prev on the RHS (see `stamp_diag_load`).
+        let dense_csr;
+        let a = match opts.solver {
+            LinearSolverKind::Sparse => {
+                sys.asm
+                    .assemble(circuit, layout, x, &mut sys.rhs, Some(mos_evals))
             }
-        }
-        let lu = match factor_system(solver, &m, opts.solver) {
+            LinearSolverKind::Dense => {
+                let m = &mut sys.triplets;
+                assemble_real(circuit, layout, x, &mode, m, &mut sys.rhs, Some(mos_evals));
+                stamp_diag_load(m, &mut sys.rhs, x, nodes, diag_load);
+                dense_csr = m.to_csr();
+                &dense_csr
+            }
+        };
+        let lu = match factor_system(&mut sys.solver, a, opts.solver) {
             Ok(lu) => lu,
             Err(e) => {
                 attempt.outcome = factor_outcome(&e);
@@ -255,23 +293,21 @@ fn converge_stage(
             }
         };
         attempt.rcond = Some(lu.rcond_estimate());
-        let x_new = match lu.solve(&rhs) {
-            Ok(v) => v,
-            Err(e) => {
-                attempt.outcome = factor_outcome(&e);
-                let interrupted = budget_refusal(&e);
-                return StageRun {
-                    attempt,
-                    converged: false,
-                    factor_error: Some(e),
-                    interrupted,
-                };
-            }
-        };
+        if let Err(e) = lu.solve_into(&sys.rhs, &mut sys.x_new) {
+            attempt.outcome = factor_outcome(&e);
+            let interrupted = budget_refusal(&e);
+            return StageRun {
+                attempt,
+                converged: false,
+                factor_error: Some(e),
+                interrupted,
+            };
+        }
 
+        let x_new = &sys.x_new;
         // Damping limited to node voltages; branch currents follow freely.
         let mut max_dv: f64 = 0.0;
-        for i in 0..layout.node_unknowns() {
+        for i in 0..nodes {
             max_dv = max_dv.max((x_new[i] - x[i]).abs());
         }
         let alpha = if max_dv > opts.dv_max {
@@ -282,7 +318,7 @@ fn converge_stage(
         let mut max_change: f64 = 0.0;
         for i in 0..dim {
             let nv = x[i] + alpha * (x_new[i] - x[i]);
-            if i < layout.node_unknowns() {
+            if i < nodes {
                 max_change = max_change.max((nv - x[i]).abs());
             }
             x[i] = nv;
@@ -347,7 +383,7 @@ fn run_stage(
     stage_opts: &OpOptions,
     target_gmin: f64,
     mos_evals: &mut Vec<Option<MosEval>>,
-    solver: &mut SparseSolver<f64>,
+    sys: &mut NewtonSystem,
     trace: &mut ConvergenceTrace,
 ) -> (bool, Option<FactorError>, Option<remix_exec::Interruption>) {
     x.iter_mut().for_each(|v| *v = 0.0);
@@ -380,7 +416,7 @@ fn run_stage(
                 stage,
                 stage_opts,
                 mos_evals,
-                solver,
+                sys,
             );
             record(run, &mut last_ferr, &mut interrupted, trace)
         }
@@ -388,7 +424,7 @@ fn run_stage(
             let mut ok = true;
             for g in ConvergencePolicy::gmin_rungs(start, target_gmin) {
                 let run = converge_stage(
-                    circuit, layout, x, g, 1.0, 0.0, stage, stage_opts, mos_evals, solver,
+                    circuit, layout, x, g, 1.0, 0.0, stage, stage_opts, mos_evals, sys,
                 );
                 if !record(run, &mut last_ferr, &mut interrupted, trace) {
                     ok = false;
@@ -412,7 +448,7 @@ fn run_stage(
                     stage,
                     stage_opts,
                     mos_evals,
-                    solver,
+                    sys,
                 );
                 if !record(run, &mut last_ferr, &mut interrupted, trace) {
                     ok = false;
@@ -441,7 +477,7 @@ fn run_stage(
                     stage,
                     stage_opts,
                     mos_evals,
-                    solver,
+                    sys,
                 );
                 record(run, &mut last_ferr, &mut interrupted, trace);
                 if interrupted.is_some() {
@@ -462,7 +498,7 @@ fn run_stage(
                 stage,
                 stage_opts,
                 mos_evals,
-                solver,
+                sys,
             );
             record(run, &mut last_ferr, &mut interrupted, trace)
         }
@@ -504,9 +540,7 @@ pub fn dc_operating_point(
     let mut x = vec![0.0; dim];
     let mut mos_evals: Vec<Option<MosEval>> = vec![None; n_elem];
     let mut trace = ConvergenceTrace::new("dc operating point");
-    // One solver for every stage of this call: a stage whose matrix
-    // pattern matches the previous factorization's refactors in it.
-    let mut solver = SparseSolver::new();
+    let mut sys = NewtonSystem::new(&layout);
 
     // Walk the policy ladder, retried with progressively tighter damping:
     // strong feedback loops (the TIA around its two-stage OTA) can
@@ -528,7 +562,7 @@ pub fn dc_operating_point(
                 &stage_opts,
                 opts.gmin,
                 &mut mos_evals,
-                &mut solver,
+                &mut sys,
                 &mut trace,
             );
             if ferr.is_some() {

@@ -15,10 +15,10 @@ use crate::error::{AnalysisError, PartialProgress};
 use crate::op::{dc_operating_point, structural_diagnosis, OpOptions, OperatingPoint};
 use crate::partial::{Interrupted, Partial};
 use crate::stamp::{
-    assemble_real, cap_companion_current, mos_cap_branches, CapState, ElementState, RealMode,
+    cap_companion_current, mos_cap_branches, CapState, ElementState, RealAssembler, RealMode,
 };
 use remix_circuit::{Circuit, Element, MnaLayout, Node};
-use remix_numerics::{FactorError, IntegrationMethod, SparseSolver, TripletMatrix};
+use remix_numerics::{FactorError, IntegrationMethod, SparseSolver};
 
 /// Options controlling a transient run.
 #[derive(Debug, Clone)]
@@ -153,11 +153,12 @@ struct Integrator<'a> {
     mos_caps: Vec<Option<remix_circuit::MosCaps>>,
     x: Vec<f64>,
     opts: &'a TranOptions,
-    /// The run's MNA system and solver, reused by every Newton
-    /// iteration of every step.
-    m: TripletMatrix<f64>,
+    /// The run's compiled assembly, rhs, solver and solve buffer, reused
+    /// by every Newton iteration of every step.
+    asm: RealAssembler,
     rhs: Vec<f64>,
     solver: SparseSolver<f64>,
+    x_new: Vec<f64>,
 }
 
 impl<'a> Integrator<'a> {
@@ -194,14 +195,15 @@ impl<'a> Integrator<'a> {
         let dim = layout.dim();
         Ok(Integrator {
             circuit,
+            asm: RealAssembler::new(&layout),
             layout,
             states,
             mos_caps: op.mos_caps,
             x,
             opts,
-            m: TripletMatrix::new(dim, dim),
             rhs: vec![0.0; dim],
             solver: SparseSolver::new(),
+            x_new: vec![0.0; dim],
         })
     }
 
@@ -233,6 +235,16 @@ impl<'a> Integrator<'a> {
                     },
                 }
             };
+        // Sources at t, companion histories and, when h or the method
+        // changed, the companion conductances: once per step.
+        let mode = RealMode::Tran {
+            t,
+            gmin: self.opts.gmin,
+            coeffs,
+            states: &self.states,
+            mos_caps: &self.mos_caps,
+        };
+        self.asm.begin(self.circuit, &self.layout, &mode, 0.0);
         let mut converged = false;
         let max_newton = crate::fault::newton_cap(self.opts.max_newton);
         for iter in 0..max_newton {
@@ -251,23 +263,10 @@ impl<'a> Integrator<'a> {
                 });
             }
             attempt.iterations = iter + 1;
-            let mode = RealMode::Tran {
-                t,
-                gmin: self.opts.gmin,
-                coeffs,
-                states: &self.states,
-                mos_caps: &self.mos_caps,
-            };
-            assemble_real(
-                self.circuit,
-                &self.layout,
-                &x,
-                &mode,
-                &mut self.m,
-                &mut self.rhs,
-                None,
-            );
-            let lu = match crate::fault::factor(&mut self.solver, &self.m) {
+            let a = self
+                .asm
+                .assemble(self.circuit, &self.layout, &x, &mut self.rhs, None);
+            let lu = match crate::fault::factor(&mut self.solver, a) {
                 Ok(lu) => lu,
                 Err(FactorError::Budget(i)) => {
                     attempt.outcome = AttemptOutcome::Interrupted(i);
@@ -292,10 +291,10 @@ impl<'a> Integrator<'a> {
                 }
             };
             attempt.rcond = Some(lu.rcond_estimate());
-            let x_new = match lu.solve(&self.rhs) {
-                Ok(v) => v,
-                Err(e) => return Err(fail(attempt, AttemptOutcome::NotFinite, Some(e))),
-            };
+            if let Err(e) = lu.solve_into(&self.rhs, &mut self.x_new) {
+                return Err(fail(attempt, AttemptOutcome::NotFinite, Some(e)));
+            }
+            let x_new = &self.x_new;
             let mut max_dv: f64 = 0.0;
             for i in 0..self.layout.node_unknowns() {
                 max_dv = max_dv.max((x_new[i] - x[i]).abs());

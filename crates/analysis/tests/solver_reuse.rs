@@ -1,7 +1,8 @@
 //! Solver reuse is scoped to one analysis call.
 //!
-//! Every analysis keeps one sparse solver (CSR slot map, pivot order,
-//! fill pattern) for the duration of a call and drops it on return.
+//! Every analysis keeps one stamp plan (CSR pattern and stamp slots) and
+//! one sparse solver (pivot order, fill pattern) for the duration of a
+//! call and drops both on return.
 //! Nothing may carry over to the next call on the same thread: a result
 //! must not depend on what the thread solved before, or serial and
 //! parallel studies would stop agreeing bit for bit.

@@ -7,7 +7,7 @@
 
 use crate::netlist::Circuit;
 use crate::node::{ElementId, Node};
-use remix_numerics::{Scalar, TripletMatrix};
+use remix_numerics::{Scalar, StampSink};
 
 /// Index map from circuit topology to MNA unknowns.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,25 +85,25 @@ impl MnaLayout {
 
 /// Stamps a conductance `g` between nodes `a` and `b` (either may be
 /// ground).
-pub fn stamp_conductance<T: Scalar>(m: &mut TripletMatrix<T>, a: Node, b: Node, g: T) {
+pub fn stamp_conductance<T: Scalar>(m: &mut impl StampSink<T>, a: Node, b: Node, g: T) {
     let ia = a.unknown_index();
     let ib = b.unknown_index();
     if let Some(i) = ia {
-        m.push(i, i, g);
+        m.add(i, i, g);
     }
     if let Some(j) = ib {
-        m.push(j, j, g);
+        m.add(j, j, g);
     }
     if let (Some(i), Some(j)) = (ia, ib) {
-        m.push(i, j, -g);
-        m.push(j, i, -g);
+        m.add(i, j, -g);
+        m.add(j, i, -g);
     }
 }
 
 /// Stamps a transconductance: current `gm·(v(cp) − v(cn))` flowing out of
 /// node `p` (through the controlled source) into node `n`.
 pub fn stamp_transconductance<T: Scalar>(
-    m: &mut TripletMatrix<T>,
+    m: &mut impl StampSink<T>,
     p: Node,
     n: Node,
     cp: Node,
@@ -115,10 +115,10 @@ pub fn stamp_transconductance<T: Scalar>(
             continue;
         };
         if let Some(c) = cp.unknown_index() {
-            m.push(r, c, sign_row * gm);
+            m.add(r, c, sign_row * gm);
         }
         if let Some(c) = cn.unknown_index() {
-            m.push(r, c, -(sign_row * gm));
+            m.add(r, c, -(sign_row * gm));
         }
     }
 }
@@ -138,7 +138,7 @@ pub fn stamp_current<T: Scalar>(rhs: &mut [T], p: Node, n: Node, i: T) {
 mod tests {
     use super::*;
     use crate::waveform::Waveform;
-    use remix_numerics::solve_dense;
+    use remix_numerics::{solve_dense, TripletMatrix};
 
     #[test]
     fn layout_counts_branches() {

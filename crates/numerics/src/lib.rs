@@ -12,8 +12,10 @@
 //!   serve both the real (DC/transient) and complex (AC) MNA systems;
 //! * [`DenseMatrix`] / [`LuFactor`] — dense storage and LU with partial
 //!   pivoting;
-//! * [`TripletMatrix`] / [`CsrMatrix`] / [`SparseLu`] — sparse stamping and
-//!   a threshold-pivoting sparse LU;
+//! * [`TripletMatrix`] / [`CsrMatrix`] / [`StampPlan`] / [`SparseLu`] —
+//!   sparse stamping (through a [`StampSink`]), compiled stamp plans that
+//!   scatter a fixed stamp sequence straight into CSR slots, and a
+//!   threshold-pivoting sparse LU;
 //! * [`IntegrationMethod`] — companion-model coefficients and LTE
 //!   estimation for the transient engine;
 //! * root finding ([`roots`]), least squares ([`fit`]), interpolation
@@ -56,4 +58,6 @@ pub use integrate::{rk4, CompanionCoeffs, IntegrationMethod, LteEstimator};
 pub use lu::{solve_dense, FactorError, LuFactor};
 pub use roots::{bisect, brent, RootError};
 pub use scalar::Scalar;
-pub use sparse::{CsrMatrix, SparseLu, SparseSolver, TripletMatrix};
+pub use sparse::{
+    CsrMatrix, SlotCursor, SparseLu, SparseSolver, StampPlan, StampSink, TripletMatrix,
+};

@@ -6,9 +6,17 @@
 //! therefore split into work done once per pattern and work done once per
 //! matrix:
 //!
-//! * [`TripletMatrix`] — a coordinate-format accumulator that element stamps
-//!   write into;
-//! * [`CsrMatrix`] — compressed sparse row storage with fast mat-vec;
+//! * [`StampSink`] — what element stamps write into: a [`TripletMatrix`]
+//!   (the coordinate-format reference) or a plan's [`SlotCursor`];
+//! * [`CsrMatrix`] — compressed sparse row storage with fast mat-vec. The
+//!   pattern is shared, so copies of one pattern are recognised by
+//!   identity;
+//! * [`StampPlan`] — a stamp sequence compiled once to the CSR pattern it
+//!   sums into and the CSR slot of every stamp. Later assemblies of the
+//!   same sequence scatter straight into the CSR values, with no triplets,
+//!   sort or coordinate compare. A plan keeps a *base* — the summed values
+//!   of a leading run of stamps — so that stamps which change rarely are
+//!   written once and copied per assembly;
 //! * [`SparseLu`] — an LU factorization with threshold partial pivoting.
 //!   [`SparseLu::factor`] runs the pivot search (right-looking elimination
 //!   on row lists), then the symbolic phase (the structural fill pattern of
@@ -17,9 +25,8 @@
 //!   [`SparseLu::refactor`] reruns only the numeric phase on a new matrix
 //!   with the same pattern, and falls back to a fresh pivot search when a
 //!   reused pivot no longer passes the threshold test;
-//! * [`SparseSolver`] — one analysis call's solver: triplets are converted
-//!   to CSR through a remembered slot map (refilled in place while the
-//!   coordinate sequence repeats), then factored once and refactored after.
+//! * [`SparseSolver`] — one analysis call's solver: factored once, then
+//!   refactored in the stored pattern.
 //!
 //! The sparse solver is validated against the dense one in tests and by
 //! property tests at the crate boundary.
@@ -27,6 +34,24 @@
 use crate::dense::DenseMatrix;
 use crate::lu::FactorError;
 use crate::scalar::Scalar;
+use std::sync::Arc;
+
+/// A target for matrix stamps: every stamp adds `v` to entry `(r, c)`.
+///
+/// Element stamping is written once, generic over the sink, so the same
+/// code feeds the [`TripletMatrix`] reference and a compiled
+/// [`StampPlan`].
+pub trait StampSink<T> {
+    /// Adds `v` to entry `(r, c)`.
+    fn add(&mut self, r: usize, c: usize, v: T);
+}
+
+impl<T: Scalar> StampSink<T> for TripletMatrix<T> {
+    #[inline]
+    fn add(&mut self, r: usize, c: usize, v: T) {
+        self.push(r, c, v);
+    }
+}
 
 /// Coordinate-format (COO) sparse matrix accumulator.
 ///
@@ -134,8 +159,7 @@ impl<T: Scalar> TripletMatrix<T> {
         let csr = CsrMatrix {
             rows: self.rows,
             cols: self.cols,
-            row_ptr,
-            col_idx,
+            pattern: Arc::new(Pattern { row_ptr, col_idx }),
             values,
         };
         (csr, slots)
@@ -151,13 +175,21 @@ impl<T: Scalar> TripletMatrix<T> {
     }
 }
 
+/// Row pointers and column indices of a CSR matrix.
+#[derive(Debug, PartialEq, Eq)]
+struct Pattern {
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+}
+
 /// Compressed sparse row matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix<T> {
     rows: usize,
     cols: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    /// Shared, never mutated: matrices cloned from one pattern (a plan's
+    /// refills, the factors derived from it) compare equal by pointer.
+    pattern: Arc<Pattern>,
     values: Vec<T>,
 }
 
@@ -179,9 +211,9 @@ impl<T: Scalar> CsrMatrix<T> {
 
     /// Value at `(r, c)`, zero if not stored.
     pub fn get(&self, r: usize, c: usize) -> T {
-        let lo = self.row_ptr[r];
-        let hi = self.row_ptr[r + 1];
-        match self.col_idx[lo..hi].binary_search(&c) {
+        let Pattern { row_ptr, col_idx } = &*self.pattern;
+        let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
+        match col_idx[lo..hi].binary_search(&c) {
             Ok(k) => self.values[lo + k],
             Err(_) => T::zero(),
         }
@@ -189,9 +221,9 @@ impl<T: Scalar> CsrMatrix<T> {
 
     /// Iterates over `(col, value)` pairs of row `r`.
     pub fn row(&self, r: usize) -> impl Iterator<Item = (usize, T)> + '_ {
-        let lo = self.row_ptr[r];
-        let hi = self.row_ptr[r + 1];
-        self.col_idx[lo..hi]
+        let Pattern { row_ptr, col_idx } = &*self.pattern;
+        let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
+        col_idx[lo..hi]
             .iter()
             .copied()
             .zip(self.values[lo..hi].iter().copied())
@@ -227,55 +259,145 @@ impl<T: Scalar> CsrMatrix<T> {
     }
 }
 
-/// Triplet-to-CSR conversion that remembers where each pushed entry
-/// landed. While the shape and the coordinate sequence repeat exactly
-/// (checked on every call, entry by entry), a conversion scatter-adds the
-/// new values into the kept CSR; any difference rebuilds it.
+/// A compiled stamp sequence: the CSR pattern one fixed sequence of
+/// stamps sums into, and the CSR value slot of each stamp in order.
+///
+/// The sequence is split at `base_len`. The leading *base* run is summed
+/// into a kept value array by [`restamp_base`](Self::restamp_base), which
+/// a caller reruns only when those stamps change. Each
+/// [`restamp`](Self::restamp) copies the base into the matrix and then
+/// scatter-adds the rest of the sequence. Stamps that sum into one entry
+/// are added in sequence order, as [`TripletMatrix::to_csr`] adds them, so
+/// a refill equals the triplet conversion of the same stamps.
+///
+/// A plan trusts its caller to replay the sequence it was compiled from:
+/// a different sequence must compile a new plan. Debug builds check every
+/// stamp's coordinates against the compiled ones.
+///
+/// # Examples
+///
+/// ```
+/// use remix_numerics::{StampPlan, StampSink, TripletMatrix};
+///
+/// let stamp = |m: &mut dyn StampSink<f64>, g: f64| {
+///     m.add(0, 0, 1.0); // base: fixed
+///     m.add(0, 0, g); // tail: changes per assembly
+///     m.add(1, 1, g);
+/// };
+/// let mut t = TripletMatrix::new(2, 2);
+/// stamp(&mut t, 2.0);
+/// let mut plan = StampPlan::compile(&t, 1);
+/// assert_eq!(plan.matrix().get(0, 0), 3.0);
+///
+/// let mut cursor = plan.restamp(); // replays the tail only
+/// cursor.add(0, 0, 5.0);
+/// cursor.add(1, 1, 5.0);
+/// cursor.finish();
+/// assert_eq!(plan.matrix().get(0, 0), 6.0);
+/// assert_eq!(plan.matrix().get(1, 1), 5.0);
+/// ```
 #[derive(Debug, Clone)]
-struct CsrRefill<T> {
-    /// Coordinates of the entries the kept CSR was built from, in push order.
-    coords: Vec<(usize, usize)>,
-    /// CSR value index of each of those entries.
-    slots: Vec<usize>,
+pub struct StampPlan<T> {
     csr: CsrMatrix<T>,
+    /// CSR value index of each stamp, in sequence order.
+    slots: Vec<usize>,
+    /// Coordinates of each stamp, checked in debug builds.
+    coords: Vec<(usize, usize)>,
+    /// Summed values of the first `base_len` stamps, one per CSR entry.
+    base: Vec<T>,
+    base_len: usize,
 }
 
-impl<T: Scalar> CsrRefill<T> {
-    fn new() -> Self {
-        CsrRefill {
-            coords: Vec::new(),
-            slots: Vec::new(),
-            csr: CsrMatrix {
-                rows: 0,
-                cols: 0,
-                row_ptr: vec![0],
-                col_idx: Vec::new(),
-                values: Vec::new(),
-            },
+impl<T: Scalar> StampPlan<T> {
+    /// Compiles the stamp sequence pushed into `t`, whose first
+    /// `base_len` stamps form the base. The plan's matrix starts out
+    /// equal to `t.to_csr()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base_len` exceeds the number of stamps in `t`.
+    pub fn compile(t: &TripletMatrix<T>, base_len: usize) -> Self {
+        assert!(base_len <= t.entries.len(), "base longer than the sequence");
+        let (csr, slots) = t.to_csr_with_slots();
+        let mut base = vec![T::zero(); csr.nnz()];
+        for (&(_, _, v), &slot) in t.entries[..base_len].iter().zip(&slots) {
+            base[slot] += v;
+        }
+        StampPlan {
+            csr,
+            slots,
+            coords: t.entries.iter().map(|&(r, c, _)| (r, c)).collect(),
+            base,
+            base_len,
         }
     }
 
-    /// The CSR form of `t`, equal to `t.to_csr()`.
-    fn convert(&mut self, t: &TripletMatrix<T>) -> &CsrMatrix<T> {
-        let same_pattern = t.rows == self.csr.rows
-            && t.cols == self.csr.cols
-            && t.entries.len() == self.coords.len()
-            && t.entries
-                .iter()
-                .zip(&self.coords)
-                .all(|(&(r, c, _), &rc)| (r, c) == rc);
-        if same_pattern {
-            self.csr.values.fill(T::zero());
-            for (&(_, _, v), &slot) in t.entries.iter().zip(&self.slots) {
-                self.csr.values[slot] += v;
-            }
-        } else {
-            (self.csr, self.slots) = t.to_csr_with_slots();
-            self.coords.clear();
-            self.coords
-                .extend(t.entries.iter().map(|&(r, c, _)| (r, c)));
-        }
+    /// The matrix as last compiled or refilled.
+    pub fn matrix(&self) -> &CsrMatrix<T> {
         &self.csr
+    }
+
+    /// Clears the base and returns a sink for its stamps, which the
+    /// caller must replay in full, then [`finish`](SlotCursor::finish).
+    pub fn restamp_base(&mut self) -> SlotCursor<'_, T> {
+        self.base.fill(T::zero());
+        SlotCursor {
+            values: &mut self.base,
+            slots: &self.slots[..self.base_len],
+            coords: &self.coords[..self.base_len],
+            next: 0,
+        }
+    }
+
+    /// Sets the matrix to the base and returns a sink for the stamps
+    /// after it, which the caller must replay in full, then
+    /// [`finish`](SlotCursor::finish).
+    pub fn restamp(&mut self) -> SlotCursor<'_, T> {
+        self.csr.values.copy_from_slice(&self.base);
+        SlotCursor {
+            values: &mut self.csr.values,
+            slots: &self.slots[self.base_len..],
+            coords: &self.coords[self.base_len..],
+            next: 0,
+        }
+    }
+}
+
+/// A sink that adds each stamp of a compiled run into its CSR slot.
+#[derive(Debug)]
+pub struct SlotCursor<'a, T> {
+    values: &'a mut [T],
+    slots: &'a [usize],
+    coords: &'a [(usize, usize)],
+    next: usize,
+}
+
+impl<T: Scalar> StampSink<T> for SlotCursor<'_, T> {
+    #[inline]
+    fn add(&mut self, r: usize, c: usize, v: T) {
+        debug_assert_eq!(
+            self.coords[self.next],
+            (r, c),
+            "stamp {} replayed at other coordinates than compiled",
+            self.next
+        );
+        self.values[self.slots[self.next]] += v;
+        self.next += 1;
+    }
+}
+
+impl<T> SlotCursor<'_, T> {
+    /// Ends the replay. Debug builds check that every compiled stamp of
+    /// the run was replayed: a short replay would silently leave entries
+    /// at their base values.
+    pub fn finish(self) {
+        debug_assert_eq!(
+            self.next,
+            self.slots.len(),
+            "replayed {} of {} compiled stamps",
+            self.next,
+            self.slots.len()
+        );
     }
 }
 
@@ -298,11 +420,10 @@ pub struct SparseLu<T> {
     diag: Vec<usize>,
     col: Vec<usize>,
     val: Vec<T>,
-    /// Row pointers and column indices of the input the pattern was
-    /// derived from; [`refactor`](Self::refactor) reuses the pattern only
-    /// for this exact input pattern.
-    a_ptr: Vec<usize>,
-    a_col: Vec<usize>,
+    /// Pattern of the input the factors' pattern was derived from;
+    /// [`refactor`](Self::refactor) reuses the factors' pattern only for
+    /// this exact input pattern.
+    a_pattern: Arc<Pattern>,
     /// Largest |a_ij| of the factored matrix (for pivot-growth estimates).
     scale: f64,
     /// Dense working row of the numeric phase, all zero between rows.
@@ -332,7 +453,12 @@ fn check_input<T: Scalar>(a: &CsrMatrix<T>) -> Result<f64, FactorError> {
         if !v.is_finite_scalar() {
             return Err(FactorError::NotFinite);
         }
-        scale = scale.max(v.magnitude());
+        // Finite, so a plain compare: `f64::max`'s NaN handling would
+        // put a dependency chain on every entry.
+        let m = v.magnitude();
+        if m > scale {
+            scale = m;
+        }
     }
     Ok(scale.max(f64::MIN_POSITIVE))
 }
@@ -457,7 +583,7 @@ impl<T: Scalar> SparseLu<T> {
     /// unusable until the next successful `factor` or `refactor`.
     pub fn refactor(&mut self, a: &CsrMatrix<T>) -> Result<(), FactorError> {
         let scale = check_input(a)?;
-        let same_pattern = a.row_ptr == self.a_ptr && a.col_idx == self.a_col;
+        let same_pattern = Arc::ptr_eq(&a.pattern, &self.a_pattern) || a.pattern == self.a_pattern;
         if !(same_pattern && self.numeric(a, scale).is_ok()) {
             *self = Self::search(a, scale)?;
         }
@@ -492,7 +618,7 @@ impl<T: Scalar> SparseLu<T> {
         // mark[c] == i: column c is in factored row i's pattern.
         let mut mark = vec![usize::MAX; n];
         for (i, &src) in perm.iter().enumerate() {
-            for &c in &a.col_idx[a.row_ptr[src]..a.row_ptr[src + 1]] {
+            for (c, _) in a.row(src) {
                 mark[c] = i;
             }
             mark[i] = i;
@@ -523,8 +649,7 @@ impl<T: Scalar> SparseLu<T> {
             diag,
             col,
             val: vec![T::zero(); fill],
-            a_ptr: a.row_ptr.clone(),
-            a_col: a.col_idx.clone(),
+            a_pattern: Arc::clone(&a.pattern),
             scale: 0.0,
             work: vec![T::zero(); n],
             col_max: vec![0.0; n],
@@ -648,12 +773,32 @@ impl<T: Scalar> SparseLu<T> {
     ///
     /// Panics if `b.len() != self.dim()`.
     pub fn solve(&self, b: &[T]) -> Result<Vec<T>, FactorError> {
+        let mut x = vec![T::zero(); self.n];
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// Solves `A·x = b` into a caller-owned `x`, allocating nothing.
+    /// Same arithmetic as [`solve`](Self::solve).
+    ///
+    /// # Errors
+    ///
+    /// [`FactorError::NotFinite`] if `b` contains non-finite values; `x`
+    /// is then left unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` or `x` is not of length `self.dim()`.
+    pub fn solve_into(&self, b: &[T], x: &mut [T]) -> Result<(), FactorError> {
         assert_eq!(b.len(), self.n, "rhs length mismatch");
+        assert_eq!(x.len(), self.n, "solution length mismatch");
         if !b.iter().all(|v| v.is_finite_scalar()) {
             return Err(FactorError::NotFinite);
         }
         let (ptr, diag, col, val) = (&self.ptr, &self.diag, &self.col, &self.val);
-        let mut x: Vec<T> = self.perm.iter().map(|&p| b[p]).collect();
+        for (xi, &p) in x.iter_mut().zip(&self.perm) {
+            *xi = b[p];
+        }
         // Forward substitution with unit-diagonal L.
         for i in 0..self.n {
             let (lo, d) = (ptr[i], diag[i]);
@@ -672,31 +817,26 @@ impl<T: Scalar> SparseLu<T> {
             }
             x[i] = acc / val[d];
         }
-        Ok(x)
+        Ok(())
     }
 }
 
-/// One analysis call's sparse solver: assembled triplets in, factors out.
+/// One analysis call's sparse solver: assembled matrices in, factors out.
 ///
-/// The first [`factor`](Self::factor) converts the triplets to CSR and
-/// runs a full [`SparseLu::factor`]. Each later call refills that CSR in
-/// place while the triplets' coordinate sequence repeats, and
-/// [`refactor`](SparseLu::refactor)s in the stored pattern; whichever
-/// step no longer applies is redone from scratch. A solver carries state
-/// from one solve to the next only to save work: its factors equal a
-/// fresh factorization's up to rounding. Create one per analysis call.
+/// The first [`factor`](Self::factor) runs a full [`SparseLu::factor`];
+/// each later call [`refactor`](SparseLu::refactor)s in the stored
+/// pattern, which redoes the pivot search only when the pattern changed
+/// or a reused pivot fails. A solver carries state from one solve to the
+/// next only to save work: its factors equal a fresh factorization's up
+/// to rounding. Create one per analysis call.
 #[derive(Debug, Clone)]
 pub struct SparseSolver<T> {
-    csr: CsrRefill<T>,
     lu: Option<SparseLu<T>>,
 }
 
 impl<T: Scalar> Default for SparseSolver<T> {
     fn default() -> Self {
-        SparseSolver {
-            csr: CsrRefill::new(),
-            lu: None,
-        }
+        SparseSolver { lu: None }
     }
 }
 
@@ -706,14 +846,13 @@ impl<T: Scalar> SparseSolver<T> {
         Self::default()
     }
 
-    /// Factors the matrix assembled in `t`. After an error the next call
-    /// starts with a fresh pivot search.
+    /// Factors `a`. After an error the next call starts with a fresh
+    /// pivot search.
     ///
     /// # Errors
     ///
     /// As for [`SparseLu::factor`].
-    pub fn factor(&mut self, t: &TripletMatrix<T>) -> Result<&SparseLu<T>, FactorError> {
-        let a = self.csr.convert(t);
+    pub fn factor(&mut self, a: &CsrMatrix<T>) -> Result<&SparseLu<T>, FactorError> {
         let lu = match self.lu.take() {
             Some(mut lu) => {
                 lu.refactor(a)?;
@@ -1016,46 +1155,109 @@ mod tests {
         assert!(vecops::norm_inf(&r) < 1e-12, "residual {r:?}");
     }
 
-    #[test]
-    fn refill_tracks_values_and_rebuilds_on_changed_coordinates() {
-        let mut refill = CsrRefill::new();
+    /// Pushes `stamps` into a fresh 3×3 triplet matrix.
+    fn triplets(stamps: &[(usize, usize, f64)]) -> TripletMatrix<f64> {
         let mut t = TripletMatrix::new(3, 3);
-        for (r, c, v) in [(2, 2, 1.0), (0, 1, 2.0), (2, 2, 3.0), (1, 0, 4.0)] {
+        for &(r, c, v) in stamps {
             t.push(r, c, v);
         }
-        assert_eq!(*refill.convert(&t), t.to_csr());
+        t
+    }
 
-        // Same coordinates, new values: refilled in place.
-        let mut same = TripletMatrix::new(3, 3);
-        for (r, c, v) in [(2, 2, -1.0), (0, 1, 0.0), (2, 2, 5.0), (1, 0, 7.0)] {
-            same.push(r, c, v);
-        }
-        assert_eq!(*refill.convert(&same), same.to_csr());
+    #[test]
+    fn plan_refill_tracks_values_of_the_compiled_sequence() {
+        let first = [(2, 2, 1.0), (0, 1, 2.0), (2, 2, 3.0), (1, 0, 4.0)];
+        let mut plan = StampPlan::compile(&triplets(&first), 2);
+        assert_eq!(*plan.matrix(), triplets(&first).to_csr());
 
-        // Same length, different coordinates: a scatter through the old
-        // slot map would put (0, 2) into the (0, 1) slot.
-        let mut moved = TripletMatrix::new(3, 3);
-        for (r, c, v) in [(2, 2, 1.0), (0, 2, 2.0), (2, 2, 3.0), (1, 0, 4.0)] {
-            moved.push(r, c, v);
-        }
-        let csr = refill.convert(&moved);
-        assert_eq!(*csr, moved.to_csr());
-        assert_eq!(csr.get(0, 2), 2.0);
-        assert_eq!(csr.get(0, 1), 0.0);
+        // Same sequence, new tail values: the base (first two stamps) is
+        // kept and the tail scattered on top, summed in sequence order.
+        let mut cursor = plan.restamp();
+        cursor.add(2, 2, 5.0);
+        cursor.add(1, 0, 7.0);
+        cursor.finish();
+        let same = [(2, 2, 1.0), (0, 1, 2.0), (2, 2, 5.0), (1, 0, 7.0)];
+        assert_eq!(*plan.matrix(), triplets(&same).to_csr());
 
-        // A longer sequence and a new shape rebuild too.
-        moved.push(0, 0, 9.0);
-        assert_eq!(*refill.convert(&moved), moved.to_csr());
-        let mut wide = TripletMatrix::new(3, 4);
-        wide.push(2, 3, 1.0);
-        assert_eq!(*refill.convert(&wide), wide.to_csr());
+        // A new base, then a new tail.
+        let mut cursor = plan.restamp_base();
+        cursor.add(2, 2, -1.0);
+        cursor.add(0, 1, 0.0);
+        cursor.finish();
+        let mut cursor = plan.restamp();
+        cursor.add(2, 2, 0.5);
+        cursor.add(1, 0, 9.0);
+        cursor.finish();
+        let rebased = [(2, 2, -1.0), (0, 1, 0.0), (2, 2, 0.5), (1, 0, 9.0)];
+        let expect = triplets(&rebased).to_csr();
+        assert_eq!(*plan.matrix(), expect);
+        // A zero-valued stamp keeps its entry: the pattern never depends
+        // on values.
+        assert_eq!(plan.matrix().nnz(), 3);
+
+        // A different sequence is a different plan: compiling it gives
+        // the new pattern rather than scattering into the old slots
+        // (which would put (0, 2) into the (0, 1) slot).
+        let moved = triplets(&[(2, 2, 1.0), (0, 2, 2.0), (2, 2, 3.0), (1, 0, 4.0)]);
+        let replanned = StampPlan::compile(&moved, 2);
+        assert_eq!(*replanned.matrix(), moved.to_csr());
+        assert_eq!(replanned.matrix().get(0, 2), 2.0);
+        assert_eq!(replanned.matrix().get(0, 1), 0.0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "other coordinates than compiled")]
+    fn plan_replay_at_other_coordinates_is_caught_in_debug_builds() {
+        let mut plan = StampPlan::compile(&triplets(&[(0, 0, 1.0), (1, 1, 1.0)]), 0);
+        let mut cursor = plan.restamp();
+        cursor.add(0, 0, 1.0);
+        cursor.add(1, 2, 1.0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "replayed 1 of 2 compiled stamps")]
+    fn plan_short_replay_is_caught_in_debug_builds() {
+        let mut plan = StampPlan::compile(&triplets(&[(0, 0, 1.0), (1, 1, 1.0)]), 0);
+        let mut cursor = plan.restamp();
+        cursor.add(0, 0, 1.0);
+        cursor.finish();
+    }
+
+    #[test]
+    fn plan_refills_share_the_pattern_the_solver_factored() {
+        let mut plan = StampPlan::compile(&triplets(&[(0, 0, 2.0), (1, 1, 2.0), (2, 2, 2.0)]), 0);
+        let mut solver = SparseSolver::new();
+        let (_, searches) = lu_counts(|| {
+            solver.factor(plan.matrix()).unwrap();
+            let mut cursor = plan.restamp();
+            for i in 0..3 {
+                cursor.add(i, i, 4.0);
+            }
+            cursor.finish();
+            solver.factor(plan.matrix()).unwrap();
+        });
+        assert_eq!(searches, 1);
+        assert!(Arc::ptr_eq(
+            &plan.matrix().pattern,
+            &solver.lu.as_ref().unwrap().a_pattern
+        ));
+        let x = solver
+            .lu
+            .as_ref()
+            .unwrap()
+            .solve(&[4.0, 8.0, 12.0])
+            .unwrap();
+        assert_eq!(x, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn solver_follows_pattern_changes() {
-        // One random diagonally dominant pattern carrying new values each
-        // round; every third round adds a diagonal load (new pattern),
-        // like a pseudo-transient stage.
+        // One random diagonally dominant stamp sequence carrying new
+        // values each round, refilled through its plan; every third round
+        // appends a diagonal load (a new sequence, so a new plan), like a
+        // pseudo-transient stage.
         let mut solver = SparseSolver::new();
         let mut state = 0x5EED_0003u64;
         let n = 12;
@@ -1068,18 +1270,32 @@ mod tests {
             }
         }
         let b: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
+        let mut plans: [Option<StampPlan<f64>>; 2] = [None, None];
         for round in 0..6 {
+            let loaded = round % 3 == 2;
             let mut t = TripletMatrix::new(n, n);
             for &(r, c) in &coords {
                 let v = lcg(&mut state);
                 t.push(r, c, if r == c { 3.0 + v.abs() } else { v });
             }
-            if round % 3 == 2 {
+            if loaded {
                 for i in 0..n {
                     t.push(i, i, 1.0);
                 }
             }
-            let x = solver.factor(&t).unwrap().solve(&b).unwrap();
+            let plan = match &mut plans[usize::from(loaded)] {
+                Some(plan) => {
+                    let mut cursor = plan.restamp();
+                    for &(r, c, v) in &t.entries {
+                        cursor.add(r, c, v);
+                    }
+                    cursor.finish();
+                    plan
+                }
+                slot => slot.insert(StampPlan::compile(&t, 0)),
+            };
+            assert_eq!(*plan.matrix(), t.to_csr(), "round {round}");
+            let x = solver.factor(plan.matrix()).unwrap().solve(&b).unwrap();
             let y = SparseLu::factor(&t.to_csr()).unwrap().solve(&b).unwrap();
             let r = vecops::sub(&x, &y);
             assert!(
@@ -1087,6 +1303,54 @@ mod tests {
                 "round {round}"
             );
         }
+    }
+
+    #[test]
+    fn solve_into_matches_solve_bit_for_bit() {
+        let n = 15;
+        let mut state = 0x50_1E_u64;
+        let mut t = TripletMatrix::new(n, n);
+        let mut tc = TripletMatrix::new(n, n);
+        for r in 0..n {
+            let d = 4.0 + lcg(&mut state).abs();
+            t.push(r, r, d);
+            tc.push(r, r, Complex::new(d, lcg(&mut state)));
+            for _ in 0..3 {
+                let c = ((lcg(&mut state).abs() * n as f64) as usize).min(n - 1);
+                let (v, w) = (lcg(&mut state), lcg(&mut state));
+                t.push(r, c, v);
+                tc.push(r, c, Complex::new(v, w));
+            }
+        }
+        let b: Vec<f64> = (0..n).map(|_| lcg(&mut state)).collect();
+        let lu = SparseLu::factor(&t.to_csr()).unwrap();
+        let mut x = vec![f64::NAN; n];
+        lu.solve_into(&b, &mut x).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|z| z.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x), bits(&lu.solve(&b).unwrap()));
+
+        let bc: Vec<Complex> = b.iter().map(|&v| Complex::new(v, -v)).collect();
+        let lu = SparseLu::factor(&tc.to_csr()).unwrap();
+        let mut xc = vec![Complex::ZERO; n];
+        lu.solve_into(&bc, &mut xc).unwrap();
+        let cbits = |v: &[Complex]| {
+            v.iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(cbits(&xc), cbits(&lu.solve(&bc).unwrap()));
+
+        // A non-finite rhs is refused and leaves x as it was.
+        let mut kept = x.clone();
+        let mut bad = b.clone();
+        bad[3] = f64::NAN;
+        assert!(matches!(
+            SparseLu::factor(&t.to_csr())
+                .unwrap()
+                .solve_into(&bad, &mut kept),
+            Err(FactorError::NotFinite)
+        ));
+        assert_eq!(bits(&kept), bits(&x));
     }
 
     #[test]

@@ -39,6 +39,9 @@ pub const ANALYSIS_TRAN: &str = "remix.analysis.tran";
 pub const ANALYSIS_AC: &str = "remix.analysis.ac";
 /// Span: one periodic steady-state analysis.
 pub const ANALYSIS_PSS: &str = "remix.analysis.pss";
+/// Counter: stamp plans compiled (one per analysis call, plus one per
+/// homotopy stage whose stamp sequence differs from the last plan's).
+pub const STAMP_PLANS: &str = "remix.analysis.stamp.plans";
 /// Span: one AC noise analysis.
 pub const ANALYSIS_ACNOISE: &str = "remix.analysis.acnoise";
 /// Span: one transient noise analysis.
@@ -184,6 +187,7 @@ pub const ALL: &[&str] = &[
     ANALYSIS_OP,
     ANALYSIS_OP_RCOND,
     ANALYSIS_PSS,
+    STAMP_PLANS,
     ANALYSIS_TRAN,
     ANALYSIS_TRANNOISE,
     CORE_CHECKPOINT,

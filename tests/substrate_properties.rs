@@ -7,10 +7,11 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panicking on setup failure is the point
 use proptest::prelude::*;
-use remix::circuit::MosModel;
+use remix::circuit::{Circuit, Element, MnaLayout, MosCaps, MosEval, MosModel, Node, Waveform};
 use remix::dsp::{amplitude_spectrum, goertzel_amplitude};
 use remix::numerics::{
-    solve_dense, vecops, Complex, DenseMatrix, Scalar, SparseLu, SparseSolver, TripletMatrix,
+    solve_dense, vecops, Complex, CsrMatrix, DenseMatrix, IntegrationMethod, Scalar, SparseLu,
+    SparseSolver, TripletMatrix,
 };
 use remix::rfkit::Poly3;
 
@@ -79,10 +80,10 @@ proptest! {
                 t.push(r, c, v + bias);
                 tc.push(r, c, Complex::new(v + bias, w));
             }
-            let x = real.factor(&t).unwrap().solve(&b).unwrap();
+            let x = real.factor(&t.to_csr()).unwrap().solve(&b).unwrap();
             let y = SparseLu::factor(&t.to_csr()).unwrap().solve(&b).unwrap();
             prop_assert!(rel_diff(&x, &y) < 1e-12, "real: {x:?} vs {y:?}");
-            let x = complex.factor(&tc).unwrap().solve(&bc).unwrap();
+            let x = complex.factor(&tc.to_csr()).unwrap().solve(&bc).unwrap();
             let y = SparseLu::factor(&tc.to_csr()).unwrap().solve(&bc).unwrap();
             prop_assert!(rel_diff(&x, &y) < 1e-12, "complex: {x:?} vs {y:?}");
         }
@@ -326,4 +327,224 @@ fn rel_diff<T: Scalar>(x: &[T], y: &[T]) -> f64 {
         .map(|(&a, &b)| (a - b).magnitude())
         .fold(0.0, f64::max)
         / scale.max(f64::MIN_POSITIVE)
+}
+
+/// A random lint-clean netlist: a resistor ladder over `n` nodes keeps a
+/// DC path everywhere, with a voltage and a current source, shunt and
+/// bridging capacitors, an inductor, a VCCS and one to three MOSFETs.
+fn random_netlist(next: &mut impl FnMut() -> f64) -> Circuit {
+    let mut c = Circuit::new();
+    let n = 3 + (next().abs() * 4.0) as usize;
+    let nodes: Vec<Node> = (0..n).map(|i| c.node(&format!("n{i}"))).collect();
+    let pick =
+        |next: &mut dyn FnMut() -> f64| nodes[((next().abs() * n as f64) as usize).min(n - 1)];
+    c.add_vsource(
+        "vs",
+        nodes[0],
+        Circuit::gnd(),
+        Waveform::sine(0.6, 1e9 * (1.0 + next().abs())),
+    );
+    for i in 1..n {
+        c.add_resistor(
+            &format!("rl{i}"),
+            nodes[i - 1],
+            nodes[i],
+            1e3 * (1.0 + next().abs()),
+        );
+        c.add_resistor(
+            &format!("rg{i}"),
+            nodes[i],
+            Circuit::gnd(),
+            5e3 * (1.0 + next().abs()),
+        );
+        if next() > 0.0 {
+            c.add_capacitor(
+                &format!("cg{i}"),
+                nodes[i],
+                Circuit::gnd(),
+                1e-13 * (1.0 + next().abs()),
+            );
+        }
+    }
+    c.add_isource(
+        "is",
+        Circuit::gnd(),
+        nodes[n - 1],
+        Waveform::Dc(1e-5 * next()),
+    );
+    c.add_capacitor("cb", nodes[1], nodes[n - 1], 5e-14);
+    c.add_inductor("lb", nodes[n - 1], nodes[n - 2], 1e-9);
+    c.add_vccs(
+        "gm",
+        nodes[1],
+        Circuit::gnd(),
+        nodes[0],
+        Circuit::gnd(),
+        1e-4,
+    );
+    let n_mos = 1 + (next().abs() * 3.0) as usize;
+    for k in 0..n_mos {
+        let (d, g) = (pick(&mut *next), pick(&mut *next));
+        let s = if next() > 0.0 {
+            Circuit::gnd()
+        } else {
+            pick(&mut *next)
+        };
+        let model = if next() > 0.0 {
+            MosModel::nmos_65nm()
+        } else {
+            MosModel::pmos_65nm()
+        };
+        c.add_mosfet(
+            &format!("m{k}"),
+            model,
+            2e-6,
+            65e-9,
+            d,
+            g,
+            s,
+            Circuit::gnd(),
+        );
+    }
+    c
+}
+
+/// Asserts `a` has `t`'s CSR pattern and values within 1e-14 relative.
+fn assert_plan_matches<T: Scalar>(a: &CsrMatrix<T>, t: &TripletMatrix<T>, what: &str) {
+    let r = t.to_csr();
+    assert_eq!((a.rows(), a.nnz()), (r.rows(), r.nnz()), "{what}: shape");
+    for row in 0..r.rows() {
+        for ((ca, va), (cr, vr)) in a.row(row).zip(r.row(row)) {
+            assert_eq!(ca, cr, "{what}: pattern of row {row}");
+            let tol = 1e-14 * vr.magnitude().max(f64::MIN_POSITIVE);
+            assert!(
+                (va - vr).magnitude() <= tol,
+                "{what}: ({row}, {ca}) {va:?} vs {vr:?}"
+            );
+        }
+    }
+}
+
+fn assert_rhs_matches<T: Scalar>(a: &[T], r: &[T], what: &str) {
+    for (i, (&x, &y)) in a.iter().zip(r).enumerate() {
+        let tol = 1e-14 * y.magnitude().max(f64::MIN_POSITIVE);
+        assert!(
+            (x - y).magnitude() <= tol,
+            "{what}: rhs[{i}] {x:?} vs {y:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Plan assembly must equal the triplet reference, matrix and rhs, on
+    /// every path through it: DC with gmin on at two source scales, a
+    /// gmin change and a pseudo-transient diagonal load; transient with
+    /// backward Euler then trapezoidal at one step size and trapezoidal
+    /// at a second (the matrix base re-stamped on each change, never
+    /// recompiled); AC at two frequencies. Only the sequence changes
+    /// (diagonal load on, then the transient's MOS capacitors) compile a
+    /// new plan.
+    #[test]
+    fn plan_assembly_matches_triplet_reference(seed in any::<u64>()) {
+        use remix::analysis::stamp::{
+            assemble_ac, assemble_real, stamp_diag_load, AcAssembler, CapState, ElementState,
+            IndState, RealAssembler, RealMode,
+        };
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 32) as f64 / (1u64 << 31) as f64) - 1.0
+        };
+        let c = random_netlist(&mut next);
+        prop_assert!(remix::lint::lint(&c, &remix::lint::LintConfig::default()).is_clean());
+        let layout = MnaLayout::new(&c);
+        let (dim, nodes) = (layout.dim(), layout.node_unknowns());
+        let guess = |next: &mut dyn FnMut() -> f64| -> Vec<f64> {
+            (0..dim).map(|i| if i < nodes { 0.6 + 0.6 * next() } else { 1e-3 * next() }).collect()
+        };
+        let mut asm = RealAssembler::new(&layout);
+        let mut t = TripletMatrix::new(dim, dim);
+        let (mut rhs, mut rhs_ref) = (vec![0.0; dim], vec![0.0; dim]);
+        let mut evals: Vec<Option<MosEval>> = vec![None; c.element_count()];
+        let tel = remix::telemetry::Telemetry::new();
+        let guard = tel.arm();
+
+        for (gmin, source_scale, load) in [(1e-12, 1.0, 0.0), (1e-12, 0.5, 0.0), (1e-6, 0.5, 0.0), (1e-12, 1.0, 1e-2)] {
+            let mode = RealMode::Dc { gmin, source_scale };
+            asm.begin(&c, &layout, &mode, load);
+            for it in 0..2 {
+                let x = guess(&mut next);
+                let a = asm.assemble(&c, &layout, &x, &mut rhs, Some(&mut evals));
+                assemble_real(&c, &layout, &x, &mode, &mut t, &mut rhs_ref, None);
+                stamp_diag_load(&mut t, &mut rhs_ref, &x, nodes, load);
+                let what = format!("dc gmin {gmin} scale {source_scale} load {load} iter {it}");
+                assert_plan_matches(a, &t, &what);
+                assert_rhs_matches(&rhs, &rhs_ref, &what);
+            }
+        }
+
+        // Transient: per-element state as the integrator keeps it, MOS
+        // capacitances frozen at the last DC guess.
+        let mut mos_caps: Vec<Option<MosCaps>> = vec![None; c.element_count()];
+        let mut states = Vec::new();
+        for (idx, e) in c.elements().iter().enumerate() {
+            states.push(match e {
+                Element::Capacitor { .. } => ElementState::Cap(CapState { v: next(), i: 1e-6 * next() }),
+                Element::Inductor { .. } => ElementState::Ind(IndState { i: 1e-3 * next(), v: next() }),
+                Element::Mos { dev, .. } => {
+                    mos_caps[idx] = evals[idx].as_ref().map(|ev| dev.capacitances(ev));
+                    ElementState::MosCaps([CapState { v: next(), i: 1e-6 * next() }; 5])
+                }
+                _ => ElementState::None,
+            });
+        }
+        for (k, (method, h)) in [
+            (IntegrationMethod::BackwardEuler, 1e-11),
+            (IntegrationMethod::Trapezoidal, 1e-11),
+            (IntegrationMethod::Trapezoidal, 5e-12),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mode = RealMode::Tran {
+                t: (k + 1) as f64 * 1e-11,
+                gmin: 1e-12,
+                coeffs: method.coeffs(h),
+                states: &states,
+                mos_caps: &mos_caps,
+            };
+            asm.begin(&c, &layout, &mode, 0.0);
+            for it in 0..2 {
+                let x = guess(&mut next);
+                let a = asm.assemble(&c, &layout, &x, &mut rhs, None);
+                assemble_real(&c, &layout, &x, &mode, &mut t, &mut rhs_ref, None);
+                let what = format!("tran {method:?} h {h} iter {it}");
+                assert_plan_matches(a, &t, &what);
+                assert_rhs_matches(&rhs, &rhs_ref, &what);
+            }
+            for st in &mut states {
+                if let ElementState::Cap(s) = st {
+                    s.v += 0.01;
+                }
+            }
+        }
+
+        let mut ac = AcAssembler::new(&layout);
+        let mut tc = TripletMatrix::new(dim, dim);
+        let (mut crhs, mut crhs_ref) = (vec![Complex::ZERO; dim], vec![Complex::ZERO; dim]);
+        for f in [1e6, 2.4e9] {
+            let omega = 2.0 * std::f64::consts::PI * f;
+            let a = ac.assemble(&c, &layout, omega, &evals, &mos_caps, &mut crhs);
+            assemble_ac(&c, &layout, omega, &evals, &mos_caps, &mut tc, &mut crhs_ref);
+            let what = format!("ac {f} Hz");
+            assert_plan_matches(a, &tc, &what);
+            assert_rhs_matches(&crhs, &crhs_ref, &what);
+        }
+        drop(guard);
+        // Plain DC, the loaded DC, the transient's capacitors, and AC.
+        let plans = tel.snapshot().counter(remix::telemetry::names::STAMP_PLANS);
+        prop_assert_eq!(plans, Some(4));
+    }
 }
