@@ -74,6 +74,64 @@ impl fmt::Display for StageKind {
     }
 }
 
+/// One Newton solve a ladder stage makes: the homotopy parameters it runs
+/// at, and whether the stage fails when that solve misses tolerance.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Rung {
+    /// gmin across MOS channels (S).
+    pub(crate) gmin: f64,
+    /// Homotopy scale applied to independent sources.
+    pub(crate) source_scale: f64,
+    /// Pseudo-transient diagonal load (S; 0 for none).
+    pub(crate) diag_load: f64,
+    /// `false` for a relaxation rung whose miss is fine: only the
+    /// iterate it leaves behind matters.
+    pub(crate) must_converge: bool,
+}
+
+impl StageKind {
+    /// The rungs this stage walks, in order, toward `target_gmin`. The
+    /// stage converges when every rung that must converge does.
+    pub(crate) fn rungs(&self, target_gmin: f64) -> Vec<Rung> {
+        let rung = |gmin, source_scale, diag_load, must_converge| Rung {
+            gmin,
+            source_scale,
+            diag_load,
+            must_converge,
+        };
+        match *self {
+            StageKind::Direct => vec![rung(target_gmin, 1.0, 0.0, true)],
+            StageKind::GminLadder { start } => ConvergencePolicy::gmin_rungs(start, target_gmin)
+                .into_iter()
+                .map(|g| rung(g, 1.0, 0.0, true))
+                .collect(),
+            StageKind::SourceRamp { steps } => {
+                let steps = steps.max(1);
+                (1..=steps)
+                    .map(|step| rung(target_gmin, step as f64 / steps as f64, 0.0, true))
+                    .collect()
+            }
+            StageKind::PseudoTransient {
+                lambda0,
+                decay,
+                rounds,
+            } => {
+                // Loaded rounds relax the iterate toward the solution (the
+                // load keeps it bounded); only the final exact solve
+                // decides.
+                let mut lambda = lambda0;
+                let mut rungs = Vec::with_capacity(rounds + 1);
+                for _ in 0..rounds {
+                    rungs.push(rung(target_gmin, 1.0, lambda, false));
+                    lambda *= decay;
+                }
+                rungs.push(rung(target_gmin, 1.0, 0.0, true));
+                rungs
+            }
+        }
+    }
+}
+
 /// Declarative homotopy ladder for the nonlinear DC solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvergencePolicy {
@@ -401,6 +459,35 @@ mod tests {
         let dec = ConvergencePolicy::gmin_rungs(1e-3, 1e-12);
         assert_eq!(dec.len(), 10);
         assert_eq!(*dec.last().unwrap(), 1e-12);
+    }
+
+    #[test]
+    fn stage_kinds_expand_into_their_rungs() {
+        let direct = StageKind::Direct.rungs(1e-12);
+        assert_eq!(direct.len(), 1);
+        assert_eq!((direct[0].gmin, direct[0].source_scale), (1e-12, 1.0));
+        assert!(direct[0].must_converge);
+
+        let ladder = StageKind::GminLadder { start: 1e-3 }.rungs(2.5e-12);
+        let gmins: Vec<f64> = ladder.iter().map(|r| r.gmin).collect();
+        assert_eq!(gmins, ConvergencePolicy::gmin_rungs(1e-3, 2.5e-12));
+        assert!(ladder.iter().all(|r| r.must_converge && r.diag_load == 0.0));
+
+        let ramp = StageKind::SourceRamp { steps: 4 }.rungs(1e-12);
+        let scales: Vec<f64> = ramp.iter().map(|r| r.source_scale).collect();
+        assert_eq!(scales, [0.25, 0.5, 0.75, 1.0]);
+        assert_eq!(StageKind::SourceRamp { steps: 0 }.rungs(1e-12).len(), 1);
+
+        let pt = StageKind::PseudoTransient {
+            lambda0: 1e-2,
+            decay: 0.1,
+            rounds: 3,
+        }
+        .rungs(1e-12);
+        let loads: Vec<f64> = pt.iter().map(|r| r.diag_load).collect();
+        assert_eq!(loads, [1e-2, 1e-2 * 0.1, 1e-2 * 0.1 * 0.1, 0.0]);
+        let musts: Vec<bool> = pt.iter().map(|r| r.must_converge).collect();
+        assert_eq!(musts, [false, false, false, true]);
     }
 
     #[test]

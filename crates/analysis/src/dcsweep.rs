@@ -4,7 +4,7 @@ use crate::convergence::{StageKind, TraceStage};
 use crate::error::{AnalysisError, PartialProgress};
 use crate::op::{dc_operating_point, OpOptions, OperatingPoint};
 use crate::partial::{Interrupted, Partial};
-use remix_circuit::{Circuit, Element, Node, Waveform};
+use remix_circuit::{Circuit, Element, ElementId, Node, Waveform};
 
 /// Result of a DC sweep.
 #[derive(Debug, Clone)]
@@ -26,15 +26,8 @@ impl DcSweepResult {
     }
 }
 
-/// Shared sweep driver: solves each value in order, stopping early on a
-/// budget interruption and returning the completed prefix with the
-/// interruption record.
-fn dc_sweep_inner(
-    circuit: &Circuit,
-    source_name: &str,
-    values: &[f64],
-    opts: &OpOptions,
-) -> Result<(DcSweepResult, Option<Interrupted>), AnalysisError> {
+/// The swept voltage source's id.
+fn sweep_source(circuit: &Circuit, source_name: &str) -> Result<ElementId, AnalysisError> {
     let id = circuit
         .find_element(source_name)
         .ok_or_else(|| AnalysisError::UnknownProbe {
@@ -45,10 +38,55 @@ fn dc_sweep_inner(
             probe: format!("'{source_name}' is not a voltage source"),
         });
     }
-    let _span = remix_telemetry::span(remix_telemetry::names::ANALYSIS_DCSWEEP)
+    Ok(id)
+}
+
+/// The span one sweep of `points` values runs under.
+fn sweep_span(circuit: &Circuit, points: usize) -> remix_telemetry::SpanGuard {
+    remix_telemetry::span(remix_telemetry::names::ANALYSIS_DCSWEEP)
         .with_field("analysis", "dcsweep")
         .with_field("elements", circuit.element_count())
-        .with_field("points", values.len());
+        .with_field("points", points)
+}
+
+/// Solves one sweep point: sets source `id` of `work` to `v` and solves
+/// the operating point. A budget interruption comes back as the inner
+/// `Err`, so the caller can keep the points completed before it; any
+/// other failure is the outer `Err`.
+fn solve_point(
+    work: &mut Circuit,
+    id: ElementId,
+    v: f64,
+    opts: &OpOptions,
+) -> Result<Result<OperatingPoint, Interrupted>, AnalysisError> {
+    if let Element::VoltageSource { wave, .. } = work.element_mut(id) {
+        *wave = Waveform::Dc(v);
+    }
+    match dc_operating_point(work, opts) {
+        Ok(op) => Ok(Ok(op)),
+        Err(AnalysisError::BudgetExceeded {
+            interruption,
+            trace,
+            ..
+        }) => Ok(Err(Interrupted {
+            interruption,
+            trace,
+        })),
+        Err(e) => Err(e),
+    }
+}
+
+/// Shared sweep driver: solves each value in order, stopping early on a
+/// budget interruption and returning the completed prefix with the
+/// interruption record.
+fn dc_sweep_inner(
+    circuit: &Circuit,
+    source_name: &str,
+    values: &[f64],
+    opts: &OpOptions,
+) -> Result<(DcSweepResult, Option<Interrupted>), AnalysisError> {
+    let id = sweep_source(circuit, source_name)?;
+    let _span = sweep_span(circuit, values.len());
     let mut work = circuit.clone();
     let mut points = Vec::with_capacity(values.len());
     let mut interrupted = None;
@@ -63,23 +101,12 @@ fn dc_sweep_inner(
             ));
             break;
         }
-        if let Element::VoltageSource { wave, .. } = work.element_mut(id) {
-            *wave = Waveform::Dc(v);
-        }
-        match dc_operating_point(&work, opts) {
+        match solve_point(&mut work, id, v, opts)? {
             Ok(op) => points.push(op),
-            Err(AnalysisError::BudgetExceeded {
-                interruption,
-                trace,
-                ..
-            }) => {
-                interrupted = Some(Interrupted {
-                    interruption,
-                    trace,
-                });
+            Err(i) => {
+                interrupted = Some(i);
                 break;
             }
-            Err(e) => return Err(e),
         }
     }
     let completed = points.len();
@@ -169,20 +196,8 @@ pub fn dc_sweep_parallel(
     opts: &OpOptions,
     pool: &remix_exec::PoolOptions,
 ) -> Result<Partial<DcSweepResult>, AnalysisError> {
-    let id = circuit
-        .find_element(source_name)
-        .ok_or_else(|| AnalysisError::UnknownProbe {
-            probe: format!("voltage source '{source_name}'"),
-        })?;
-    if !matches!(circuit.element(id), Element::VoltageSource { .. }) {
-        return Err(AnalysisError::UnknownProbe {
-            probe: format!("'{source_name}' is not a voltage source"),
-        });
-    }
-    let _span = remix_telemetry::span(remix_telemetry::names::ANALYSIS_DCSWEEP)
-        .with_field("analysis", "dcsweep")
-        .with_field("elements", circuit.element_count())
-        .with_field("points", values.len());
+    let id = sweep_source(circuit, source_name)?;
+    let _span = sweep_span(circuit, values.len());
     let todo: Vec<usize> = (0..values.len()).collect();
     let first_trace: std::sync::Mutex<Option<crate::convergence::ConvergenceTrace>> =
         std::sync::Mutex::new(None);
@@ -191,16 +206,12 @@ pub fn dc_sweep_parallel(
         pool,
         |ctx| {
             let mut work = circuit.clone();
-            if let Element::VoltageSource { wave, .. } = work.element_mut(id) {
-                *wave = Waveform::Dc(values[ctx.index]);
-            }
-            match dc_operating_point(&work, opts) {
-                Ok(op) => remix_exec::TaskResult::Done(Ok(Box::new(op))),
-                Err(AnalysisError::BudgetExceeded {
+            match solve_point(&mut work, id, values[ctx.index], opts) {
+                Ok(Ok(op)) => remix_exec::TaskResult::Done(Ok(Box::new(op))),
+                Ok(Err(Interrupted {
                     interruption,
                     trace,
-                    ..
-                }) => {
+                })) => {
                     if let Ok(mut slot) = first_trace.lock() {
                         if slot.is_none() {
                             *slot = Some(trace);

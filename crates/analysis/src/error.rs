@@ -75,7 +75,8 @@ pub enum AnalysisError {
         /// diagonal load / damping / residual / condition estimate.
         trace: ConvergenceTrace,
     },
-    /// The transient step size underflowed `h_min` without acceptance.
+    /// A transient step's halving cascade passed its sub-step guard
+    /// without covering the grid interval.
     StepSizeUnderflow {
         /// Simulation time at which the step collapsed.
         time: f64,

@@ -74,6 +74,6 @@ pub use plan::{fastest_stimulus, noise_plan, pss_plan, sweep_plan, tran_plan};
 pub use power::{supply_power, PowerReport};
 pub use pss::{periodic_steady_state, PeriodicSteadyState, PssDegrade, PssOptions};
 pub use report::{bias_warnings, device_table, node_table};
-pub use tran::{transient, transient_partial, AdaptiveOptions, TranOptions, TranResult};
+pub use tran::{transient, transient_partial, TranOptions, TranResult};
 pub use trannoise::{noise_transient, NoiseTranConfig};
 pub use twoport::{input_impedance, two_port_y, SParams, YParams};

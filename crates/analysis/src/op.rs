@@ -4,7 +4,8 @@
 //! SPICE formulation: each solve of the companion-linearized system yields
 //! the next iterate), with per-iteration **damping** that limits the
 //! maximum node-voltage change (keeps exponential device curves from
-//! flinging the iterate).
+//! flinging the iterate). That damped loop, `NewtonSystem::converge`, is
+//! the only Newton loop in the crate: every transient step runs it too.
 //!
 //! The homotopy ladder is declarative: a [`ConvergencePolicy`] lists the
 //! stages (by default direct → gmin stepping → source stepping →
@@ -109,13 +110,18 @@ fn factor_system<'s>(
     }
 }
 
-/// One operating-point call's Newton workspace, kept across every stage:
-/// the compiled stamp plan, the sparse solver (a stage whose matrix
-/// pattern matches the previous factorization's refactors in it), and
-/// the rhs and solution buffers.
-struct NewtonSystem {
+/// The damped-Newton workspace: the compiled stamp plan, the sparse
+/// solver (a solve whose matrix pattern matches the previous
+/// factorization's refactors in it), and the rhs and solution buffers.
+/// One is kept across every homotopy stage of an operating-point call,
+/// and one across every step of a transient run; [`converge`] is the
+/// only Newton loop either makes.
+///
+/// [`converge`]: NewtonSystem::converge
+pub(crate) struct NewtonSystem {
     asm: RealAssembler,
     solver: SparseSolver<f64>,
+    kind: LinearSolverKind,
     /// The dense reference path's triplet assembly, independent of the
     /// plan.
     triplets: TripletMatrix<f64>,
@@ -124,15 +130,101 @@ struct NewtonSystem {
 }
 
 impl NewtonSystem {
-    fn new(layout: &MnaLayout) -> Self {
+    pub(crate) fn new(layout: &MnaLayout, kind: LinearSolverKind) -> Self {
         let dim = layout.dim();
         NewtonSystem {
             asm: RealAssembler::new(layout),
             solver: SparseSolver::new(),
+            kind,
             triplets: TripletMatrix::new(dim, dim),
             rhs: vec![0.0; dim],
             x_new: vec![0.0; dim],
         }
+    }
+
+    /// Runs damped Newton on the system `mode` (plus `attempt`'s
+    /// pseudo-transient diagonal load) from the guess `x`, updating `x`
+    /// in place, for at most `max_iter` iterations (the fault plan's cap
+    /// applies). Each update is scaled so no node voltage moves more than
+    /// `attempt.dv_max`; the solve converges when the scaled move is
+    /// below `v_tol`. The returned run carries `attempt` with its
+    /// iterations, final move, condition estimate and outcome filled in.
+    /// When `mos_evals` is given it receives each MOS evaluation.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn converge(
+        &mut self,
+        circuit: &Circuit,
+        layout: &MnaLayout,
+        mode: &RealMode<'_>,
+        x: &mut [f64],
+        mut attempt: StageAttempt,
+        v_tol: f64,
+        max_iter: usize,
+        mut mos_evals: Option<&mut Vec<Option<MosEval>>>,
+    ) -> StageRun {
+        let nodes = layout.node_unknowns();
+        let dv_max = attempt.dv_max;
+        if self.kind == LinearSolverKind::Sparse {
+            self.asm.begin(circuit, layout, mode, attempt.diag_load);
+        }
+        let end = |mut attempt: StageAttempt, outcome, factor_error| {
+            attempt.outcome = outcome;
+            StageRun {
+                attempt,
+                factor_error,
+            }
+        };
+        for iter in 0..crate::fault::newton_cap(max_iter) {
+            if let Err(i) = remix_exec::charge_newton_iteration() {
+                return end(attempt, AttemptOutcome::Interrupted(i), None);
+            }
+            attempt.iterations = iter + 1;
+            let dense_csr;
+            let a = match self.kind {
+                LinearSolverKind::Sparse => {
+                    self.asm
+                        .assemble(circuit, layout, x, &mut self.rhs, mos_evals.as_deref_mut())
+                }
+                LinearSolverKind::Dense => {
+                    let m = &mut self.triplets;
+                    let evals = mos_evals.as_deref_mut();
+                    assemble_real(circuit, layout, x, mode, m, &mut self.rhs, evals);
+                    stamp_diag_load(m, &mut self.rhs, x, nodes, attempt.diag_load);
+                    dense_csr = m.to_csr();
+                    &dense_csr
+                }
+            };
+            let solved = factor_system(&mut self.solver, a, self.kind).and_then(|lu| {
+                attempt.rcond = Some(lu.rcond_estimate());
+                lu.solve_into(&self.rhs, &mut self.x_new)
+            });
+            if let Err(e) = solved {
+                return end(attempt, factor_outcome(&e), Some(e));
+            }
+
+            // Damping limited to node voltages; branch currents follow freely.
+            let x_new = &self.x_new;
+            let mut max_dv: f64 = 0.0;
+            for i in 0..nodes {
+                max_dv = max_dv.max((x_new[i] - x[i]).abs());
+            }
+            let alpha = if max_dv > dv_max {
+                dv_max / max_dv
+            } else {
+                1.0
+            };
+            for (xi, &ni) in x.iter_mut().zip(x_new) {
+                *xi += alpha * (ni - *xi);
+            }
+            attempt.final_max_dv = max_dv * alpha;
+            if !x.iter().all(|v| v.is_finite()) {
+                return end(attempt, AttemptOutcome::Diverged, None);
+            }
+            if max_dv * alpha < v_tol {
+                return end(attempt, AttemptOutcome::Converged, None);
+            }
+        }
+        end(attempt, AttemptOutcome::MaxIterations, None)
     }
 }
 
@@ -209,146 +301,28 @@ pub fn structural_diagnosis(circuit: &Circuit) -> Vec<String> {
         .collect()
 }
 
-/// Result of one damped fixed-point stage run.
-struct StageRun {
+/// Result of one [`NewtonSystem::converge`] run.
+pub(crate) struct StageRun {
     /// The typed record of the run (always produced, success or not).
-    attempt: StageAttempt,
-    /// Whether the stage met tolerance.
-    converged: bool,
+    pub(crate) attempt: StageAttempt,
     /// The factorization failure that ended the run, if one did.
-    factor_error: Option<FactorError>,
-    /// The budget interruption that ended the run, if one did. Unlike a
-    /// convergence failure this must not trigger further homotopy stages
-    /// or damping retries — the caller unwinds immediately.
-    interrupted: Option<remix_exec::Interruption>,
+    pub(crate) factor_error: Option<FactorError>,
 }
 
-/// Runs one damped fixed-point stage at the given gmin / source scale /
-/// pseudo-transient diagonal load, recording a [`StageAttempt`].
-#[allow(clippy::too_many_arguments)]
-fn converge_stage(
-    circuit: &Circuit,
-    layout: &MnaLayout,
-    x: &mut [f64],
-    gmin: f64,
-    source_scale: f64,
-    diag_load: f64,
-    stage: TraceStage,
-    opts: &OpOptions,
-    mos_evals: &mut Vec<Option<MosEval>>,
-    sys: &mut NewtonSystem,
-) -> StageRun {
-    let dim = layout.dim();
-    let nodes = layout.node_unknowns();
-    let mode = RealMode::Dc { gmin, source_scale };
-    if opts.solver == LinearSolverKind::Sparse {
-        sys.asm.begin(circuit, layout, &mode, diag_load);
+impl StageRun {
+    /// Whether the run met tolerance.
+    pub(crate) fn converged(&self) -> bool {
+        self.attempt.outcome == AttemptOutcome::Converged
     }
 
-    let mut attempt = StageAttempt::new(stage);
-    attempt.gmin = gmin;
-    attempt.source_scale = source_scale;
-    attempt.diag_load = diag_load;
-    attempt.dv_max = opts.dv_max;
-
-    let max_iter = crate::fault::newton_cap(opts.max_iter);
-    for iter in 0..max_iter {
-        if let Err(i) = remix_exec::charge_newton_iteration() {
-            attempt.outcome = AttemptOutcome::Interrupted(i);
-            return StageRun {
-                attempt,
-                converged: false,
-                factor_error: None,
-                interrupted: Some(i),
-            };
+    /// The budget interruption that ended the run, if one did. Unlike a
+    /// convergence failure this must not trigger further homotopy stages,
+    /// damping retries or step halving — the caller unwinds immediately.
+    pub(crate) fn interrupted(&self) -> Option<remix_exec::Interruption> {
+        match self.attempt.outcome {
+            AttemptOutcome::Interrupted(i) => Some(i),
+            _ => None,
         }
-        attempt.iterations = iter + 1;
-        // Pseudo-transient continuation adds a diagonal load λ with a
-        // matching λ·v_prev on the RHS (see `stamp_diag_load`).
-        let dense_csr;
-        let a = match opts.solver {
-            LinearSolverKind::Sparse => {
-                sys.asm
-                    .assemble(circuit, layout, x, &mut sys.rhs, Some(mos_evals))
-            }
-            LinearSolverKind::Dense => {
-                let m = &mut sys.triplets;
-                assemble_real(circuit, layout, x, &mode, m, &mut sys.rhs, Some(mos_evals));
-                stamp_diag_load(m, &mut sys.rhs, x, nodes, diag_load);
-                dense_csr = m.to_csr();
-                &dense_csr
-            }
-        };
-        let lu = match factor_system(&mut sys.solver, a, opts.solver) {
-            Ok(lu) => lu,
-            Err(e) => {
-                attempt.outcome = factor_outcome(&e);
-                let interrupted = budget_refusal(&e);
-                return StageRun {
-                    attempt,
-                    converged: false,
-                    factor_error: Some(e),
-                    interrupted,
-                };
-            }
-        };
-        attempt.rcond = Some(lu.rcond_estimate());
-        if let Err(e) = lu.solve_into(&sys.rhs, &mut sys.x_new) {
-            attempt.outcome = factor_outcome(&e);
-            let interrupted = budget_refusal(&e);
-            return StageRun {
-                attempt,
-                converged: false,
-                factor_error: Some(e),
-                interrupted,
-            };
-        }
-
-        let x_new = &sys.x_new;
-        // Damping limited to node voltages; branch currents follow freely.
-        let mut max_dv: f64 = 0.0;
-        for i in 0..nodes {
-            max_dv = max_dv.max((x_new[i] - x[i]).abs());
-        }
-        let alpha = if max_dv > opts.dv_max {
-            opts.dv_max / max_dv
-        } else {
-            1.0
-        };
-        let mut max_change: f64 = 0.0;
-        for i in 0..dim {
-            let nv = x[i] + alpha * (x_new[i] - x[i]);
-            if i < nodes {
-                max_change = max_change.max((nv - x[i]).abs());
-            }
-            x[i] = nv;
-        }
-        attempt.final_max_dv = max_change;
-        if !x.iter().all(|v| v.is_finite()) {
-            attempt.outcome = AttemptOutcome::Diverged;
-            return StageRun {
-                attempt,
-                converged: false,
-                factor_error: None,
-                interrupted: None,
-            };
-        }
-        if max_change < opts.v_tol && alpha == 1.0 {
-            attempt.outcome = AttemptOutcome::Converged;
-            return StageRun {
-                attempt,
-                converged: true,
-                factor_error: None,
-                interrupted: None,
-            };
-        }
-    }
-    attempt.outcome = AttemptOutcome::MaxIterations;
-    StageRun {
-        attempt,
-        converged: false,
-        factor_error: None,
-        interrupted: None,
     }
 }
 
@@ -361,19 +335,10 @@ fn factor_outcome(e: &FactorError) -> AttemptOutcome {
     }
 }
 
-/// The budget interruption behind a factorization refusal, if that is
-/// what the error is.
-fn budget_refusal(e: &FactorError) -> Option<remix_exec::Interruption> {
-    match e {
-        FactorError::Budget(i) => Some(*i),
-        _ => None,
-    }
-}
-
-/// Walks one ladder stage of a [`ConvergencePolicy`], pushing every
-/// attempt into `trace`. Returns whether the stage converged, the last
-/// factorization failure seen inside it, and the budget interruption
-/// that cut it short, if any.
+/// Walks one ladder stage of a [`ConvergencePolicy`] from a zero guess,
+/// one Newton solve per rung, pushing every attempt into `trace`.
+/// Returns whether the stage converged, the last factorization failure
+/// seen inside it, and the budget interruption that cut it short, if any.
 #[allow(clippy::too_many_arguments)]
 fn run_stage(
     kind: StageKind,
@@ -381,129 +346,52 @@ fn run_stage(
     layout: &MnaLayout,
     x: &mut [f64],
     stage_opts: &OpOptions,
-    target_gmin: f64,
     mos_evals: &mut Vec<Option<MosEval>>,
     sys: &mut NewtonSystem,
     trace: &mut ConvergenceTrace,
 ) -> (bool, Option<FactorError>, Option<remix_exec::Interruption>) {
-    x.iter_mut().for_each(|v| *v = 0.0);
-    let stage = TraceStage::Dc(kind);
+    x.fill(0.0);
     let mut last_ferr: Option<FactorError> = None;
-    let mut interrupted: Option<remix_exec::Interruption> = None;
-    let record = |run: StageRun,
-                  ferr: &mut Option<FactorError>,
-                  intr: &mut Option<remix_exec::Interruption>,
-                  t: &mut ConvergenceTrace| {
+    for rung in kind.rungs(stage_opts.gmin) {
+        let mut attempt = StageAttempt::new(TraceStage::Dc(kind));
+        attempt.gmin = rung.gmin;
+        attempt.source_scale = rung.source_scale;
+        attempt.diag_load = rung.diag_load;
+        attempt.dv_max = stage_opts.dv_max;
+        let mode = RealMode::Dc {
+            gmin: rung.gmin,
+            source_scale: rung.source_scale,
+        };
+        let run = sys.converge(
+            circuit,
+            layout,
+            &mode,
+            x,
+            attempt,
+            stage_opts.v_tol,
+            stage_opts.max_iter,
+            Some(mos_evals),
+        );
+        let (converged, interrupted) = (run.converged(), run.interrupted());
         if run.factor_error.is_some() {
-            *ferr = run.factor_error;
+            last_ferr = run.factor_error;
         }
-        if run.interrupted.is_some() {
-            *intr = run.interrupted;
+        trace.push(run.attempt);
+        if interrupted.is_some() {
+            return (false, last_ferr, interrupted);
         }
-        let ok = run.converged;
-        t.push(run.attempt);
-        ok
-    };
-    let converged = match kind {
-        StageKind::Direct => {
-            let run = converge_stage(
-                circuit,
-                layout,
-                x,
-                target_gmin,
-                1.0,
-                0.0,
-                stage,
-                stage_opts,
-                mos_evals,
-                sys,
-            );
-            record(run, &mut last_ferr, &mut interrupted, trace)
-        }
-        StageKind::GminLadder { start } => {
-            let mut ok = true;
-            for g in ConvergencePolicy::gmin_rungs(start, target_gmin) {
-                let run = converge_stage(
-                    circuit, layout, x, g, 1.0, 0.0, stage, stage_opts, mos_evals, sys,
-                );
-                if !record(run, &mut last_ferr, &mut interrupted, trace) {
-                    ok = false;
-                    break;
-                }
+        if !converged {
+            if rung.must_converge {
+                return (false, last_ferr, None);
             }
-            ok
-        }
-        StageKind::SourceRamp { steps } => {
-            let steps = steps.max(1);
-            let mut ok = true;
-            for step in 1..=steps {
-                let scale = step as f64 / steps as f64;
-                let run = converge_stage(
-                    circuit,
-                    layout,
-                    x,
-                    target_gmin,
-                    scale,
-                    0.0,
-                    stage,
-                    stage_opts,
-                    mos_evals,
-                    sys,
-                );
-                if !record(run, &mut last_ferr, &mut interrupted, trace) {
-                    ok = false;
-                    break;
-                }
+            // A relaxation rung may miss tolerance, but the next rung
+            // must not start from a non-finite guess.
+            if !x.iter().all(|v| v.is_finite()) {
+                x.fill(0.0);
             }
-            ok
         }
-        StageKind::PseudoTransient {
-            lambda0,
-            decay,
-            rounds,
-        } => {
-            // Loaded rounds relax the iterate toward the solution; a
-            // round that misses tolerance is fine (the load keeps it
-            // bounded), so only the final exact solve decides.
-            let mut lambda = lambda0;
-            for _ in 0..rounds {
-                let run = converge_stage(
-                    circuit,
-                    layout,
-                    x,
-                    target_gmin,
-                    1.0,
-                    lambda,
-                    stage,
-                    stage_opts,
-                    mos_evals,
-                    sys,
-                );
-                record(run, &mut last_ferr, &mut interrupted, trace);
-                if interrupted.is_some() {
-                    return (false, last_ferr, interrupted);
-                }
-                if !x.iter().all(|v| v.is_finite()) {
-                    x.iter_mut().for_each(|v| *v = 0.0);
-                }
-                lambda *= decay;
-            }
-            let run = converge_stage(
-                circuit,
-                layout,
-                x,
-                target_gmin,
-                1.0,
-                0.0,
-                stage,
-                stage_opts,
-                mos_evals,
-                sys,
-            );
-            record(run, &mut last_ferr, &mut interrupted, trace)
-        }
-    };
-    (converged, last_ferr, interrupted)
+    }
+    (true, last_ferr, None)
 }
 
 /// Computes the DC operating point of a circuit.
@@ -540,7 +428,7 @@ pub fn dc_operating_point(
     let mut x = vec![0.0; dim];
     let mut mos_evals: Vec<Option<MosEval>> = vec![None; n_elem];
     let mut trace = ConvergenceTrace::new("dc operating point");
-    let mut sys = NewtonSystem::new(&layout);
+    let mut sys = NewtonSystem::new(&layout, opts.solver);
 
     // Walk the policy ladder, retried with progressively tighter damping:
     // strong feedback loops (the TIA around its two-stage OTA) can
@@ -560,7 +448,6 @@ pub fn dc_operating_point(
                 &layout,
                 &mut x,
                 &stage_opts,
-                opts.gmin,
                 &mut mos_evals,
                 &mut sys,
                 &mut trace,

@@ -1,26 +1,38 @@
 //! Transient analysis.
 //!
-//! Fixed-step implicit integration (trapezoidal by default, backward Euler
-//! for the first step and after breakpoints) with a full Newton solve of
-//! the nonlinear companion system at every step. The step may be halved
-//! locally when Newton fails to converge; results are always reported on
-//! the caller's uniform grid so FFT post-processing needs no resampling.
+//! Fixed-step implicit integration (trapezoidal, with backward Euler for
+//! the first step and for the first half of a halved step) with a full
+//! damped-Newton solve of the nonlinear companion system at every step,
+//! through the same `NewtonSystem` loop as the operating point. The step
+//! is halved locally when Newton fails to converge; results are always
+//! reported on the caller's uniform grid so FFT post-processing needs no
+//! resampling.
 //!
 //! RF measurement flows sample mixers coherently (see
 //! `remix_dsp::tone::CoherentPlan`); a fixed step that divides the sample
 //! interval exactly keeps tones on their bins.
 
-use crate::convergence::{AttemptOutcome, ConvergenceTrace, StageAttempt, TraceStage};
+use crate::convergence::{ConvergenceTrace, StageAttempt, TraceStage};
 use crate::error::{AnalysisError, PartialProgress};
-use crate::op::{dc_operating_point, structural_diagnosis, OpOptions, OperatingPoint};
-use crate::partial::{Interrupted, Partial};
-use crate::stamp::{
-    cap_companion_current, mos_cap_branches, CapState, ElementState, RealAssembler, RealMode,
+use crate::op::{
+    dc_operating_point, structural_diagnosis, LinearSolverKind, NewtonSystem, OpOptions,
+    OperatingPoint, StageRun,
 };
+use crate::partial::{Interrupted, Partial};
+use crate::stamp::{cap_companion_current, mos_cap_branches, CapState, ElementState, RealMode};
 use remix_circuit::{Circuit, Element, MnaLayout, Node};
-use remix_numerics::{FactorError, IntegrationMethod, SparseSolver};
+use remix_numerics::IntegrationMethod;
 
-/// Options controlling a transient run.
+/// Newton iterations allowed per step.
+const MAX_NEWTON: usize = 50;
+/// gmin across MOS channels while stepping (S).
+const TRAN_GMIN: f64 = 1e-12;
+/// Damping limit on per-iteration node-voltage moves within a step (V).
+const STEP_DV_MAX: f64 = 0.5;
+
+/// Options controlling a transient run. Steady stepping is trapezoidal
+/// after one backward-Euler first step; the initial condition is the
+/// operating point under [`OpOptions::default`].
 #[derive(Debug, Clone)]
 pub struct TranOptions {
     /// Stop time (s).
@@ -28,42 +40,11 @@ pub struct TranOptions {
     /// Base step size (s). Internally the engine may sub-divide a step
     /// when Newton fails, but output lands exactly on multiples of `h`.
     pub h: f64,
-    /// Integration method for steady stepping.
-    pub method: IntegrationMethod,
-    /// Newton iterations allowed per step.
-    pub max_newton: usize,
     /// Node-voltage convergence tolerance (V).
     pub v_tol: f64,
-    /// gmin across MOS channels (S).
-    pub gmin: f64,
     /// Discard output before this time (settling); the result's `times`
     /// start at the first grid point ≥ `record_start`.
     pub record_start: f64,
-    /// Operating-point options for the initial condition.
-    pub op_options: OpOptions,
-    /// Adaptive stepping: when set, the engine subdivides each output
-    /// interval under local-truncation-error control instead of marching
-    /// at the fixed step, growing the internal step back when the
-    /// solution is smooth. Output still lands exactly on the `h` grid.
-    pub adaptive: Option<AdaptiveOptions>,
-}
-
-/// Controls for LTE-adaptive stepping.
-#[derive(Debug, Clone)]
-pub struct AdaptiveOptions {
-    /// Absolute LTE tolerance on node voltages (V).
-    pub lte_tol: f64,
-    /// Smallest internal step (s) before giving up.
-    pub h_min: f64,
-}
-
-impl Default for AdaptiveOptions {
-    fn default() -> Self {
-        AdaptiveOptions {
-            lte_tol: 50e-6,
-            h_min: 1e-15,
-        }
-    }
 }
 
 impl TranOptions {
@@ -73,13 +54,8 @@ impl TranOptions {
         TranOptions {
             t_stop,
             h,
-            method: IntegrationMethod::Trapezoidal,
-            max_newton: 50,
             v_tol: 1e-7,
-            gmin: 1e-12,
             record_start: 0.0,
-            op_options: OpOptions::default(),
-            adaptive: None,
         }
     }
 }
@@ -153,17 +129,13 @@ struct Integrator<'a> {
     mos_caps: Vec<Option<remix_circuit::MosCaps>>,
     x: Vec<f64>,
     opts: &'a TranOptions,
-    /// The run's compiled assembly, rhs, solver and solve buffer, reused
-    /// by every Newton iteration of every step.
-    asm: RealAssembler,
-    rhs: Vec<f64>,
-    solver: SparseSolver<f64>,
-    x_new: Vec<f64>,
+    /// The run's Newton workspace, reused by every step.
+    sys: NewtonSystem,
 }
 
 impl<'a> Integrator<'a> {
     fn init(circuit: &'a Circuit, opts: &'a TranOptions) -> Result<Self, AnalysisError> {
-        let op: OperatingPoint = dc_operating_point(circuit, &opts.op_options)?;
+        let op: OperatingPoint = dc_operating_point(circuit, &OpOptions::default())?;
         let layout = op.layout.clone();
         let x = op.solution.clone();
         // Initialize dynamic states from the OP.
@@ -192,18 +164,14 @@ impl<'a> Integrator<'a> {
             };
             states.push(st);
         }
-        let dim = layout.dim();
         Ok(Integrator {
             circuit,
-            asm: RealAssembler::new(&layout),
+            sys: NewtonSystem::new(&layout, LinearSolverKind::Sparse),
             layout,
             states,
             mos_caps: op.mos_caps,
             x,
             opts,
-            rhs: vec![0.0; dim],
-            solver: SparseSolver::new(),
-            x_new: vec![0.0; dim],
         })
     }
 
@@ -211,110 +179,29 @@ impl<'a> Integrator<'a> {
     /// On success updates `self.x` and the dynamic states.
     fn step(&mut self, t: f64, h: f64, method: IntegrationMethod) -> Result<(), AnalysisError> {
         let coeffs = method.coeffs(h);
-        let dim = self.layout.dim();
         let mut x = self.x.clone();
-
-        let mut attempt = StageAttempt::new(TraceStage::TranStep { t, h });
-        attempt.gmin = self.opts.gmin;
-        attempt.dv_max = 0.5;
-        let fail =
-            |mut attempt: StageAttempt, outcome: AttemptOutcome, ferr: Option<FactorError>| {
-                attempt.outcome = outcome;
-                let mut trace = ConvergenceTrace::new("transient step");
-                trace.push(attempt);
-                match ferr {
-                    Some(error) => AnalysisError::Singular {
-                        error,
-                        diagnosis: structural_diagnosis(self.circuit),
-                        trace,
-                    },
-                    None => AnalysisError::NoConvergence {
-                        context: format!("transient step at t = {t:.3e}"),
-                        iterations: attempt.iterations,
-                        trace,
-                    },
-                }
-            };
-        // Sources at t, companion histories and, when h or the method
-        // changed, the companion conductances: once per step.
         let mode = RealMode::Tran {
             t,
-            gmin: self.opts.gmin,
+            gmin: TRAN_GMIN,
             coeffs,
             states: &self.states,
             mos_caps: &self.mos_caps,
         };
-        self.asm.begin(self.circuit, &self.layout, &mode, 0.0);
-        let mut converged = false;
-        let max_newton = crate::fault::newton_cap(self.opts.max_newton);
-        for iter in 0..max_newton {
-            if let Err(i) = remix_exec::charge_newton_iteration() {
-                attempt.outcome = AttemptOutcome::Interrupted(i);
-                let mut trace = ConvergenceTrace::new("transient step");
-                trace.push(attempt);
-                return Err(AnalysisError::BudgetExceeded {
-                    interruption: i,
-                    trace,
-                    partial: PartialProgress {
-                        analysis: "transient".into(),
-                        completed: 0,
-                        total: 0,
-                    },
-                });
-            }
-            attempt.iterations = iter + 1;
-            let a = self
-                .asm
-                .assemble(self.circuit, &self.layout, &x, &mut self.rhs, None);
-            let lu = match crate::fault::factor(&mut self.solver, a) {
-                Ok(lu) => lu,
-                Err(FactorError::Budget(i)) => {
-                    attempt.outcome = AttemptOutcome::Interrupted(i);
-                    let mut trace = ConvergenceTrace::new("transient step");
-                    trace.push(attempt);
-                    return Err(AnalysisError::BudgetExceeded {
-                        interruption: i,
-                        trace,
-                        partial: PartialProgress {
-                            analysis: "transient".into(),
-                            completed: 0,
-                            total: 0,
-                        },
-                    });
-                }
-                Err(e) => {
-                    let outcome = match e {
-                        FactorError::Singular { step } => AttemptOutcome::Singular { step },
-                        _ => AttemptOutcome::NotFinite,
-                    };
-                    return Err(fail(attempt, outcome, Some(e)));
-                }
-            };
-            attempt.rcond = Some(lu.rcond_estimate());
-            if let Err(e) = lu.solve_into(&self.rhs, &mut self.x_new) {
-                return Err(fail(attempt, AttemptOutcome::NotFinite, Some(e)));
-            }
-            let x_new = &self.x_new;
-            let mut max_dv: f64 = 0.0;
-            for i in 0..self.layout.node_unknowns() {
-                max_dv = max_dv.max((x_new[i] - x[i]).abs());
-            }
-            // Damped update (0.5 V cap on per-iteration voltage moves).
-            let alpha = if max_dv > 0.5 { 0.5 / max_dv } else { 1.0 };
-            for i in 0..dim {
-                x[i] += alpha * (x_new[i] - x[i]);
-            }
-            attempt.final_max_dv = max_dv * alpha;
-            if !x.iter().all(|v| v.is_finite()) {
-                return Err(fail(attempt, AttemptOutcome::Diverged, None));
-            }
-            if max_dv * alpha < self.opts.v_tol {
-                converged = true;
-                break;
-            }
-        }
-        if !converged {
-            return Err(fail(attempt, AttemptOutcome::MaxIterations, None));
+        let mut attempt = StageAttempt::new(TraceStage::TranStep { t, h });
+        attempt.gmin = TRAN_GMIN;
+        attempt.dv_max = STEP_DV_MAX;
+        let run = self.sys.converge(
+            self.circuit,
+            &self.layout,
+            &mode,
+            &mut x,
+            attempt,
+            self.opts.v_tol,
+            MAX_NEWTON,
+            None,
+        );
+        if !run.converged() {
+            return Err(step_failure(self.circuit, t, run));
         }
 
         // Commit dynamic states.
@@ -359,70 +246,6 @@ impl<'a> Integrator<'a> {
         Ok(())
     }
 
-    fn snapshot(&self) -> (Vec<f64>, Vec<ElementState>) {
-        (self.x.clone(), self.states.clone())
-    }
-
-    fn restore(&mut self, snap: (Vec<f64>, Vec<ElementState>)) {
-        self.x = snap.0;
-        self.states = snap.1;
-    }
-
-    /// Advances exactly `h_total` under LTE control: internal steps shrink
-    /// when the estimated local truncation error of any node voltage
-    /// exceeds the tolerance and grow back when the solution is smooth.
-    fn advance_adaptive(
-        &mut self,
-        t_start: f64,
-        h_total: f64,
-        method: IntegrationMethod,
-        opts: &AdaptiveOptions,
-        estimators: &mut [remix_numerics::LteEstimator],
-        h_state: &mut f64,
-    ) -> Result<(), AnalysisError> {
-        let t_end = t_start + h_total;
-        let mut t = t_start;
-        while t < t_end - 1e-18 * h_total.max(1.0) {
-            let h = h_state.min(t_end - t).max(opts.h_min);
-            let snap = self.snapshot();
-            match self.step(t + h, h, method) {
-                Ok(()) => {}
-                Err(AnalysisError::NoConvergence { .. }) if h > opts.h_min * 2.0 => {
-                    self.restore(snap);
-                    *h_state = h / 2.0;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-            // LTE estimate across node voltages.
-            let n_nodes = self.layout.node_unknowns();
-            let mut worst = 0.0f64;
-            for (est, xi) in estimators.iter_mut().zip(&self.x).take(n_nodes) {
-                est.push(t + h, *xi);
-                if let Some(l) = est.estimate(method) {
-                    worst = worst.max(l);
-                }
-            }
-            if worst > opts.lte_tol && h > opts.h_min * 2.0 {
-                // Reject: roll back and retry with a smaller step. The
-                // histories already hold the rejected point, so every
-                // estimator is reset to empty; no estimate is made
-                // until the retried steps have refilled them.
-                self.restore(snap);
-                *h_state = (h / 2.0).max(opts.h_min);
-                for e in estimators.iter_mut() {
-                    e.reset();
-                }
-                continue;
-            }
-            t += h;
-            *h_state =
-                remix_numerics::integrate::propose_step(h, worst, opts.lte_tol, method.order())
-                    .min(h_total);
-        }
-        Ok(())
-    }
-
     /// Advances exactly `h_total`, sub-dividing on Newton failure.
     fn advance(
         &mut self,
@@ -463,6 +286,37 @@ impl<'a> Integrator<'a> {
     }
 }
 
+/// The error a step that did not converge ends in: the budget
+/// interruption that cut it short, the factorization failure that ended
+/// it, or (for a stall or divergence, which the caller may retry at a
+/// smaller step) non-convergence. The trace holds the step's attempt.
+fn step_failure(circuit: &Circuit, t: f64, run: StageRun) -> AnalysisError {
+    let (iterations, interrupted) = (run.attempt.iterations, run.interrupted());
+    let mut trace = ConvergenceTrace::new("transient step");
+    trace.push(run.attempt);
+    match (interrupted, run.factor_error) {
+        (Some(interruption), _) => AnalysisError::BudgetExceeded {
+            interruption,
+            trace,
+            partial: PartialProgress {
+                analysis: "transient".into(),
+                completed: 0,
+                total: 0,
+            },
+        },
+        (None, Some(error)) => AnalysisError::Singular {
+            error,
+            diagnosis: structural_diagnosis(circuit),
+            trace,
+        },
+        (None, None) => AnalysisError::NoConvergence {
+            context: format!("transient step at t = {t:.3e}"),
+            iterations,
+            trace,
+        },
+    }
+}
+
 /// Shared transient driver: integrates the full grid, stopping early on
 /// a budget interruption. Returns the recorded prefix (always
 /// internally consistent — points land only after their step fully
@@ -485,8 +339,6 @@ fn transient_inner(
         times.push(0.0);
         solutions.push(integ.x.clone());
     }
-    let mut estimators = vec![remix_numerics::LteEstimator::new(); integ.layout.node_unknowns()];
-    let mut h_state = opts.h;
     let mut interrupted = None;
     for k in 0..n_steps {
         let t0 = k as f64 * opts.h;
@@ -503,13 +355,9 @@ fn transient_inner(
         let method = if k == 0 {
             IntegrationMethod::BackwardEuler
         } else {
-            opts.method
+            IntegrationMethod::Trapezoidal
         };
-        let advanced = match &opts.adaptive {
-            Some(a) => integ.advance_adaptive(t0, opts.h, method, a, &mut estimators, &mut h_state),
-            None => integ.advance(t0, opts.h, method),
-        };
-        match advanced {
+        match integ.advance(t0, opts.h, method) {
             Ok(()) => {}
             Err(AnalysisError::BudgetExceeded {
                 interruption,
@@ -696,67 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_matches_fixed_on_rc() {
-        // Same RC charging curve under LTE-adaptive stepping.
-        let mut c = Circuit::new();
-        let vin = c.node("in");
-        let out = c.node("out");
-        c.add_vsource(
-            "v1",
-            vin,
-            Circuit::gnd(),
-            Waveform::Pulse {
-                v1: 0.0,
-                v2: 1.0,
-                delay: 0.0,
-                rise: 1e-12,
-                fall: 1e-12,
-                width: 1.0,
-                period: f64::INFINITY,
-            },
-        );
-        c.add_resistor("r1", vin, out, 1e3);
-        c.add_capacitor("c1", out, Circuit::gnd(), 1e-9);
-        let tau = 1e-6;
-        let mut opts = TranOptions::new(5.0 * tau, tau / 50.0);
-        opts.adaptive = Some(AdaptiveOptions {
-            lte_tol: 20e-6,
-            h_min: 1e-15,
-        });
-        let res = transient(&c, &opts).unwrap();
-        for (i, &ti) in res.times.iter().enumerate() {
-            if ti < 5e-9 {
-                continue;
-            }
-            let expected = 1.0 - (-ti / tau).exp();
-            let got = res.voltage_at(i, out);
-            assert!(
-                (got - expected).abs() < 2e-3,
-                "t = {ti:.3e}: {got} vs {expected}"
-            );
-        }
-    }
-
-    #[test]
-    fn adaptive_handles_oscillation() {
-        // Sine drive through RC: adaptive stepping must track the curve
-        // with a coarse output grid (internal steps do the work).
-        let mut c = Circuit::new();
-        let vin = c.node("in");
-        let out = c.node("out");
-        c.add_vsource("v1", vin, Circuit::gnd(), Waveform::sine(0.5, 1e6));
-        c.add_resistor("r1", vin, out, 1e3);
-        c.add_capacitor("c1", out, Circuit::gnd(), 10e-12);
-        // fc = 15.9 MHz ≫ 1 MHz: output ≈ input.
-        let mut opts = TranOptions::new(3e-6, 50e-9); // 20 pts per period only
-        opts.adaptive = Some(AdaptiveOptions::default());
-        let res = transient(&c, &opts).unwrap();
-        let v = res.voltage_waveform(out);
-        let max = v.iter().cloned().fold(f64::MIN, f64::max);
-        assert!((max - 0.5).abs() < 0.02, "peak {max}");
-    }
-
-    #[test]
     fn record_start_discards_settling() {
         let mut c = Circuit::new();
         let vin = c.node("in");
@@ -822,6 +609,41 @@ mod tests {
         c.add_resistor("r1", vin, out, 1e3);
         c.add_capacitor("c1", out, Circuit::gnd(), 1e-9);
         (c, out)
+    }
+
+    #[test]
+    fn unmeetable_tolerance_pins_the_failed_step_attempt() {
+        // No Newton update can be smaller than a zero tolerance, so every
+        // step runs out of iterations; the first step halves (backward
+        // Euler first) until h drops to 1e-18 and the failure of that
+        // last step surfaces with its attempt record.
+        let (c, _) = rc_fixture();
+        let mut opts = TranOptions::new(1e-6, 1e-8);
+        opts.v_tol = 0.0;
+        let h = 1e-8 / 2f64.powi(34);
+        match transient(&c, &opts) {
+            Err(AnalysisError::NoConvergence {
+                context,
+                iterations,
+                trace,
+            }) => {
+                assert_eq!(context, format!("transient step at t = {h:.3e}"));
+                assert_eq!(iterations, 50);
+                assert_eq!(trace.analysis, "transient step");
+                assert_eq!(trace.attempts.len(), 1);
+                let a = &trace.attempts[0];
+                assert_eq!(a.stage, TraceStage::TranStep { t: h, h });
+                assert_eq!(a.gmin, 1e-12);
+                assert_eq!(a.source_scale, 1.0);
+                assert_eq!(a.diag_load, 0.0);
+                assert_eq!(a.dv_max, 0.5);
+                assert_eq!(a.iterations, 50);
+                assert!(a.final_max_dv >= 0.0 && a.final_max_dv < 1e-12);
+                assert!(a.rcond.is_some_and(|r| r > 0.0));
+                assert_eq!(a.outcome, crate::convergence::AttemptOutcome::MaxIterations);
+            }
+            other => panic!("expected NoConvergence at the first step, got {other:?}"),
+        }
     }
 
     #[test]

@@ -120,39 +120,6 @@ impl<T: Scalar> DenseMatrix<T> {
         y
     }
 
-    /// Matrix–matrix product `A·B`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != b.rows`.
-    pub fn mat_mul(&self, b: &DenseMatrix<T>) -> DenseMatrix<T> {
-        assert_eq!(self.cols, b.rows, "dimension mismatch in mat_mul");
-        let mut out = DenseMatrix::zeros(self.rows, b.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
-                if aik == T::zero() {
-                    continue;
-                }
-                for j in 0..b.cols {
-                    out[(i, j)] += aik * b[(k, j)];
-                }
-            }
-        }
-        out
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> DenseMatrix<T> {
-        let mut out = DenseMatrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)];
-            }
-        }
-        out
-    }
-
     /// Maximum magnitude over all entries (∞-style element norm).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().map(|v| v.magnitude()).fold(0.0, f64::max)
@@ -223,19 +190,6 @@ impl<T: Scalar> fmt::Display for DenseMatrix<T> {
 pub mod vecops {
     use crate::scalar::Scalar;
 
-    /// `y += a * x` (axpy).
-    pub fn axpy<T: Scalar>(y: &mut [T], a: T, x: &[T]) {
-        assert_eq!(y.len(), x.len());
-        for (yi, xi) in y.iter_mut().zip(x.iter()) {
-            *yi += a * *xi;
-        }
-    }
-
-    /// Euclidean norm of the magnitudes.
-    pub fn norm2<T: Scalar>(x: &[T]) -> f64 {
-        x.iter().map(|v| v.magnitude().powi(2)).sum::<f64>().sqrt()
-    }
-
     /// Maximum magnitude.
     pub fn norm_inf<T: Scalar>(x: &[T]) -> f64 {
         x.iter().map(|v| v.magnitude()).fold(0.0, f64::max)
@@ -269,21 +223,6 @@ mod tests {
         let i = DenseMatrix::<f64>::identity(3);
         let x = vec![1.0, -2.0, 3.0];
         assert_eq!(i.mat_vec(&x), x);
-    }
-
-    #[test]
-    fn mat_mul_known() {
-        let a = DenseMatrix::from_rows(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let b = DenseMatrix::from_rows(2, 2, vec![5.0, 6.0, 7.0, 8.0]);
-        let c = a.mat_mul(&b);
-        assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = DenseMatrix::from_rows(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose()[(2, 1)], 6.0);
     }
 
     #[test]
@@ -327,10 +266,6 @@ mod tests {
 
     #[test]
     fn vec_helpers() {
-        let mut y = vec![1.0, 1.0];
-        axpy(&mut y, 2.0, &[1.0, -1.0]);
-        assert_eq!(y, vec![3.0, -1.0]);
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
         assert_eq!(norm_inf(&[1.0, -7.0, 2.0]), 7.0);
         assert_eq!(sub(&[3.0, 2.0], &[1.0, 1.0]), vec![2.0, 1.0]);
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);

@@ -115,11 +115,6 @@ pub fn polyfit(x: &[f64], y: &[f64], deg: usize) -> Result<Vec<f64>, FactorError
     solve_dense(&ata, &atb)
 }
 
-/// Evaluates a polynomial with coefficients in ascending-power order.
-pub fn polyval(coeffs: &[f64], x: f64) -> f64 {
-    coeffs.iter().rev().fold(0.0, |acc, &c| acc * x + c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,13 +190,6 @@ mod tests {
         assert!((c[1] + 2.0).abs() < 1e-9);
         assert!(c[2].abs() < 1e-9);
         assert!((c[3] - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn polyval_horner() {
-        // 1 + 2x + 3x² at x=2 → 1 + 4 + 12 = 17.
-        assert_eq!(polyval(&[1.0, 2.0, 3.0], 2.0), 17.0);
-        assert_eq!(polyval(&[], 1.0), 0.0);
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! SPICE-style transient analysis does not integrate an explicit ODE; it
 //! replaces each reactive element by a *companion model* whose coefficients
 //! depend on the integration method and step size. This module provides
-//! those coefficients ([`IntegrationMethod::coeffs`]), a local truncation
-//! error estimator used by the adaptive step controller, and a classic RK4
-//! integrator used by behavioral models and as a cross-check in tests.
+//! those coefficients ([`IntegrationMethod::coeffs`]) for the transient
+//! engine's fixed-grid stepper.
 
 /// Implicit integration method used by the transient engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -61,144 +60,6 @@ impl IntegrationMethod {
             },
         }
     }
-
-    /// Integration order (for LTE-based step control).
-    pub fn order(self) -> usize {
-        match self {
-            IntegrationMethod::BackwardEuler => 1,
-            IntegrationMethod::Trapezoidal => 2,
-        }
-    }
-}
-
-/// Local truncation error estimate from divided differences of recent
-/// solution values.
-///
-/// Given the last three accepted values of a state `x(t)` at `t_{n-1}, t_n,
-/// t_{n+1}` (with steps `h_prev`, `h`), estimates the LTE of the most
-/// recent step for the given method. The estimator uses the standard
-/// formulas: `LTE_BE ≈ h²·x''/2`, `LTE_TRAP ≈ h³·x'''/12`, with the
-/// derivatives approximated by divided differences.
-#[derive(Debug, Clone, Default)]
-pub struct LteEstimator {
-    history: Vec<(f64, f64)>, // (t, x)
-}
-
-impl LteEstimator {
-    /// Creates an empty estimator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records an accepted point.
-    pub fn push(&mut self, t: f64, x: f64) {
-        self.history.push((t, x));
-        if self.history.len() > 4 {
-            self.history.remove(0);
-        }
-    }
-
-    /// Clears history (call after discontinuities / breakpoints).
-    pub fn reset(&mut self) {
-        self.history.clear();
-    }
-
-    /// LTE estimate of the most recent step, or `None` when there is not
-    /// enough history for the requested method order.
-    pub fn estimate(&self, method: IntegrationMethod) -> Option<f64> {
-        let h = &self.history;
-        match method {
-            IntegrationMethod::BackwardEuler => {
-                if h.len() < 3 {
-                    return None;
-                }
-                let n = h.len();
-                let (t0, x0) = h[n - 3];
-                let (t1, x1) = h[n - 2];
-                let (t2, x2) = h[n - 1];
-                let d1 = (x1 - x0) / (t1 - t0);
-                let d2 = (x2 - x1) / (t2 - t1);
-                let second = 2.0 * (d2 - d1) / (t2 - t0);
-                let step = t2 - t1;
-                Some((step * step * second / 2.0).abs())
-            }
-            IntegrationMethod::Trapezoidal => {
-                if h.len() < 4 {
-                    return None;
-                }
-                let n = h.len();
-                let pts = &h[n - 4..];
-                // Third divided difference ≈ x'''/6.
-                let dd = divided_difference(pts);
-                let step = pts[3].0 - pts[2].0;
-                Some((step.powi(3) * dd * 6.0 / 12.0).abs())
-            }
-        }
-    }
-}
-
-/// Newton divided difference of order `pts.len()-1`.
-fn divided_difference(pts: &[(f64, f64)]) -> f64 {
-    if pts.len() == 1 {
-        return pts[0].1;
-    }
-    let lo = divided_difference(&pts[..pts.len() - 1]);
-    let hi = divided_difference(&pts[1..]);
-    (hi - lo) / (pts[pts.len() - 1].0 - pts[0].0)
-}
-
-/// Proposes the next step size from an LTE estimate.
-///
-/// Standard controller: `h_new = h·(tol/lte)^{1/(order+1)}`, clamped to
-/// `[shrink_limit, growth_limit]` relative change.
-pub fn propose_step(h: f64, lte: f64, tol: f64, order: usize) -> f64 {
-    if lte <= 0.0 {
-        return h * 2.0;
-    }
-    let factor = (tol / lte).powf(1.0 / (order as f64 + 1.0));
-    let factor = factor.clamp(0.2, 2.0);
-    h * factor * 0.9 // safety margin
-}
-
-/// Fixed-step classical Runge–Kutta 4 for `dx/dt = f(t, x)`.
-///
-/// Used by behavioral models and as an accuracy cross-check for the MNA
-/// transient engine in tests.
-///
-/// Returns the trajectory including the initial point.
-pub fn rk4<F>(f: F, x0: &[f64], t0: f64, t1: f64, steps: usize) -> Vec<(f64, Vec<f64>)>
-where
-    F: Fn(f64, &[f64]) -> Vec<f64>,
-{
-    assert!(steps > 0, "rk4 requires at least one step");
-    let h = (t1 - t0) / steps as f64;
-    let mut out = Vec::with_capacity(steps + 1);
-    let mut t = t0;
-    let mut x = x0.to_vec();
-    out.push((t, x.clone()));
-    for _ in 0..steps {
-        let k1 = f(t, &x);
-        let x2: Vec<f64> = x
-            .iter()
-            .zip(&k1)
-            .map(|(xi, ki)| xi + 0.5 * h * ki)
-            .collect();
-        let k2 = f(t + 0.5 * h, &x2);
-        let x3: Vec<f64> = x
-            .iter()
-            .zip(&k2)
-            .map(|(xi, ki)| xi + 0.5 * h * ki)
-            .collect();
-        let k3 = f(t + 0.5 * h, &x3);
-        let x4: Vec<f64> = x.iter().zip(&k3).map(|(xi, ki)| xi + h * ki).collect();
-        let k4 = f(t + h, &x4);
-        for i in 0..x.len() {
-            x[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-        }
-        t += h;
-        out.push((t, x.clone()));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -225,94 +86,5 @@ mod tests {
     #[should_panic(expected = "step size must be positive")]
     fn rejects_nonpositive_step() {
         let _ = IntegrationMethod::Trapezoidal.coeffs(0.0);
-    }
-
-    #[test]
-    fn orders() {
-        assert_eq!(IntegrationMethod::BackwardEuler.order(), 1);
-        assert_eq!(IntegrationMethod::Trapezoidal.order(), 2);
-    }
-
-    #[test]
-    fn lte_zero_for_linear_signal() {
-        // x(t) = 3t has zero second/third derivative: LTE ≈ 0.
-        let mut est = LteEstimator::new();
-        for k in 0..5 {
-            let t = k as f64 * 0.1;
-            est.push(t, 3.0 * t);
-        }
-        assert!(est.estimate(IntegrationMethod::BackwardEuler).unwrap() < 1e-12);
-        assert!(est.estimate(IntegrationMethod::Trapezoidal).unwrap() < 1e-12);
-    }
-
-    #[test]
-    fn lte_detects_curvature() {
-        // x(t) = t²: x'' = 2 → BE LTE = h²·2/2 = h².
-        let mut est = LteEstimator::new();
-        let h = 0.1;
-        for k in 0..4 {
-            let t = k as f64 * h;
-            est.push(t, t * t);
-        }
-        let lte = est.estimate(IntegrationMethod::BackwardEuler).unwrap();
-        assert!((lte - h * h).abs() < 1e-12, "lte = {lte}");
-        // Trapezoidal is exact for quadratics: third derivative = 0.
-        let lte3 = est.estimate(IntegrationMethod::Trapezoidal).unwrap();
-        assert!(lte3 < 1e-12);
-    }
-
-    #[test]
-    fn lte_insufficient_history() {
-        let mut est = LteEstimator::new();
-        est.push(0.0, 0.0);
-        assert!(est.estimate(IntegrationMethod::BackwardEuler).is_none());
-        est.push(0.1, 1.0);
-        assert!(est.estimate(IntegrationMethod::Trapezoidal).is_none());
-        est.reset();
-        assert!(est.estimate(IntegrationMethod::BackwardEuler).is_none());
-    }
-
-    #[test]
-    fn step_controller_grows_and_shrinks() {
-        // lte far below tol: grow (clamped ×2 with safety 0.9).
-        let h = propose_step(1e-9, 1e-12, 1e-6, 2);
-        assert!(h > 1.5e-9);
-        // lte far above tol: shrink hard (clamped ×0.2 with safety).
-        let h = propose_step(1e-9, 1.0, 1e-6, 2);
-        assert!(h < 0.25e-9);
-        // zero lte: double.
-        assert_eq!(propose_step(1.0, 0.0, 1e-6, 1), 2.0);
-    }
-
-    #[test]
-    fn rk4_exponential_decay() {
-        // dx/dt = -x, x(0)=1 → x(1) = e⁻¹.
-        let traj = rk4(|_, x| vec![-x[0]], &[1.0], 0.0, 1.0, 100);
-        let (tf, xf) = traj.last().unwrap();
-        assert!((tf - 1.0).abs() < 1e-12);
-        assert!((xf[0] - (-1.0f64).exp()).abs() < 1e-8);
-    }
-
-    #[test]
-    fn rk4_harmonic_oscillator_energy() {
-        // x'' = -x as a system; energy x² + v² conserved to O(h⁴).
-        let traj = rk4(
-            |_, s| vec![s[1], -s[0]],
-            &[1.0, 0.0],
-            0.0,
-            2.0 * std::f64::consts::PI,
-            1000,
-        );
-        let (_, s) = traj.last().unwrap();
-        let energy = s[0] * s[0] + s[1] * s[1];
-        assert!((energy - 1.0).abs() < 1e-9);
-        assert!((s[0] - 1.0).abs() < 1e-6); // full period returns to start
-    }
-
-    #[test]
-    fn divided_difference_quadratic() {
-        // f = t² → second divided difference = 1 (coefficient of t²).
-        let pts = [(0.0, 0.0), (1.0, 1.0), (3.0, 9.0)];
-        assert!((divided_difference(&pts) - 1.0).abs() < 1e-12);
     }
 }

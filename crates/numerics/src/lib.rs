@@ -16,8 +16,8 @@
 //!   sparse stamping (through a [`StampSink`]), compiled stamp plans that
 //!   scatter a fixed stamp sequence straight into CSR slots, and a
 //!   threshold-pivoting sparse LU;
-//! * [`IntegrationMethod`] — companion-model coefficients and LTE
-//!   estimation for the transient engine;
+//! * [`IntegrationMethod`] — companion-model coefficients for the
+//!   transient engine;
 //! * root finding ([`roots`]), least squares ([`fit`]), interpolation
 //!   ([`interp`]) and statistics ([`stats`]) used by the RF measurement
 //!   layer.
@@ -53,8 +53,8 @@ pub mod stats;
 
 pub use complex::Complex;
 pub use dense::{vecops, DenseMatrix};
-pub use fit::{fit_line, fit_line_fixed_slope, polyfit, polyval, Line};
-pub use integrate::{rk4, CompanionCoeffs, IntegrationMethod, LteEstimator};
+pub use fit::{fit_line, fit_line_fixed_slope, polyfit, Line};
+pub use integrate::{CompanionCoeffs, IntegrationMethod};
 pub use lu::{solve_dense, FactorError, LuFactor};
 pub use roots::{bisect, brent, RootError};
 pub use scalar::Scalar;

@@ -191,17 +191,6 @@ impl<T: Scalar> LuFactor<T> {
         Ok(x)
     }
 
-    /// Solves in place, reusing the caller's buffer.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`solve`](Self::solve).
-    pub fn solve_in_place(&self, b: &mut [T]) -> Result<(), FactorError> {
-        let x = self.solve(b)?;
-        b.copy_from_slice(&x);
-        Ok(())
-    }
-
     /// Determinant of the original matrix.
     pub fn det(&self) -> T {
         let mut d = if self.sign_flips.is_multiple_of(2) {
@@ -385,19 +374,6 @@ mod tests {
         let a = DenseMatrix::from_rows(2, 2, vec![4.0, 1.0, 2.0, 3.0]);
         let g = LuFactor::factor(&a).unwrap().recip_pivot_growth();
         assert!(g > 0.5 && g <= 1.0, "growth {g}");
-    }
-
-    #[test]
-    fn solve_in_place_matches_solve() {
-        let a = DenseMatrix::from_rows(2, 2, vec![4.0, 1.0, 2.0, 3.0]);
-        let b = [1.0, 2.0];
-        let x = solve_dense(&a, &b).unwrap();
-        let mut y = b;
-        LuFactor::factor(&a)
-            .unwrap()
-            .solve_in_place(&mut y)
-            .unwrap();
-        assert_eq!(x.as_slice(), &y);
     }
 
     #[test]
