@@ -1,8 +1,16 @@
 //! DC sweep: repeated operating points while stepping one source.
+//!
+//! A serial sweep is one operating-point session (`op::OpSession`): the
+//! circuit is linted and laid out once, and every point reuses the
+//! session's stamp plan and restarts its solver from the first point's
+//! first factorization. The swept value moves only the rhs, so each
+//! point is bit for bit the operating point a standalone
+//! [`dc_operating_point`] call returns for it, at one pivot search per
+//! sweep instead of one per point.
 
 use crate::convergence::{StageKind, TraceStage};
 use crate::error::{AnalysisError, PartialProgress};
-use crate::op::{dc_operating_point, OpOptions, OperatingPoint};
+use crate::op::{dc_operating_point, OpOptions, OpSession, OperatingPoint, Seed};
 use crate::partial::{Interrupted, Partial};
 use remix_circuit::{Circuit, Element, ElementId, Node, Waveform};
 
@@ -49,20 +57,20 @@ fn sweep_span(circuit: &Circuit, points: usize) -> remix_telemetry::SpanGuard {
         .with_field("points", points)
 }
 
-/// Solves one sweep point: sets source `id` of `work` to `v` and solves
-/// the operating point. A budget interruption comes back as the inner
-/// `Err`, so the caller can keep the points completed before it; any
-/// other failure is the outer `Err`.
-fn solve_point(
-    work: &mut Circuit,
-    id: ElementId,
-    v: f64,
-    opts: &OpOptions,
-) -> Result<Result<OperatingPoint, Interrupted>, AnalysisError> {
+/// Sets voltage source `id` of `work` to the DC value `v`.
+fn set_source(work: &mut Circuit, id: ElementId, v: f64) {
     if let Element::VoltageSource { wave, .. } = work.element_mut(id) {
         *wave = Waveform::Dc(v);
     }
-    match dc_operating_point(work, opts) {
+}
+
+/// Splits one point's outcome: a budget interruption comes back as the
+/// inner `Err`, so the caller can keep the points completed before it;
+/// any other failure is the outer `Err`.
+fn split_interruption(
+    solved: Result<OperatingPoint, AnalysisError>,
+) -> Result<Result<OperatingPoint, Interrupted>, AnalysisError> {
+    match solved {
         Ok(op) => Ok(Ok(op)),
         Err(AnalysisError::BudgetExceeded {
             interruption,
@@ -76,9 +84,13 @@ fn solve_point(
     }
 }
 
-/// Shared sweep driver: solves each value in order, stopping early on a
-/// budget interruption and returning the completed prefix with the
-/// interruption record.
+/// The serial sweep: solves each value in order in one session,
+/// stopping early on a budget interruption and returning the completed
+/// prefix with the interruption record.
+///
+/// The session opens at the first point that reaches the solver. A
+/// non-finite value never joins it: it takes the standalone path, whose
+/// lint rejects it with the report a standalone call gives.
 fn dc_sweep_inner(
     circuit: &Circuit,
     source_name: &str,
@@ -88,6 +100,7 @@ fn dc_sweep_inner(
     let id = sweep_source(circuit, source_name)?;
     let _span = sweep_span(circuit, values.len());
     let mut work = circuit.clone();
+    let mut session: Option<OpSession<'_>> = None;
     let mut points = Vec::with_capacity(values.len());
     let mut interrupted = None;
     for &v in values {
@@ -101,7 +114,17 @@ fn dc_sweep_inner(
             ));
             break;
         }
-        match solve_point(&mut work, id, v, opts)? {
+        set_source(&mut work, id, v);
+        let solved = if v.is_finite() {
+            let session = match &mut session {
+                Some(s) => s,
+                None => session.insert(OpSession::open(&work, opts, Seed::Pending)?),
+            };
+            session.solve(&work)
+        } else {
+            dc_operating_point(&work, opts)
+        };
+        match split_interruption(solved)? {
             Ok(op) => points.push(op),
             Err(i) => {
                 interrupted = Some(i);
@@ -176,10 +199,13 @@ pub fn dc_sweep_partial(
 
 /// [`dc_sweep_partial`] on an explicit [`remix_exec::PoolOptions`]:
 /// sweep points are independent operating points, so they dispatch to
-/// the work-stealing pool and solve concurrently. Results are identical
-/// to the serial sweep for any worker count (each point solves the same
-/// isolated system; the pool's ordered telemetry merge keeps the
-/// `without_timings()` snapshot byte-identical).
+/// the work-stealing pool and solve concurrently, each a standalone
+/// [`dc_operating_point`] with nothing shared between tasks. Points equal
+/// the serial sweep's for any worker count (the serial session
+/// reproduces a standalone solve bit for bit), and the pool's ordered
+/// telemetry merge keeps the `without_timings()` snapshot byte-identical
+/// across worker counts. Unlike the serial sweep, this one makes a pivot
+/// search per point.
 ///
 /// A budget interruption returns the completed *prefix* as a
 /// [`Partial`], exactly like the serial driver; a contained worker
@@ -206,7 +232,8 @@ pub fn dc_sweep_parallel(
         pool,
         |ctx| {
             let mut work = circuit.clone();
-            match solve_point(&mut work, id, values[ctx.index], opts) {
+            set_source(&mut work, id, values[ctx.index]);
+            match split_interruption(dc_operating_point(&work, opts)) {
                 Ok(Ok(op)) => remix_exec::TaskResult::Done(Ok(Box::new(op))),
                 Ok(Err(Interrupted {
                     interruption,

@@ -13,6 +13,10 @@
 //! converges, recording every attempt in a [`ConvergenceTrace`] that
 //! rides inside the returned [`OperatingPoint`] on success or the
 //! [`AnalysisError`] on failure.
+//!
+//! [`dc_operating_point`] is one solve of an `OpSession`, which lints and
+//! lays the circuit out once; a DC sweep solves all its points in one
+//! session.
 
 use crate::convergence::{
     AttemptOutcome, ConvergencePolicy, ConvergenceTrace, StageAttempt, StageKind, TraceStage,
@@ -113,9 +117,9 @@ fn factor_system<'s>(
 /// The damped-Newton workspace: the compiled stamp plan, the sparse
 /// solver (a solve whose matrix pattern matches the previous
 /// factorization's refactors in it), and the rhs and solution buffers.
-/// One is kept across every homotopy stage of an operating-point call,
-/// and one across every step of a transient run; [`converge`] is the
-/// only Newton loop either makes.
+/// One is kept across every homotopy stage of every solve of an
+/// [`OpSession`], and one across every step of a transient run;
+/// [`converge`] is the only Newton loop either makes.
 ///
 /// [`converge`]: NewtonSystem::converge
 pub(crate) struct NewtonSystem {
@@ -127,10 +131,28 @@ pub(crate) struct NewtonSystem {
     triplets: TripletMatrix<f64>,
     rhs: Vec<f64>,
     x_new: Vec<f64>,
+    /// What [`restart`](Self::restart) seeds the solver with.
+    seed: Seed,
+}
+
+/// What a [`NewtonSystem`] keeps of its first factorization, for
+/// [`restart`](NewtonSystem::restart) to start each solve from.
+pub(crate) enum Seed {
+    /// To be kept: the system has not attempted a factorization yet.
+    Pending,
+    /// The factors of the system's first factorization.
+    Kept(SparseLu<f64>),
+    /// Nothing: the system is not restarted (a standalone operating
+    /// point, a transient run), or its first factorization failed or
+    /// went through the dense path.
+    Absent,
 }
 
 impl NewtonSystem {
-    pub(crate) fn new(layout: &MnaLayout, kind: LinearSolverKind) -> Self {
+    /// A workspace for `layout`; `seed` is [`Seed::Pending`] when the
+    /// system will be restarted and so keeps its first factors, else
+    /// [`Seed::Absent`].
+    pub(crate) fn new(layout: &MnaLayout, kind: LinearSolverKind, seed: Seed) -> Self {
         let dim = layout.dim();
         NewtonSystem {
             asm: RealAssembler::new(layout),
@@ -139,7 +161,19 @@ impl NewtonSystem {
             triplets: TripletMatrix::new(dim, dim),
             rhs: vec![0.0; dim],
             x_new: vec![0.0; dim],
+            seed,
         }
+    }
+
+    /// Restarts the sparse solver for a solve whose first matrix is the
+    /// system's first matrix again: from the seed when there is one (no
+    /// pivot search, the same factors bit for bit), with nothing
+    /// factored otherwise. The stamp plan is kept.
+    pub(crate) fn restart(&mut self) {
+        self.solver = match &self.seed {
+            Seed::Kept(lu) => SparseSolver::seeded(lu.clone()),
+            Seed::Pending | Seed::Absent => SparseSolver::new(),
+        };
     }
 
     /// Runs damped Newton on the system `mode` (plus `attempt`'s
@@ -194,7 +228,14 @@ impl NewtonSystem {
                     &dense_csr
                 }
             };
-            let solved = factor_system(&mut self.solver, a, self.kind).and_then(|lu| {
+            let factored = factor_system(&mut self.solver, a, self.kind);
+            if let Seed::Pending = self.seed {
+                self.seed = match &factored {
+                    Ok(Factored::Sparse(lu)) => Seed::Kept((*lu).clone()),
+                    _ => Seed::Absent,
+                };
+            }
+            let solved = factored.and_then(|lu| {
                 attempt.rcond = Some(lu.rcond_estimate());
                 lu.solve_into(&self.rhs, &mut self.x_new)
             });
@@ -394,6 +435,184 @@ fn run_stage(
     (true, last_ferr, None)
 }
 
+/// An operating-point session: one circuit topology, linted and laid
+/// out once, then solved any number of times.
+///
+/// [`open`](Self::open) runs the deny-level lint and builds the MNA
+/// layout and one [`NewtonSystem`]. Each [`solve`](Self::solve) walks
+/// the homotopy ladder on the circuit it is given, which may differ from
+/// the opened one only in the values of its voltage sources: a DC
+/// sweep's points. Such a value moves only the rhs, so every solve reuses
+/// the compiled stamp plan. Every solve also starts on the same first
+/// rung from the all-zero guess, so its first matrix is the session's
+/// first matrix; the solver restarts from that matrix's factors
+/// ([`NewtonSystem::restart`]) and refactors instead of searching for
+/// pivots. Each solve therefore returns exactly what
+/// [`dc_operating_point`] returns for its circuit, bit for bit.
+pub(crate) struct OpSession<'o> {
+    opts: &'o OpOptions,
+    /// The opened circuit's lint report: clean at deny level; its
+    /// warn-level findings explain a solve that fails to converge.
+    lint: remix_lint::LintReport,
+    layout: MnaLayout,
+    sys: NewtonSystem,
+}
+
+impl<'o> OpSession<'o> {
+    /// Lints `circuit` and lays it out. `seed` is [`Seed::Pending`]
+    /// for a session that will solve more than once (a DC sweep), so
+    /// its system keeps the first factors to restart from, and
+    /// [`Seed::Absent`] for a single solve, which needs no copy of them.
+    ///
+    /// # Errors
+    ///
+    /// [`AnalysisError::Lint`] if the circuit has deny-level ERC
+    /// findings.
+    pub(crate) fn open(
+        circuit: &Circuit,
+        opts: &'o OpOptions,
+        seed: Seed,
+    ) -> Result<Self, AnalysisError> {
+        let lint = remix_lint::lint(circuit, &remix_lint::LintConfig::default());
+        if !lint.is_clean() {
+            return Err(AnalysisError::Lint(lint));
+        }
+        let layout = MnaLayout::new(circuit);
+        let sys = NewtonSystem::new(&layout, opts.solver, seed);
+        Ok(OpSession {
+            opts,
+            lint,
+            layout,
+            sys,
+        })
+    }
+
+    /// Solves the operating point of `circuit`: the opened circuit, or
+    /// it with other voltage-source values.
+    ///
+    /// # Errors
+    ///
+    /// As for [`dc_operating_point`], except [`AnalysisError::Lint`].
+    pub(crate) fn solve(&mut self, circuit: &Circuit) -> Result<OperatingPoint, AnalysisError> {
+        let (opts, layout) = (self.opts, &self.layout);
+        let dim = layout.dim();
+        let n_elem = circuit.element_count();
+        let _span = remix_telemetry::span(remix_telemetry::names::ANALYSIS_OP)
+            .with_field("analysis", "op")
+            .with_field("dim", dim)
+            .with_field("elements", n_elem);
+        let mut x = vec![0.0; dim];
+        let mut mos_evals: Vec<Option<MosEval>> = vec![None; n_elem];
+        let mut trace = ConvergenceTrace::new("dc operating point");
+        let sys = &mut self.sys;
+        sys.restart();
+
+        // Walk the policy ladder, retried with progressively tighter
+        // damping: strong feedback loops (the TIA around its two-stage
+        // OTA) can limit-cycle at loose damping.
+        let mut converged = false;
+        let mut last_factor_error: Option<FactorError> = None;
+        'damping: for tighten in 0..opts.policy.damping_retries.max(1) {
+            let stage_opts = OpOptions {
+                dv_max: opts.dv_max / 3f64.powi(tighten as i32),
+                max_iter: opts.max_iter * (1 + 2 * tighten),
+                ..opts.clone()
+            };
+            for kind in &opts.policy.stages {
+                let (ok, ferr, interrupted) = run_stage(
+                    *kind,
+                    circuit,
+                    layout,
+                    &mut x,
+                    &stage_opts,
+                    &mut mos_evals,
+                    sys,
+                    &mut trace,
+                );
+                if ferr.is_some() {
+                    last_factor_error = ferr;
+                }
+                if let Some(i) = interrupted {
+                    return Err(AnalysisError::BudgetExceeded {
+                        interruption: i,
+                        trace,
+                        partial: PartialProgress {
+                            analysis: "dc operating point".into(),
+                            completed: 0,
+                            total: 0,
+                        },
+                    });
+                }
+                if ok {
+                    converged = true;
+                    break 'damping;
+                }
+            }
+        }
+        if !converged {
+            // A ladder that ended on a factorization failure is a
+            // *singular* problem (cross-referenced against the
+            // structural-rank lint pass), not a stalled iteration.
+            let ended_singular = matches!(
+                trace.attempts.last().map(|a| a.outcome),
+                Some(AttemptOutcome::Singular { .. }) | Some(AttemptOutcome::NotFinite)
+            );
+            if let (true, Some(fe)) = (ended_singular, last_factor_error) {
+                return Err(AnalysisError::Singular {
+                    error: fe,
+                    diagnosis: structural_diagnosis(circuit),
+                    trace,
+                });
+            }
+            // Warn-level findings did not block the solve, but a circuit
+            // that then fails to converge is exactly where they become
+            // relevant.
+            let mut context = "dc operating point".to_string();
+            if self.lint.warn_count() > 0 {
+                let warns: Vec<String> = self
+                    .lint
+                    .diagnostics
+                    .iter()
+                    .filter(|d| d.severity == remix_lint::Severity::Warn)
+                    .map(|d| d.render())
+                    .collect();
+                context.push_str(" [lint: ");
+                context.push_str(&warns.join("; "));
+                context.push(']');
+            }
+            return Err(AnalysisError::NoConvergence {
+                context,
+                iterations: trace.total_iterations(),
+                trace,
+            });
+        }
+
+        // Capture MOS caps at the final solution.
+        let mut mos_caps: Vec<Option<MosCaps>> = vec![None; n_elem];
+        for (idx, e) in circuit.elements().iter().enumerate() {
+            if let Element::Mos { dev, .. } = e {
+                if let Some(ev) = &mos_evals[idx] {
+                    mos_caps[idx] = Some(dev.capacitances(ev));
+                }
+            }
+        }
+
+        let iterations = trace.total_iterations();
+        let op = OperatingPoint {
+            layout: layout.clone(),
+            solution: x,
+            mos_evals,
+            mos_caps,
+            iterations,
+            trace,
+        };
+        if let Some(rcond) = op.rcond() {
+            remix_telemetry::gauge_set(remix_telemetry::names::ANALYSIS_OP_RCOND, rcond);
+        }
+        Ok(op)
+    }
+}
+
 /// Computes the DC operating point of a circuit.
 ///
 /// # Errors
@@ -414,123 +633,7 @@ pub fn dc_operating_point(
     circuit: &Circuit,
     opts: &OpOptions,
 ) -> Result<OperatingPoint, AnalysisError> {
-    let lint_report = remix_lint::lint(circuit, &remix_lint::LintConfig::default());
-    if !lint_report.is_clean() {
-        return Err(AnalysisError::Lint(lint_report));
-    }
-    let layout = MnaLayout::new(circuit);
-    let dim = layout.dim();
-    let n_elem = circuit.element_count();
-    let _span = remix_telemetry::span(remix_telemetry::names::ANALYSIS_OP)
-        .with_field("analysis", "op")
-        .with_field("dim", dim)
-        .with_field("elements", n_elem);
-    let mut x = vec![0.0; dim];
-    let mut mos_evals: Vec<Option<MosEval>> = vec![None; n_elem];
-    let mut trace = ConvergenceTrace::new("dc operating point");
-    let mut sys = NewtonSystem::new(&layout, opts.solver);
-
-    // Walk the policy ladder, retried with progressively tighter damping:
-    // strong feedback loops (the TIA around its two-stage OTA) can
-    // limit-cycle at loose damping.
-    let mut converged = false;
-    let mut last_factor_error: Option<FactorError> = None;
-    'damping: for tighten in 0..opts.policy.damping_retries.max(1) {
-        let stage_opts = OpOptions {
-            dv_max: opts.dv_max / 3f64.powi(tighten as i32),
-            max_iter: opts.max_iter * (1 + 2 * tighten),
-            ..opts.clone()
-        };
-        for kind in &opts.policy.stages {
-            let (ok, ferr, interrupted) = run_stage(
-                *kind,
-                circuit,
-                &layout,
-                &mut x,
-                &stage_opts,
-                &mut mos_evals,
-                &mut sys,
-                &mut trace,
-            );
-            if ferr.is_some() {
-                last_factor_error = ferr;
-            }
-            if let Some(i) = interrupted {
-                return Err(AnalysisError::BudgetExceeded {
-                    interruption: i,
-                    trace,
-                    partial: PartialProgress {
-                        analysis: "dc operating point".into(),
-                        completed: 0,
-                        total: 0,
-                    },
-                });
-            }
-            if ok {
-                converged = true;
-                break 'damping;
-            }
-        }
-    }
-    if !converged {
-        // A ladder that ended on a factorization failure is a *singular*
-        // problem (cross-referenced against the structural-rank lint
-        // pass), not a stalled iteration.
-        let ended_singular = matches!(
-            trace.attempts.last().map(|a| a.outcome),
-            Some(AttemptOutcome::Singular { .. }) | Some(AttemptOutcome::NotFinite)
-        );
-        if let (true, Some(fe)) = (ended_singular, last_factor_error) {
-            return Err(AnalysisError::Singular {
-                error: fe,
-                diagnosis: structural_diagnosis(circuit),
-                trace,
-            });
-        }
-        // Warn-level findings did not block the solve, but a circuit that
-        // then fails to converge is exactly where they become relevant.
-        let mut context = "dc operating point".to_string();
-        if lint_report.warn_count() > 0 {
-            let warns: Vec<String> = lint_report
-                .diagnostics
-                .iter()
-                .filter(|d| d.severity == remix_lint::Severity::Warn)
-                .map(|d| d.render())
-                .collect();
-            context.push_str(" [lint: ");
-            context.push_str(&warns.join("; "));
-            context.push(']');
-        }
-        return Err(AnalysisError::NoConvergence {
-            context,
-            iterations: trace.total_iterations(),
-            trace,
-        });
-    }
-
-    // Capture MOS caps at the final solution.
-    let mut mos_caps: Vec<Option<MosCaps>> = vec![None; n_elem];
-    for (idx, e) in circuit.elements().iter().enumerate() {
-        if let Element::Mos { dev, .. } = e {
-            if let Some(ev) = &mos_evals[idx] {
-                mos_caps[idx] = Some(dev.capacitances(ev));
-            }
-        }
-    }
-
-    let iterations = trace.total_iterations();
-    let op = OperatingPoint {
-        layout,
-        solution: x,
-        mos_evals,
-        mos_caps,
-        iterations,
-        trace,
-    };
-    if let Some(rcond) = op.rcond() {
-        remix_telemetry::gauge_set(remix_telemetry::names::ANALYSIS_OP_RCOND, rcond);
-    }
-    Ok(op)
+    OpSession::open(circuit, opts, Seed::Absent)?.solve(circuit)
 }
 
 /// [`dc_operating_point`] through the dense reference LU path

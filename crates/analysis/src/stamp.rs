@@ -473,9 +473,12 @@ struct RealPlan {
 /// of every assembly equals [`assemble_real`]'s (then
 /// [`stamp_diag_load`]'s) bit for bit.
 ///
-/// An assembler serves one circuit, layout and set of frozen MOS
-/// capacitances (the base holds their companion conductances); create
-/// one per analysis call.
+/// An assembler serves one circuit topology, layout and set of frozen
+/// MOS capacitances (the base holds their companion conductances);
+/// create one per analysis call. A serial DC sweep is one call: its
+/// points share one operating-point session, and the swept source's
+/// value enters only the rhs base, which every [`begin`](Self::begin)
+/// rebuilds, so all its points assemble through one plan.
 #[derive(Debug)]
 pub struct RealAssembler {
     plan: Option<RealPlan>,

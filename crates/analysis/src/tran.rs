@@ -4,9 +4,9 @@
 //! the first step and for the first half of a halved step) with a full
 //! damped-Newton solve of the nonlinear companion system at every step,
 //! through the same `NewtonSystem` loop as the operating point. The step
-//! is halved locally when Newton fails to converge; results are always
-//! reported on the caller's uniform grid so FFT post-processing needs no
-//! resampling.
+//! is halved locally when Newton fails to converge, down to 2⁻²⁰ of the
+//! base step; results are always reported on the caller's uniform grid
+//! so FFT post-processing needs no resampling.
 //!
 //! RF measurement flows sample mixers coherently (see
 //! `remix_dsp::tone::CoherentPlan`); a fixed step that divides the sample
@@ -16,7 +16,7 @@ use crate::convergence::{ConvergenceTrace, StageAttempt, TraceStage};
 use crate::error::{AnalysisError, PartialProgress};
 use crate::op::{
     dc_operating_point, structural_diagnosis, LinearSolverKind, NewtonSystem, OpOptions,
-    OperatingPoint, StageRun,
+    OperatingPoint, Seed, StageRun,
 };
 use crate::partial::{Interrupted, Partial};
 use crate::stamp::{cap_companion_current, mos_cap_branches, CapState, ElementState, RealMode};
@@ -29,6 +29,9 @@ const MAX_NEWTON: usize = 50;
 const TRAN_GMIN: f64 = 1e-12;
 /// Damping limit on per-iteration node-voltage moves within a step (V).
 const STEP_DV_MAX: f64 = 0.5;
+/// Deepest halving of a step that fails to converge: a sub-step of
+/// `h / 2^MAX_HALVINGS` that still fails ends the run.
+const MAX_HALVINGS: i32 = 20;
 
 /// Options controlling a transient run. Steady stepping is trapezoidal
 /// after one backward-Euler first step; the initial condition is the
@@ -166,7 +169,7 @@ impl<'a> Integrator<'a> {
         }
         Ok(Integrator {
             circuit,
-            sys: NewtonSystem::new(&layout, LinearSolverKind::Sparse),
+            sys: NewtonSystem::new(&layout, LinearSolverKind::Sparse, Seed::Absent),
             layout,
             states,
             mos_caps: op.mos_caps,
@@ -259,6 +262,7 @@ impl<'a> Integrator<'a> {
         // underflow so the error explains *why* the halving cascade
         // never found an acceptable step.
         let mut last_trace = ConvergenceTrace::new("transient step");
+        let h_floor = self.opts.h / 2f64.powi(MAX_HALVINGS);
         while let Some((t0, h, meth)) = pending.pop() {
             depth_guard += 1;
             if depth_guard > 4096 {
@@ -270,7 +274,7 @@ impl<'a> Integrator<'a> {
             }
             match self.step(t0 + h, h, meth) {
                 Ok(()) => {}
-                Err(e @ AnalysisError::NoConvergence { .. }) if h > 1e-18 => {
+                Err(e @ AnalysisError::NoConvergence { .. }) if h > h_floor => {
                     if let Some(t) = e.trace() {
                         last_trace = t.clone();
                     }
@@ -615,12 +619,13 @@ mod tests {
     fn unmeetable_tolerance_pins_the_failed_step_attempt() {
         // No Newton update can be smaller than a zero tolerance, so every
         // step runs out of iterations; the first step halves (backward
-        // Euler first) until h drops to 1e-18 and the failure of that
-        // last step surfaces with its attempt record.
+        // Euler first) down to 2^-20 of the base step, and the failure
+        // of that last step surfaces with its attempt record: 21 failed
+        // solves in all.
         let (c, _) = rc_fixture();
         let mut opts = TranOptions::new(1e-6, 1e-8);
         opts.v_tol = 0.0;
-        let h = 1e-8 / 2f64.powi(34);
+        let h = 1e-8 / 2f64.powi(20);
         match transient(&c, &opts) {
             Err(AnalysisError::NoConvergence {
                 context,

@@ -2,7 +2,10 @@
 //!
 //! Every analysis keeps one stamp plan (CSR pattern and stamp slots) and
 //! one sparse solver (pivot order, fill pattern) for the duration of a
-//! call and drops both on return.
+//! call and drops both on return. A serial DC sweep is one call whose
+//! points share one operating-point session; `tests/sweep_session.rs`
+//! checks that each of its points still equals a standalone operating
+//! point.
 //! Nothing may carry over to the next call on the same thread: a result
 //! must not depend on what the thread solved before, or serial and
 //! parallel studies would stop agreeing bit for bit.

@@ -25,8 +25,9 @@
 //!   [`SparseLu::refactor`] reruns only the numeric phase on a new matrix
 //!   with the same pattern, and falls back to a fresh pivot search when a
 //!   reused pivot no longer passes the threshold test;
-//! * [`SparseSolver`] — one analysis call's solver: factored once, then
-//!   refactored in the stored pattern.
+//! * [`SparseSolver`] — one analysis call's solver: factored once (or
+//!   seeded with earlier factors of the same matrix), then refactored in
+//!   the stored pattern.
 //!
 //! The sparse solver is validated against the dense one in tests and by
 //! property tests at the crate boundary.
@@ -828,7 +829,8 @@ impl<T: Scalar> SparseLu<T> {
 /// pattern, which redoes the pivot search only when the pattern changed
 /// or a reused pivot fails. A solver carries state from one solve to the
 /// next only to save work: its factors equal a fresh factorization's up
-/// to rounding. Create one per analysis call.
+/// to rounding. Create one per analysis call, or restart one from a
+/// [`seeded`](Self::seeded) copy of an earlier call's first factors.
 #[derive(Debug, Clone)]
 pub struct SparseSolver<T> {
     lu: Option<SparseLu<T>>,
@@ -844,6 +846,16 @@ impl<T: Scalar> SparseSolver<T> {
     /// A solver with nothing factored yet.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A solver whose first [`factor`](Self::factor) refactors in
+    /// `seed`'s row order and fill pattern instead of searching for
+    /// pivots. Given the matrix `seed` was factored from, that refactor
+    /// computes the same factors, bit for bit, as the search did: the
+    /// numeric phase overwrites every stored value and repeats the
+    /// search's arithmetic.
+    pub fn seeded(seed: SparseLu<T>) -> Self {
+        SparseSolver { lu: Some(seed) }
     }
 
     /// Factors `a`. After an error the next call starts with a fresh
@@ -1153,6 +1165,43 @@ mod tests {
         let b = [1.0, 5.0, 2.0];
         let r = vecops::sub(&csr.mat_vec(&lu.solve(&b).unwrap()), &b);
         assert!(vecops::norm_inf(&r) < 1e-12, "residual {r:?}");
+    }
+
+    #[test]
+    fn seeded_solver_reproduces_the_search_without_searching() {
+        // Row 0 has no diagonal entry, so the seed's row order is not the
+        // identity.
+        let matrix = |s: f64| {
+            let stamps = [
+                (0, 1, 2.0 * s),
+                (0, 2, 1.0),
+                (1, 0, 1.0),
+                (1, 1, 4.0),
+                (2, 0, 3.0 + s),
+                (2, 2, 1.0),
+            ];
+            triplets(&stamps).to_csr()
+        };
+        let a = matrix(1.0);
+        let fresh = SparseLu::factor(&a).unwrap();
+        assert_ne!(fresh.perm, vec![0, 1, 2]);
+        // A seed whose values went stale refactoring another matrix.
+        let mut seed = fresh.clone();
+        seed.refactor(&matrix(1.7)).unwrap();
+        assert_eq!(seed.perm, fresh.perm);
+        let mut solver = SparseSolver::seeded(seed);
+        let (factors, searches) = lu_counts(|| {
+            let lu = solver.factor(&a).unwrap();
+            assert_eq!(lu.perm, fresh.perm);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&lu.val), bits(&fresh.val));
+            let b = [1.0, -2.0, 0.5];
+            assert_eq!(
+                bits(&lu.solve(&b).unwrap()),
+                bits(&fresh.solve(&b).unwrap())
+            );
+        });
+        assert_eq!((factors, searches), (1, 0));
     }
 
     /// Pushes `stamps` into a fresh 3×3 triplet matrix.

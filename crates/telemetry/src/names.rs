@@ -39,8 +39,9 @@ pub const ANALYSIS_TRAN: &str = "remix.analysis.tran";
 pub const ANALYSIS_AC: &str = "remix.analysis.ac";
 /// Span: one periodic steady-state analysis.
 pub const ANALYSIS_PSS: &str = "remix.analysis.pss";
-/// Counter: stamp plans compiled (one per analysis call, plus one per
-/// homotopy stage whose stamp sequence differs from the last plan's).
+/// Counter: stamp plans compiled (one per analysis call, a whole serial
+/// DC sweep being one call, plus one per homotopy stage whose stamp
+/// sequence differs from the last plan's).
 pub const STAMP_PLANS: &str = "remix.analysis.stamp.plans";
 /// Span: one AC noise analysis.
 pub const ANALYSIS_ACNOISE: &str = "remix.analysis.acnoise";
