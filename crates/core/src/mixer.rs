@@ -579,6 +579,32 @@ mod tests {
         (ckt, nodes, op)
     }
 
+    /// The RF sources' AC magnitude must not reach the DC solve: the
+    /// extraction solves each mode's operating point once, on whichever
+    /// build it needs, and reads supply power from it.
+    #[test]
+    fn ac_drive_leaves_the_operating_point_and_power_bit_identical() {
+        let m = mixer();
+        let lo = LoDrive::held(2.4e9);
+        for mode in [MixerMode::Active, MixerMode::Passive] {
+            let (bias_ckt, _, bias_op) = op_of(mode);
+            let (ac_ckt, _) = m.build(mode, &RfDrive::Ac, &lo);
+            let ac_op = dc_operating_point(&ac_ckt, &OpOptions::default()).unwrap();
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&bias_op.solution),
+                bits(&ac_op.solution),
+                "{mode:?} solution"
+            );
+            assert_eq!(bias_op.iterations, ac_op.iterations, "{mode:?} iterations");
+            assert_eq!(
+                supply_power(&bias_ckt, &bias_op).total_mw().to_bits(),
+                supply_power(&ac_ckt, &ac_op).total_mw().to_bits(),
+                "{mode:?} supply power"
+            );
+        }
+    }
+
     #[test]
     fn netlist_lints_clean_in_both_modes() {
         let m = mixer();
