@@ -27,7 +27,9 @@ use std::fmt;
 /// One stage kind in a convergence policy ladder.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StageKind {
-    /// Plain damped Newton at the target gmin and full sources.
+    /// Plain damped Newton at the target gmin and full sources, ended
+    /// early ([`AttemptOutcome::RanAway`]) once a node voltage passes ten
+    /// times the circuit's largest DC voltage-source magnitude.
     Direct,
     /// Gmin stepping: relax a large channel conductance decade by decade
     /// down to the target, with a final rung *exactly at* the target
@@ -231,6 +233,14 @@ pub enum AttemptOutcome {
     Converged,
     /// The iteration budget ran out before the tolerance was met.
     MaxIterations,
+    /// A node voltage passed the Direct stage's runaway bound (ten times
+    /// the largest DC voltage-source magnitude), so the stage was ended
+    /// before its iteration budget: such an iterate only drifts further
+    /// off the rails.
+    RanAway {
+        /// The bound the node voltage passed (V).
+        volts: f64,
+    },
     /// The iterate left the finite domain (NaN/∞ node voltage).
     Diverged,
     /// The system matrix could not be factored at elimination step `step`.
@@ -255,6 +265,7 @@ impl fmt::Display for AttemptOutcome {
         match self {
             AttemptOutcome::Converged => write!(f, "converged"),
             AttemptOutcome::MaxIterations => write!(f, "max iterations"),
+            AttemptOutcome::RanAway { volts } => write!(f, "ran away past {volts:.1} V"),
             AttemptOutcome::Diverged => write!(f, "diverged (non-finite iterate)"),
             AttemptOutcome::Singular { step } => write!(f, "singular at step {step}"),
             AttemptOutcome::NotFinite => write!(f, "non-finite system"),
@@ -541,5 +552,9 @@ mod tests {
         assert!(AttemptOutcome::Singular { step: 3 }
             .to_string()
             .contains("step 3"));
+        assert_eq!(
+            AttemptOutcome::RanAway { volts: 12.0 }.to_string(),
+            "ran away past 12.0 V"
+        );
     }
 }

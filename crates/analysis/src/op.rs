@@ -14,6 +14,17 @@
 //! rides inside the returned [`OperatingPoint`] on success or the
 //! [`AnalysisError`] on failure.
 //!
+//! The Direct stage is bounded: it ends ([`AttemptOutcome::RanAway`]) as
+//! soon as a node voltage passes ten times the largest DC magnitude among
+//! the solved circuit's independent voltage sources (12 V on a 1.2 V
+//! supply; no bound without a nonzero voltage source). On the full mixer
+//! a Direct run that far off the rails only drifts further, clamped to
+//! `dv_max` per iteration, until `max_iter`. Ending it early does not
+//! move the result: every stage starts from the all-zero guess, so a
+//! failed Direct stage leaves the next stage nothing but the solver's
+//! pivot order, and a solution that lies past the bound is reached by
+//! the later stages, which run unbounded, as does the transient.
+//!
 //! [`dc_operating_point`] is one solve of an `OpSession`, which lints and
 //! lays the circuit out once; a DC sweep solves all its points in one
 //! session.
@@ -46,7 +57,10 @@ pub enum LinearSolverKind {
 /// Options controlling the operating-point solve.
 #[derive(Debug, Clone)]
 pub struct OpOptions {
-    /// Maximum iterations per stage.
+    /// Maximum iterations per stage. A Direct stage whose iterate runs
+    /// past ten times the largest DC voltage-source magnitude ends before
+    /// this budget, as [`AttemptOutcome::RanAway`]; the other stages
+    /// always get the whole budget.
     pub max_iter: usize,
     /// Convergence tolerance on node-voltage change (V).
     pub v_tol: f64,
@@ -181,8 +195,10 @@ impl NewtonSystem {
     /// in place, for at most `max_iter` iterations (the fault plan's cap
     /// applies). Each update is scaled so no node voltage moves more than
     /// `attempt.dv_max`; the solve converges when the scaled move is
-    /// below `v_tol`. The returned run carries `attempt` with its
-    /// iterations, final move, condition estimate and outcome filled in.
+    /// below `v_tol`, and otherwise ends as soon as a node voltage's
+    /// magnitude passes `v_bound` (`f64::INFINITY` for none). The
+    /// returned run carries `attempt` with its iterations, final move,
+    /// condition estimate and outcome filled in.
     /// When `mos_evals` is given it receives each MOS evaluation.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn converge(
@@ -194,6 +210,7 @@ impl NewtonSystem {
         mut attempt: StageAttempt,
         v_tol: f64,
         max_iter: usize,
+        v_bound: f64,
         mut mos_evals: Option<&mut Vec<Option<MosEval>>>,
     ) -> StageRun {
         let nodes = layout.node_unknowns();
@@ -263,6 +280,10 @@ impl NewtonSystem {
             }
             if max_dv * alpha < v_tol {
                 return end(attempt, AttemptOutcome::Converged, None);
+            }
+            if x[..nodes].iter().any(|v| v.abs() > v_bound) {
+                let outcome = AttemptOutcome::RanAway { volts: v_bound };
+                return end(attempt, outcome, None);
             }
         }
         end(attempt, AttemptOutcome::MaxIterations, None)
@@ -377,7 +398,9 @@ fn factor_outcome(e: &FactorError) -> AttemptOutcome {
 }
 
 /// Walks one ladder stage of a [`ConvergencePolicy`] from a zero guess,
-/// one Newton solve per rung, pushing every attempt into `trace`.
+/// one Newton solve per rung, pushing every attempt into `trace`. A
+/// Direct stage's solve ends once a node voltage passes `direct_bound`;
+/// the other stages run unbounded.
 /// Returns whether the stage converged, the last factorization failure
 /// seen inside it, and the budget interruption that cut it short, if any.
 #[allow(clippy::too_many_arguments)]
@@ -387,11 +410,16 @@ fn run_stage(
     layout: &MnaLayout,
     x: &mut [f64],
     stage_opts: &OpOptions,
+    direct_bound: f64,
     mos_evals: &mut Vec<Option<MosEval>>,
     sys: &mut NewtonSystem,
     trace: &mut ConvergenceTrace,
 ) -> (bool, Option<FactorError>, Option<remix_exec::Interruption>) {
     x.fill(0.0);
+    let v_bound = match kind {
+        StageKind::Direct => direct_bound,
+        _ => f64::INFINITY,
+    };
     let mut last_ferr: Option<FactorError> = None;
     for rung in kind.rungs(stage_opts.gmin) {
         let mut attempt = StageAttempt::new(TraceStage::Dc(kind));
@@ -411,6 +439,7 @@ fn run_stage(
             attempt,
             stage_opts.v_tol,
             stage_opts.max_iter,
+            v_bound,
             Some(mos_evals),
         );
         let (converged, interrupted) = (run.converged(), run.interrupted());
@@ -433,6 +462,25 @@ fn run_stage(
         }
     }
     (true, last_ferr, None)
+}
+
+/// The node voltage past which a Direct-stage run is abandoned: ten
+/// times the largest DC magnitude among `circuit`'s independent voltage
+/// sources, or no bound (`f64::INFINITY`) when none is nonzero.
+fn direct_bound(circuit: &Circuit) -> f64 {
+    let largest = circuit
+        .elements()
+        .iter()
+        .filter_map(|e| match e {
+            Element::VoltageSource { wave, .. } => Some(wave.eval(0.0).abs()),
+            _ => None,
+        })
+        .fold(0.0, f64::max);
+    if largest > 0.0 {
+        10.0 * largest
+    } else {
+        f64::INFINITY
+    }
 }
 
 /// An operating-point session: one circuit topology, linted and laid
@@ -506,6 +554,9 @@ impl<'o> OpSession<'o> {
         let mut trace = ConvergenceTrace::new("dc operating point");
         let sys = &mut self.sys;
         sys.restart();
+        // From the circuit solved, not the one opened: a sweep point's
+        // bound is its standalone operating point's.
+        let direct_bound = direct_bound(circuit);
 
         // Walk the policy ladder, retried with progressively tighter
         // damping: strong feedback loops (the TIA around its two-stage
@@ -525,6 +576,7 @@ impl<'o> OpSession<'o> {
                     layout,
                     &mut x,
                     &stage_opts,
+                    direct_bound,
                     &mut mos_evals,
                     sys,
                     &mut trace,

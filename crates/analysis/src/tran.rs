@@ -201,6 +201,7 @@ impl<'a> Integrator<'a> {
             attempt,
             self.opts.v_tol,
             MAX_NEWTON,
+            f64::INFINITY,
             None,
         );
         if !run.converged() {

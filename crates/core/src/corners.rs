@@ -575,4 +575,41 @@ mod tests {
         assert!((worst.vdd - 1.1).abs() < 1e-12);
         assert_eq!(Corner::slow_hot(0.1)(&base).process, ProcessCorner::Ss);
     }
+
+    #[test]
+    fn a_runaway_direct_stage_ends_early_on_the_ladder_s_solution() {
+        use crate::mixer::{LoDrive, ReconfigurableMixer, RfDrive};
+        use remix_analysis::{dc_operating_point, AttemptOutcome, ConvergencePolicy, OpOptions};
+        // Corner 124 of perfbench's `study` grid (SF, VDD × 1.05, 85 °C):
+        // the active full mixer's Direct Newton drifts off the rails and,
+        // unbounded, spent all 150 iterations before the gmin ladder.
+        let base = MixerConfig::default();
+        let corner = Corner {
+            process: ProcessCorner::Sf,
+            temp_c: 85.0,
+            vdd: Some(base.vdd * 1.05),
+        };
+        let mixer = ReconfigurableMixer::new(corner.apply(&base));
+        let lo = LoDrive::held(2.4e9);
+        let (ckt, _) = mixer.build(MixerMode::Active, &RfDrive::Ac, &lo);
+        let opts = OpOptions::default();
+        let op = dc_operating_point(&ckt, &opts).unwrap();
+        let direct = &op.trace.attempts[0];
+        assert_eq!(direct.stage, TraceStage::Dc(StageKind::Direct));
+        let bound = 10.0 * base.vdd * 1.05;
+        assert!(
+            matches!(direct.outcome, AttemptOutcome::RanAway { volts } if (volts - bound).abs() < 1e-12),
+            "{}",
+            op.trace.render()
+        );
+        assert!(direct.iterations < opts.max_iter, "{}", op.trace.render());
+
+        // The ladder that follows lands on exactly the solution of a
+        // ladder with no Direct stage in front of it.
+        let mut policy = ConvergencePolicy::default();
+        policy.stages.retain(|s| *s != StageKind::Direct);
+        let ladder = dc_operating_point(&ckt, &OpOptions { policy, ..opts }).unwrap();
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&op.solution), bits(&ladder.solution));
+    }
 }

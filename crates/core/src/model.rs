@@ -955,8 +955,11 @@ mod tests {
         let ops = snap.span(names::ANALYSIS_OP).map_or(0, |s| s.count);
         let iterations = snap.counter(names::CONVERGENCE_ITERATIONS);
         // Both full-mixer solves are in here; a second active-mode solve
-        // would read 53 operating points and 1,191 iterations.
-        assert_eq!((ops, iterations), (52, Some(949)));
+        // would read 53 operating points. Three Direct stages run away
+        // past 12 V and end before their 150-iteration budget: the TIA
+        // fixture's after 53 iterations, the active mixer's after 48 and
+        // the passive mixer's after 45. Unbounded, they read 949.
+        assert_eq!((ops, iterations), (52, Some(645)));
 
         // The active power read off the AC build equals the bias-only
         // build's, bit for bit.
