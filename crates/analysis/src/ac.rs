@@ -42,20 +42,6 @@ impl AcResult {
     pub fn voltage_diff(&self, idx: usize, p: Node, n: Node) -> Complex {
         self.voltage(idx, p) - self.voltage(idx, n)
     }
-
-    /// Magnitude response of a node over the sweep.
-    pub fn magnitude_series(&self, n: Node) -> Vec<f64> {
-        (0..self.freqs.len())
-            .map(|i| self.voltage(i, n).abs())
-            .collect()
-    }
-
-    /// Magnitude response of a differential pair over the sweep.
-    pub fn magnitude_series_diff(&self, p: Node, n: Node) -> Vec<f64> {
-        (0..self.freqs.len())
-            .map(|i| self.voltage_diff(i, p, n).abs())
-            .collect()
-    }
 }
 
 /// Runs an AC sweep at the given frequencies (Hz).
@@ -134,18 +120,6 @@ pub fn log_space(f_start: f64, f_stop: f64, points_per_decade: usize) -> Vec<f64
         .collect()
 }
 
-/// Linearly spaced frequency grid (inclusive endpoints).
-///
-/// # Panics
-///
-/// Panics if `n < 2`.
-pub fn lin_space(f_start: f64, f_stop: f64, n: usize) -> Vec<f64> {
-    assert!(n >= 2, "need at least two points");
-    (0..n)
-        .map(|i| f_start + (f_stop - f_start) * i as f64 / (n - 1) as f64)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,7 +142,7 @@ mod tests {
         c.add_capacitor("c1", out, Circuit::gnd(), 1e-9);
         let f3 = 1.0 / (2.0 * std::f64::consts::PI * 1e3 * 1e-9);
         let res = run_ac(&c, &[f3 / 100.0, f3, f3 * 100.0]);
-        let mags = res.magnitude_series(out);
+        let mags: Vec<f64> = (0..3).map(|i| res.voltage(i, out).abs()).collect();
         assert!((mags[0] - 1.0).abs() < 1e-3, "passband {mags:?}");
         assert!((mags[1] - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-3);
         assert!((mags[2] - 0.01).abs() < 1e-3);
@@ -188,7 +162,7 @@ mod tests {
         c.add_inductor("l1", vin, out, 1e-6);
         c.add_resistor("r1", out, Circuit::gnd(), 1e3);
         let res = run_ac(&c, &[1e6, 159.1549e6, 100e9]);
-        let mags = res.magnitude_series(out);
+        let mags: Vec<f64> = (0..3).map(|i| res.voltage(i, out).abs()).collect();
         assert!(
             mags[0] > 0.99,
             "low f should pass through inductor: {mags:?}"
@@ -252,9 +226,6 @@ mod tests {
         assert_eq!(g.len(), 7);
         assert!((g[0] - 1.0).abs() < 1e-12);
         assert!((g[6] - 1000.0).abs() < 1e-9);
-        let l = lin_space(0.0, 10.0, 11);
-        assert_eq!(l.len(), 11);
-        assert_eq!(l[5], 5.0);
     }
 
     #[test]

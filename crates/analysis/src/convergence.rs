@@ -390,21 +390,6 @@ impl ConvergenceTrace {
         self.attempts.is_empty()
     }
 
-    /// The worst (smallest) condition estimate seen, if any attempt
-    /// recorded one.
-    pub fn worst_rcond(&self) -> Option<f64> {
-        self.attempts
-            .iter()
-            .filter_map(|a| a.rcond)
-            .min_by(f64::total_cmp)
-    }
-
-    /// `true` if any attempt factored a system whose condition estimate
-    /// fell below [`ILL_CONDITION_RCOND`].
-    pub fn ill_conditioned(&self) -> bool {
-        self.worst_rcond().is_some_and(|r| r < ILL_CONDITION_RCOND)
-    }
-
     /// Renders the trace as an aligned multi-line table.
     pub fn render(&self) -> String {
         let mut out = format!("convergence trace — {}\n", self.analysis);
@@ -527,8 +512,6 @@ mod tests {
         b.outcome = AttemptOutcome::Converged;
         t.push(b);
         assert_eq!(t.total_iterations(), 42);
-        assert_eq!(t.worst_rcond(), Some(1e-14));
-        assert!(t.ill_conditioned());
         let s = t.summary();
         assert!(s.contains("2 stage attempts"), "{s}");
         assert!(s.contains("42 iterations"), "{s}");

@@ -197,106 +197,6 @@ pub fn dc_sweep_partial(
     })
 }
 
-/// [`dc_sweep_partial`] on an explicit [`remix_exec::PoolOptions`]:
-/// sweep points are independent operating points, so they dispatch to
-/// the work-stealing pool and solve concurrently, each a standalone
-/// [`dc_operating_point`] with nothing shared between tasks. Points equal
-/// the serial sweep's for any worker count (the serial session
-/// reproduces a standalone solve bit for bit), and the pool's ordered
-/// telemetry merge keeps the `without_timings()` snapshot byte-identical
-/// across worker counts. Unlike the serial sweep, this one makes a pivot
-/// search per point.
-///
-/// A budget interruption returns the completed *prefix* as a
-/// [`Partial`], exactly like the serial driver; a contained worker
-/// panic surfaces as a typed [`AnalysisError::NoConvergence`] for its
-/// point rather than a dead process.
-///
-/// # Errors
-///
-/// Same as [`dc_sweep_partial`].
-pub fn dc_sweep_parallel(
-    circuit: &Circuit,
-    source_name: &str,
-    values: &[f64],
-    opts: &OpOptions,
-    pool: &remix_exec::PoolOptions,
-) -> Result<Partial<DcSweepResult>, AnalysisError> {
-    let id = sweep_source(circuit, source_name)?;
-    let _span = sweep_span(circuit, values.len());
-    let todo: Vec<usize> = (0..values.len()).collect();
-    let first_trace: std::sync::Mutex<Option<crate::convergence::ConvergenceTrace>> =
-        std::sync::Mutex::new(None);
-    let run = remix_exec::run_tasks(
-        &todo,
-        pool,
-        |ctx| {
-            let mut work = circuit.clone();
-            set_source(&mut work, id, values[ctx.index]);
-            match split_interruption(dc_operating_point(&work, opts)) {
-                Ok(Ok(op)) => remix_exec::TaskResult::Done(Ok(Box::new(op))),
-                Ok(Err(Interrupted {
-                    interruption,
-                    trace,
-                })) => {
-                    if let Ok(mut slot) = first_trace.lock() {
-                        if slot.is_none() {
-                            *slot = Some(trace);
-                        }
-                    }
-                    remix_exec::TaskResult::Interrupted(interruption)
-                }
-                Err(e) => remix_exec::TaskResult::Done(Err(e)),
-            }
-        },
-        |_, _| {},
-    );
-    let mut slots: Vec<Option<OperatingPoint>> = (0..values.len()).map(|_| None).collect();
-    for (i, outcome) in run.outcomes {
-        match outcome {
-            remix_exec::TaskOutcome::Done(Ok(op)) => slots[i] = Some(*op),
-            // A hard (non-budget) error at any point fails the sweep,
-            // matching the strict serial contract.
-            remix_exec::TaskOutcome::Done(Err(e)) => return Err(e),
-            remix_exec::TaskOutcome::Failed(trace) => {
-                return Err(AnalysisError::NoConvergence {
-                    context: format!("dc sweep point {i}"),
-                    iterations: 0,
-                    trace: crate::convergence::ConvergenceTrace::new(trace),
-                });
-            }
-        }
-    }
-    let mut points = Vec::with_capacity(values.len());
-    for slot in &mut slots {
-        match slot.take() {
-            Some(op) => points.push(op),
-            None => break,
-        }
-    }
-    let completed = points.len();
-    let result = DcSweepResult {
-        values: values[..completed].to_vec(),
-        points,
-    };
-    Ok(match run.interrupted {
-        None => Partial::complete(result),
-        Some(interruption) => {
-            let trace = first_trace.lock().ok().and_then(|mut slot| slot.take());
-            let interrupted = match trace {
-                Some(trace) => Interrupted {
-                    interruption,
-                    trace,
-                },
-                None => {
-                    Interrupted::at("dc sweep", TraceStage::Dc(StageKind::Direct), interruption)
-                }
-            };
-            Partial::interrupted(result, interrupted)
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,75 +303,5 @@ mod tests {
             dc_sweep(&c, "r", &[0.0], &OpOptions::default()),
             Err(AnalysisError::UnknownProbe { .. })
         ));
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial_for_any_worker_count() {
-        use remix_circuit::MosModel;
-        let mut c = Circuit::new();
-        let vdd = c.node("vdd");
-        let inp = c.node("in");
-        let out = c.node("out");
-        c.add_vsource("vdd", vdd, Circuit::gnd(), Waveform::Dc(1.2));
-        c.add_vsource("vin", inp, Circuit::gnd(), Waveform::Dc(0.0));
-        c.add_mosfet("mp", MosModel::pmos_65nm(), 4e-6, 65e-9, out, inp, vdd, vdd);
-        c.add_mosfet(
-            "mn",
-            MosModel::nmos_65nm(),
-            2e-6,
-            65e-9,
-            out,
-            inp,
-            Circuit::gnd(),
-            Circuit::gnd(),
-        );
-        let vals: Vec<f64> = (0..=12).map(|k| k as f64 * 0.1).collect();
-        let serial = dc_sweep(&c, "vin", &vals, &OpOptions::default()).unwrap();
-        for workers in [1usize, 2, 5] {
-            let pool = remix_exec::PoolOptions::with_parallelism(remix_exec::Parallelism::Workers(
-                workers,
-            ));
-            let partial =
-                dc_sweep_parallel(&c, "vin", &vals, &OpOptions::default(), &pool).unwrap();
-            assert!(partial.is_complete(), "workers={workers}");
-            assert_eq!(partial.value.values, serial.values);
-            assert_eq!(partial.value.points.len(), serial.points.len());
-            for (p, s) in partial.value.points.iter().zip(serial.points.iter()) {
-                assert!((p.voltage(out) - s.voltage(out)).abs() < 1e-15);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_sweep_reports_budget_prefix_and_bad_probe() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        let b = c.node("b");
-        c.add_vsource("vin", a, Circuit::gnd(), Waveform::Dc(0.0));
-        c.add_resistor("r1", a, b, 1e3);
-        c.add_resistor("r2", b, Circuit::gnd(), 1e3);
-        let vals = [0.0, 0.5, 1.0, 1.5];
-        let pool = remix_exec::PoolOptions::with_parallelism(remix_exec::Parallelism::Workers(2));
-        assert!(matches!(
-            dc_sweep_parallel(&c, "zap", &vals, &OpOptions::default(), &pool),
-            Err(AnalysisError::UnknownProbe { .. })
-        ));
-        let token = remix_exec::RunBudget::unlimited()
-            .with_newton_iterations(5)
-            .token();
-        let _guard = token.arm();
-        let partial = dc_sweep_parallel(&c, "vin", &vals, &OpOptions::default(), &pool).unwrap();
-        assert!(!partial.is_complete());
-        assert!(partial.value.points.len() < vals.len());
-        assert_eq!(partial.value.values.len(), partial.value.points.len());
-        for (vin, vout) in partial.value.voltage_curve(b) {
-            assert!((vout - vin / 2.0).abs() < 1e-9, "({vin}, {vout})");
-        }
-        let why = partial.interruption.as_ref().unwrap();
-        assert_eq!(
-            why.interruption,
-            remix_exec::Interruption::NewtonIterations { limit: 5 }
-        );
-        assert!(!why.trace.is_empty());
     }
 }

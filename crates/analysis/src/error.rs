@@ -189,27 +189,6 @@ impl AnalysisError {
             AnalysisError::Lint(_) | AnalysisError::UnknownProbe { .. } => None,
         }
     }
-
-    /// Replaces the attached trace (no-op on variants without one).
-    pub fn with_trace(mut self, new: ConvergenceTrace) -> Self {
-        match &mut self {
-            AnalysisError::Singular { trace, .. }
-            | AnalysisError::NoConvergence { trace, .. }
-            | AnalysisError::StepSizeUnderflow { trace, .. }
-            | AnalysisError::BudgetExceeded { trace, .. } => *trace = new,
-            AnalysisError::Lint(_) | AnalysisError::UnknownProbe { .. } => {}
-        }
-        self
-    }
-
-    /// Attaches a structural diagnosis (no-op on non-`Singular`
-    /// variants).
-    pub fn with_diagnosis(mut self, lines: Vec<String>) -> Self {
-        if let AnalysisError::Singular { diagnosis, .. } = &mut self {
-            *diagnosis = lines;
-        }
-        self
-    }
 }
 
 impl fmt::Display for AnalysisError {
@@ -361,9 +340,16 @@ mod tests {
         let mut a = StageAttempt::new(TraceStage::Dc(StageKind::Direct));
         a.outcome = AttemptOutcome::Singular { step: 2 };
         trace.push(a);
-        let e = AnalysisError::singular(FactorError::Singular { step: 2 })
-            .with_diagnosis(vec!["ERC012: node n1 row is structurally empty".into()])
-            .with_trace(trace.clone());
+        let mut e = AnalysisError::singular(FactorError::Singular { step: 2 });
+        if let AnalysisError::Singular {
+            diagnosis,
+            trace: attached,
+            ..
+        } = &mut e
+        {
+            *diagnosis = vec!["ERC012: node n1 row is structurally empty".into()];
+            *attached = trace;
+        }
         let text = e.to_string();
         assert!(text.contains("ERC012"), "{text}");
         assert!(text.contains("convergence trace"), "{text}");
@@ -400,13 +386,5 @@ mod tests {
         assert!(text.contains("run budget exceeded"), "{text}");
         assert!(text.contains("3/11"), "{text}");
         assert!(text.contains("convergence trace"), "{text}");
-    }
-
-    #[test]
-    fn with_trace_is_noop_on_untraced_variants() {
-        let e = AnalysisError::UnknownProbe { probe: "x".into() };
-        let t = ConvergenceTrace::new("anything");
-        assert_eq!(e.clone().with_trace(t), e);
-        assert!(e.trace().is_none());
     }
 }

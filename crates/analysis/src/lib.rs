@@ -54,15 +54,14 @@ pub mod report;
 pub mod stamp;
 pub mod tran;
 pub mod trannoise;
-pub mod twoport;
 
-pub use ac::{ac_sweep, lin_space, log_space, AcResult};
-pub use acnoise::{noise_figure_db, noise_sources, output_noise, NoiseKind, NoiseResult};
+pub use ac::{ac_sweep, log_space, AcResult};
+pub use acnoise::{noise_sources, output_noise, NoiseKind, NoiseResult};
 pub use convergence::{
     AttemptOutcome, ConvergencePolicy, ConvergenceTrace, StageAttempt, StageKind, TraceStage,
     ILL_CONDITION_RCOND,
 };
-pub use dcsweep::{dc_sweep, dc_sweep_parallel, dc_sweep_partial, DcSweepResult};
+pub use dcsweep::{dc_sweep, dc_sweep_partial, DcSweepResult};
 pub use error::{AnalysisError, PartialProgress};
 #[cfg(feature = "fault-inject")]
 pub use fault::{active_plan, FaultGuard, FaultKind, FaultPlan};
@@ -76,4 +75,3 @@ pub use pss::{periodic_steady_state, PeriodicSteadyState, PssDegrade, PssOptions
 pub use report::{bias_warnings, device_table, node_table};
 pub use tran::{transient, transient_partial, TranOptions, TranResult};
 pub use trannoise::{noise_transient, NoiseTranConfig};
-pub use twoport::{input_impedance, two_port_y, SParams, YParams};

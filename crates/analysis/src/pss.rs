@@ -15,7 +15,7 @@
 
 use crate::error::{AnalysisError, PartialProgress};
 use crate::tran::{transient, TranOptions, TranResult};
-use remix_circuit::{Circuit, ElementId, Node};
+use remix_circuit::{Circuit, ElementId};
 
 /// Graceful-degradation ladder for budgeted PSS runs.
 ///
@@ -108,12 +108,6 @@ pub struct PeriodicSteadyState {
 }
 
 impl PeriodicSteadyState {
-    /// Time-average of a node voltage over the period.
-    pub fn average_voltage(&self, n: Node) -> f64 {
-        let w = self.waveforms.voltage_waveform(n);
-        w.iter().sum::<f64>() / w.len() as f64
-    }
-
     /// Time-average of a voltage-defined element's branch current (A).
     pub fn average_branch_current(&self, id: ElementId) -> f64 {
         let n = self.waveforms.len();
@@ -264,6 +258,10 @@ mod tests {
     use super::*;
     use remix_circuit::{Circuit, Waveform};
 
+    fn average(w: &[f64]) -> f64 {
+        w.iter().sum::<f64>() / w.len() as f64
+    }
+
     #[test]
     fn rc_under_square_drive_reaches_pss() {
         // RC driven by a square wave: PSS is the classic exponential
@@ -290,7 +288,7 @@ mod tests {
         c.add_capacitor("c", out, Circuit::gnd(), 1e-9); // τ = 1 µs ≈ period
         let pss = periodic_steady_state(&c, &PssOptions::new(period)).unwrap();
         assert!(pss.residual < 1e-5);
-        let avg = pss.average_voltage(out);
+        let avg = average(&pss.waveforms.voltage_waveform(out));
         assert!((avg - 0.5).abs() < 0.01, "average {avg}");
         // The PSS ripple matches the closed form for a square-driven RC:
         // ΔV = (1 − e^{−T/2τ})/(1 + e^{−T/2τ}).
@@ -370,7 +368,7 @@ mod tests {
         let pss = periodic_steady_state(&c, &opts).unwrap();
         assert_eq!(pss.steps_per_period_used, 8, "reduced-harmonic rung");
         assert!(pss.residual < 1e-5);
-        let avg = pss.average_voltage(out);
+        let avg = average(&pss.waveforms.voltage_waveform(out));
         assert!((avg - 0.5).abs() < 0.02, "avg {avg}");
     }
 

@@ -89,11 +89,6 @@ impl TranResult {
         vp.iter().zip(vn.iter()).map(|(a, b)| a - b).collect()
     }
 
-    /// Voltage of node `n` at stored index `idx`.
-    pub fn voltage_at(&self, idx: usize, n: Node) -> f64 {
-        self.layout.voltage(&self.solutions[idx], n)
-    }
-
     /// Branch current of a voltage-defined element at stored index `idx`.
     ///
     /// # Panics

@@ -10,8 +10,7 @@
 //!   iterations, every trace attempt, rcond), and a failing point fails
 //!   with the standalone error;
 //! * the sweep makes as many factorizations as the standalone calls, and
-//!   one pivot search fewer per point after the first;
-//! * `dc_sweep_parallel` returns what `dc_sweep` returns.
+//!   one pivot search fewer per point after the first.
 //!
 //! A non-finite sweep value still fails with the standalone lint error.
 
@@ -19,8 +18,8 @@
 
 use proptest::prelude::*;
 use remix_analysis::{
-    dc_operating_point, dc_sweep, dc_sweep_parallel, dc_sweep_partial, AnalysisError,
-    ConvergencePolicy, OpOptions, OperatingPoint, StageKind,
+    dc_operating_point, dc_sweep, dc_sweep_partial, AnalysisError, ConvergencePolicy, OpOptions,
+    OperatingPoint, StageKind,
 };
 use remix_circuit::{Circuit, Element, MosModel, Waveform};
 use remix_telemetry::names::{LU_FACTORIZATIONS, LU_PIVOT_SEARCHES, STAMP_PLANS};
@@ -155,31 +154,6 @@ fn check_sweep(c: &Circuit, values: &[f64], opts: &OpOptions) -> Result<bool, St
         return Err(format!("plain sweep made {swept:?}"));
     }
 
-    // The parallel sweep returns what the serial one returns.
-    let pool = remix_exec::PoolOptions::with_parallelism(remix_exec::Parallelism::Workers(2));
-    match (&sweep, dc_sweep_parallel(c, "vin", values, opts, &pool)) {
-        (Ok(s), Ok(p)) => {
-            let same = p.is_complete()
-                && p.value.values == s.values
-                && p.value.points.len() == s.points.len()
-                && p.value
-                    .points
-                    .iter()
-                    .zip(&s.points)
-                    .all(|(a, b)| same_point(a, b));
-            if !same {
-                return Err("parallel sweep differs from the serial sweep".into());
-            }
-        }
-        (Err(s), Err(p)) if format!("{s:?}") == format!("{p:?}") => {}
-        (s, p) => {
-            return Err(format!(
-                "serial {:?} vs parallel {:?}",
-                s.as_ref().err(),
-                p.as_ref().err()
-            ))
-        }
-    }
     Ok(sweep.is_ok())
 }
 
@@ -283,7 +257,6 @@ fn a_sweep_makes_one_pivot_search_and_one_stamp_plan() {
 fn a_non_finite_sweep_value_fails_with_the_standalone_lint_error() {
     let c = inverter();
     let opts = OpOptions::default();
-    let pool = remix_exec::PoolOptions::with_parallelism(remix_exec::Parallelism::Workers(2));
     // The second value is non-finite; the first (finite) one opens the
     // session, except in the last case, where no session ever opens.
     for values in [
@@ -305,10 +278,6 @@ fn a_non_finite_sweep_value_fails_with_the_standalone_lint_error() {
         expect_lint(
             dc_sweep_partial(&c, "vin", &values, &opts).map(drop),
             "dc_sweep_partial",
-        );
-        expect_lint(
-            dc_sweep_parallel(&c, "vin", &values, &opts, &pool).map(drop),
-            "dc_sweep_parallel",
         );
     }
 }

@@ -89,11 +89,19 @@ pub enum AuditRule {
     /// atomic the pool will share must argue why it needs no
     /// happens-before edge — or be upgraded.
     UnjustifiedRelaxed,
+    /// `AUD010` — a `pub fn` nothing calls: no non-test code in its own
+    /// file and no other file (tests, examples and the benchmark
+    /// harness included) names it, in code or in a doctest. rustc's
+    /// `dead_code` lint never fires on `pub` items, so without this
+    /// rule dead public surface stays compiled and tested forever.
+    /// Checked by [`audit_workspace`](crate::audit_workspace) only: it
+    /// needs the whole workspace to see every caller.
+    UnreferencedPubFn,
 }
 
 impl AuditRule {
     /// Every rule, in code order.
-    pub const ALL: [AuditRule; 9] = [
+    pub const ALL: [AuditRule; 10] = [
         AuditRule::UnwrapInLib,
         AuditRule::PanicInLib,
         AuditRule::ProcessExit,
@@ -103,6 +111,7 @@ impl AuditRule {
         AuditRule::UnregisteredThreadLocal,
         AuditRule::UnknownMetricName,
         AuditRule::UnjustifiedRelaxed,
+        AuditRule::UnreferencedPubFn,
     ];
 
     /// The stable textual code (`AUD001_UNWRAP_IN_LIB`, …).
@@ -117,6 +126,7 @@ impl AuditRule {
             AuditRule::UnregisteredThreadLocal => "AUD007_UNREGISTERED_THREAD_LOCAL",
             AuditRule::UnknownMetricName => "AUD008_UNKNOWN_METRIC_NAME",
             AuditRule::UnjustifiedRelaxed => "AUD009_UNJUSTIFIED_RELAXED",
+            AuditRule::UnreferencedPubFn => "AUD010_UNREFERENCED_PUB_FN",
         }
     }
 
@@ -149,6 +159,7 @@ impl AuditRule {
             AuditRule::UnregisteredThreadLocal => "thread_local! missing from the RAII catalog",
             AuditRule::UnknownMetricName => "metric name literal outside telemetry::names",
             AuditRule::UnjustifiedRelaxed => "Ordering::Relaxed without a relaxed-ok justification",
+            AuditRule::UnreferencedPubFn => "pub fn that no code, test, example or doctest calls",
         }
     }
 }

@@ -18,8 +18,9 @@
 
 use crate::catalog;
 use crate::diag::{AuditConfig, AuditReport, AuditRule, Finding, Severity};
+use crate::reach::unreferenced_pub_fns;
 use crate::scan::{scan_source, ScannedFile};
-use crate::workspace::workspace_sources;
+use crate::workspace::{reference_sources, workspace_sources};
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -52,24 +53,7 @@ const NAMES_CATALOG: &str = "crates/telemetry/src/names.rs";
 pub fn audit_file(file: &ScannedFile, config: &AuditConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut emit = |rule: AuditRule, index: usize, message: String, f: &ScannedFile| {
-        let severity = config.severity(rule);
-        if severity == Severity::Allow {
-            return;
-        }
-        if rule.suppressible() {
-            let marker = format!("audit: allow({})", short_code(rule));
-            if f.has_marker(index, &marker) {
-                return;
-            }
-        }
-        findings.push(Finding {
-            rule,
-            severity,
-            file: f.path.clone(),
-            line: f.lines[index].number,
-            message,
-            snippet: f.lines[index].raw.trim().to_string(),
-        });
+        findings.extend(finding(config, rule, f, index, message));
     };
 
     for (i, line) in file.lines.iter().enumerate() {
@@ -226,6 +210,34 @@ pub fn audit_file(file: &ScannedFile, config: &AuditConfig) -> Vec<Finding> {
     findings
 }
 
+/// The finding `rule` makes at line `index` of `file`, unless the rule
+/// is configured off or an inline `// audit: allow(AUDnnn): <why>`
+/// marker justifies the line.
+pub(crate) fn finding(
+    config: &AuditConfig,
+    rule: AuditRule,
+    file: &ScannedFile,
+    index: usize,
+    message: String,
+) -> Option<Finding> {
+    let severity = config.severity(rule);
+    if severity == Severity::Allow {
+        return None;
+    }
+    if rule.suppressible() && file.has_marker(index, &format!("audit: allow({})", short_code(rule)))
+    {
+        return None;
+    }
+    Some(Finding {
+        rule,
+        severity,
+        file: file.path.clone(),
+        line: file.lines[index].number,
+        message,
+        snippet: file.lines[index].raw.trim().to_string(),
+    })
+}
+
 /// Audits in-memory sources: `(workspace-relative path, text)` pairs.
 pub fn audit_sources<'a, I>(sources: I, config: &AuditConfig) -> AuditReport
 where
@@ -242,16 +254,27 @@ where
 }
 
 /// Audits the workspace rooted at `root`: walks the covered sources
-/// (see [`workspace_sources`]) and runs every rule.
+/// (see [`workspace_sources`]) and runs every rule, including the
+/// cross-file `AUD010_UNREFERENCED_PUB_FN`, whose callers may also live
+/// in files the audit does not itself check: `tests/`, `examples/`,
+/// each crate's `tests/` and `examples/`, and `perfbench/src/`.
 pub fn audit_workspace(root: &Path, config: &AuditConfig) -> io::Result<AuditReport> {
-    let paths = workspace_sources(root)?;
+    let scan_all = |paths: Vec<String>| -> io::Result<Vec<ScannedFile>> {
+        paths
+            .iter()
+            .map(|rel| Ok(scan_source(rel, &fs::read_to_string(root.join(rel))?)))
+            .collect()
+    };
+    let audited = scan_all(workspace_sources(root)?)?;
     let mut report = AuditReport::default();
-    for rel in &paths {
-        let text = fs::read_to_string(root.join(rel))?;
-        let scanned = scan_source(rel, &text);
-        report.findings.extend(audit_file(&scanned, config));
-        report.files_scanned += 1;
+    for scanned in &audited {
+        report.findings.extend(audit_file(scanned, config));
     }
+    report.files_scanned = audited.len();
+    let corpus = scan_all(reference_sources(root)?)?;
+    report
+        .findings
+        .extend(unreferenced_pub_fns(&audited, &corpus, config));
     report.sort();
     Ok(report)
 }

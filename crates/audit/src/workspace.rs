@@ -39,6 +39,34 @@ pub fn workspace_sources(root: &Path) -> io::Result<Vec<String>> {
             }
         }
     }
+    Ok(relative_sorted(root, &found))
+}
+
+/// The files that may call library code without being audited
+/// themselves — integration tests, examples and the benchmark harness —
+/// as sorted workspace-relative paths. `AUD010_UNREFERENCED_PUB_FN`
+/// counts their references so nothing they compile against is dead.
+pub(crate) fn reference_sources(root: &Path) -> io::Result<Vec<String>> {
+    let mut dirs = vec![
+        root.join("tests"),
+        root.join("examples"),
+        root.join("perfbench/src"),
+    ];
+    let crates = root.join("crates");
+    if crates.is_dir() {
+        for member in fs::read_dir(&crates)?.filter_map(|e| e.ok()) {
+            dirs.push(member.path().join("tests"));
+            dirs.push(member.path().join("examples"));
+        }
+    }
+    let mut found = Vec::new();
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        collect(dir, &mut found)?;
+    }
+    Ok(relative_sorted(root, &found))
+}
+
+fn relative_sorted(root: &Path, found: &[PathBuf]) -> Vec<String> {
     let mut rel: Vec<String> = found
         .iter()
         .filter_map(|p| p.strip_prefix(root).ok())
@@ -51,7 +79,7 @@ pub fn workspace_sources(root: &Path) -> io::Result<Vec<String>> {
         .collect();
     rel.sort();
     rel.dedup();
-    Ok(rel)
+    rel
 }
 
 const SKIP_DIRS: &[&str] = &[
@@ -105,5 +133,23 @@ mod tests {
         let mut sorted = files.clone();
         sorted.sort();
         assert_eq!(files, sorted, "deterministic order");
+    }
+
+    #[test]
+    fn reference_corpus_covers_callers_outside_the_audit() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let files = reference_sources(&root).expect("walk");
+        for expected in [
+            "tests/audit_gate.rs",
+            "examples/quickstart.rs",
+            "crates/audit/tests/workspace_clean.rs",
+            "perfbench/src/main.rs",
+        ] {
+            assert!(files.iter().any(|f| f == expected), "{expected} missing");
+        }
+        assert!(
+            files.iter().all(|f| !f.contains("/fixtures/")),
+            "violation fixtures are not callers"
+        );
     }
 }

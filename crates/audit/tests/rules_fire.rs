@@ -64,7 +64,10 @@ fn every_rule_has_a_fixture() {
     // every rule has at least one fixture (keyed by its `aud00N_`
     // file-name prefix) and every fixture names a real rule — a rule
     // may have several fixtures (AUD007 proves both the generic and
-    // the pool-lookalike conviction).
+    // the pool-lookalike conviction). AUD010 is the exception: it
+    // judges a function by the other files that call it, so it runs
+    // only over a whole workspace and its unit tests build in-memory
+    // corpora instead of a one-file fixture.
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let mut covered = std::collections::BTreeSet::new();
     for entry in std::fs::read_dir(dir).expect("fixtures dir") {
@@ -77,9 +80,13 @@ fn every_rule_has_a_fixture() {
         );
         covered.insert(prefix);
     }
+    let per_file_rules = AuditRule::ALL
+        .iter()
+        .filter(|r| **r != AuditRule::UnreferencedPubFn)
+        .count();
     assert_eq!(
         covered.len(),
-        AuditRule::ALL.len(),
+        per_file_rules,
         "one fixture prefix per rule, no orphans: {covered:?}"
     );
 }

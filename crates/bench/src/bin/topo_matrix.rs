@@ -1,7 +1,7 @@
 //! Study matrix over the `remix-topo` circuit families: Monte-Carlo
-//! mismatch and process corners for every family, plus a parallel DC
-//! bias sweep of the MedRadio front-end — all through the
-//! work-stealing pool behind `REMIX_EXEC_WORKERS`.
+//! mismatch and process corners for every family, through the
+//! work-stealing pool behind `REMIX_EXEC_WORKERS`, plus a DC bias sweep
+//! of the MedRadio front-end as one serial operating-point session.
 //!
 //! ```text
 //! cargo run --release -p remix-bench --bin topo_matrix
@@ -69,11 +69,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Parallel DC transfer sweep: MedRadio amp bias through the
-    // dc_sweep_parallel lane.
+    // DC transfer sweep of the MedRadio amp bias: one serial
+    // operating-point session. The printed label below predates the
+    // session and stays as is, so the output golden does not move.
     let family = Family::MedRadio(MedRadioParams::default());
     let values: Vec<f64> = (0..9).map(|i| 0.16 + 0.02 * i as f64).collect();
-    let sweep = bias_sweep(&family, &values, &pool)?;
+    let sweep = bias_sweep(&family, &values)?;
     if let Some(intr) = &sweep.interruption {
         return Err(format!("bias sweep interrupted: {intr:?}").into());
     }

@@ -30,7 +30,7 @@
 
 use std::path::{Component, Path, PathBuf};
 
-use crate::spice::{parse_spice, SpiceDeck, SpiceParseError};
+use crate::spice::SpiceParseError;
 
 /// Maximum `.include` nesting depth (the root file is depth 0).
 pub const INCLUDE_MAX_DEPTH: usize = 8;
@@ -42,7 +42,7 @@ pub const INCLUDE_MAX_BYTES: usize = 4 * 1024 * 1024;
 /// Flattens every `.include`/`.inc` directive in `text`, resolving
 /// paths relative to `root` (the deck's directory) and confining all
 /// reads to it. Returns the flattened deck text, ready for
-/// [`parse_spice`].
+/// [`parse_spice`](crate::spice::parse_spice).
 ///
 /// Nested includes resolve relative to *their own* file's directory,
 /// but the containment check is always against `root`. `.lib` is not
@@ -70,25 +70,6 @@ pub fn resolve_includes(text: &str, root: &Path) -> Result<String, SpiceParseErr
     let mut stack: Vec<PathBuf> = Vec::new();
     resolve_into(text, &root_canon, &root_canon, &mut stack, &mut out)?;
     Ok(out)
-}
-
-/// Reads the deck at `path`, resolves its includes relative to the
-/// deck's own directory, and parses the flattened text.
-///
-/// # Errors
-///
-/// [`SpiceParseError::IncludeDenied`] when the deck itself is
-/// unreadable or an include is refused (see [`resolve_includes`]), or
-/// any ordinary parse error from the flattened deck.
-pub fn parse_spice_file(path: &Path) -> Result<SpiceDeck, SpiceParseError> {
-    let text = std::fs::read_to_string(path).map_err(|e| SpiceParseError::IncludeDenied {
-        line: 0,
-        path: path.display().to_string(),
-        reason: format!("deck file is not readable: {e}"),
-    })?;
-    let root = path.parent().unwrap_or_else(|| Path::new("."));
-    let flat = resolve_includes(&text, root)?;
-    parse_spice(&flat)
 }
 
 fn has_include_directive(text: &str) -> bool {
@@ -209,6 +190,7 @@ fn resolve_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spice::parse_spice;
     use std::fs;
 
     struct TempDir(PathBuf);
@@ -258,7 +240,9 @@ mod tests {
             "* top\n.include sub.inc\nv1 in 0 1.2\nr1 in 0 10k\n.end\n",
         );
         dir.write("sub.inc", ".include models/nmos.inc\nr2 in 0 20k\n");
-        let deck = parse_spice_file(&dir.path().join("top.cir")).expect("parse");
+        let top = std::fs::read_to_string(dir.path().join("top.cir")).expect("read");
+        let flat = resolve_includes(&top, dir.path()).expect("resolve");
+        let deck = parse_spice(&flat).expect("parse");
         // v1 plus the two resistors — one of them pulled in two levels
         // deep through models/nmos.inc's sibling include.
         assert_eq!(deck.circuit.elements().len(), 3);
@@ -390,7 +374,8 @@ mod tests {
     fn lib_stays_refused_even_through_resolution() {
         let dir = TempDir::new("lib");
         dir.write("top.cir", ".lib corners.lib tt\nv1 a 0 1\n.end\n");
-        let err = parse_spice_file(&dir.path().join("top.cir")).unwrap_err();
+        let top = std::fs::read_to_string(dir.path().join("top.cir")).expect("read");
+        let err = parse_spice(&resolve_includes(&top, dir.path()).expect("resolve")).unwrap_err();
         assert!(matches!(err, SpiceParseError::UnsupportedInclude { .. }));
     }
 }

@@ -48,7 +48,7 @@ pub mod waveform;
 pub use dot::to_dot;
 pub use element::{Element, Mosfet};
 pub use expr::{eval_expr, expr_idents, parse_value, ExprError};
-pub use include::{parse_spice_file, resolve_includes, INCLUDE_MAX_BYTES, INCLUDE_MAX_DEPTH};
+pub use include::{resolve_includes, INCLUDE_MAX_BYTES, INCLUDE_MAX_DEPTH};
 pub use mna::{stamp_conductance, stamp_current, stamp_transconductance, MnaLayout};
 pub use mos::{MosCaps, MosEval, MosModel, MosPolarity, MosRegion};
 pub use netlist::{Circuit, CircuitError, CircuitStats};

@@ -5,9 +5,7 @@
 //! [`CircuitError`] is recorded in [`Circuit::defects`], so a broken deck
 //! stays inspectable and the `remix-lint` ERC engine can report *every*
 //! problem at once (rules `ERC008_INVALID_VALUE` /
-//! `ERC009_DUPLICATE_NAME`). Callers that want fail-fast behaviour use
-//! the `try_add_*` variants, which return the same typed errors and leave
-//! the circuit untouched on rejection.
+//! `ERC009_DUPLICATE_NAME`).
 
 use crate::element::{Element, Mosfet};
 use crate::mos::MosModel;
@@ -344,16 +342,6 @@ impl Circuit {
         }
     }
 
-    fn check_unique(&self, name: &str) -> Result<(), CircuitError> {
-        if self.element_names.contains_key(name) {
-            Err(CircuitError::DuplicateName {
-                name: name.to_string(),
-            })
-        } else {
-            Ok(())
-        }
-    }
-
     fn record(&mut self, check: Result<(), CircuitError>) {
         if let Err(defect) = check {
             self.defects.push(defect);
@@ -406,79 +394,24 @@ impl Circuit {
     }
 
     /// Adds a resistor. A non-positive or non-finite `r` is recorded as a
-    /// defect (see [`Circuit::defects`]); use
-    /// [`try_add_resistor`](Circuit::try_add_resistor) to reject instead.
+    /// defect (see [`Circuit::defects`]).
     pub fn add_resistor(&mut self, name: &str, a: Node, b: Node, r: f64) -> ElementId {
         self.record(Self::check_positive(name, "resistance", r));
         self.insert(Self::resistor(name, a, b, r))
     }
 
-    /// Fallible [`add_resistor`](Circuit::add_resistor): rejects bad
-    /// values and duplicate names without touching the circuit.
-    ///
-    /// # Errors
-    ///
-    /// [`CircuitError::InvalidValue`] or [`CircuitError::DuplicateName`].
-    pub fn try_add_resistor(
-        &mut self,
-        name: &str,
-        a: Node,
-        b: Node,
-        r: f64,
-    ) -> Result<ElementId, CircuitError> {
-        Self::check_positive(name, "resistance", r)?;
-        self.check_unique(name)?;
-        Ok(self.insert(Self::resistor(name, a, b, r)))
-    }
-
     /// Adds a capacitor. A non-positive or non-finite `c` is recorded as
-    /// a defect; use [`try_add_capacitor`](Circuit::try_add_capacitor) to
-    /// reject instead.
+    /// a defect.
     pub fn add_capacitor(&mut self, name: &str, a: Node, b: Node, c: f64) -> ElementId {
         self.record(Self::check_positive(name, "capacitance", c));
         self.insert(Self::capacitor(name, a, b, c))
     }
 
-    /// Fallible [`add_capacitor`](Circuit::add_capacitor).
-    ///
-    /// # Errors
-    ///
-    /// [`CircuitError::InvalidValue`] or [`CircuitError::DuplicateName`].
-    pub fn try_add_capacitor(
-        &mut self,
-        name: &str,
-        a: Node,
-        b: Node,
-        c: f64,
-    ) -> Result<ElementId, CircuitError> {
-        Self::check_positive(name, "capacitance", c)?;
-        self.check_unique(name)?;
-        Ok(self.insert(Self::capacitor(name, a, b, c)))
-    }
-
     /// Adds an inductor. A non-positive or non-finite `l` is recorded as
-    /// a defect; use [`try_add_inductor`](Circuit::try_add_inductor) to
-    /// reject instead.
+    /// a defect.
     pub fn add_inductor(&mut self, name: &str, a: Node, b: Node, l: f64) -> ElementId {
         self.record(Self::check_positive(name, "inductance", l));
         self.insert(Self::inductor(name, a, b, l))
-    }
-
-    /// Fallible [`add_inductor`](Circuit::add_inductor).
-    ///
-    /// # Errors
-    ///
-    /// [`CircuitError::InvalidValue`] or [`CircuitError::DuplicateName`].
-    pub fn try_add_inductor(
-        &mut self,
-        name: &str,
-        a: Node,
-        b: Node,
-        l: f64,
-    ) -> Result<ElementId, CircuitError> {
-        Self::check_positive(name, "inductance", l)?;
-        self.check_unique(name)?;
-        Ok(self.insert(Self::inductor(name, a, b, l)))
     }
 
     /// Adds a voltage source with no AC component.
@@ -576,8 +509,7 @@ impl Circuit {
     }
 
     /// Adds a MOSFET. Non-positive or non-finite `w`/`l` are recorded as
-    /// defects; use [`try_add_mosfet`](Circuit::try_add_mosfet) to reject
-    /// instead.
+    /// defects.
     #[allow(clippy::too_many_arguments)]
     pub fn add_mosfet(
         &mut self,
@@ -604,40 +536,6 @@ impl Circuit {
                 b,
             },
         })
-    }
-
-    /// Fallible [`add_mosfet`](Circuit::add_mosfet).
-    ///
-    /// # Errors
-    ///
-    /// [`CircuitError::InvalidValue`] or [`CircuitError::DuplicateName`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_add_mosfet(
-        &mut self,
-        name: &str,
-        model: MosModel,
-        w: f64,
-        l: f64,
-        d: Node,
-        g: Node,
-        s: Node,
-        b: Node,
-    ) -> Result<ElementId, CircuitError> {
-        Self::check_positive(name, "width", w)?;
-        Self::check_positive(name, "length", l)?;
-        self.check_unique(name)?;
-        Ok(self.insert(Element::Mos {
-            name: name.to_string(),
-            dev: Mosfet {
-                model,
-                w,
-                l,
-                d,
-                g,
-                s,
-                b,
-            },
-        }))
     }
 }
 
@@ -725,44 +623,6 @@ mod tests {
             }
             other => panic!("expected InvalidValue, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn try_add_rejects_without_inserting() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        assert!(matches!(
-            c.try_add_resistor("r1", a, Circuit::gnd(), f64::NAN),
-            Err(CircuitError::InvalidValue { .. })
-        ));
-        assert_eq!(c.element_count(), 0);
-        c.try_add_resistor("r1", a, Circuit::gnd(), 1e3).unwrap();
-        assert!(matches!(
-            c.try_add_resistor("r1", a, Circuit::gnd(), 2e3),
-            Err(CircuitError::DuplicateName { .. })
-        ));
-        assert_eq!(c.element_count(), 1);
-        assert!(c.defects().is_empty());
-
-        assert!(c
-            .try_add_capacitor("c_bad", a, Circuit::gnd(), 0.0)
-            .is_err());
-        assert!(c
-            .try_add_inductor("l_bad", a, Circuit::gnd(), -2.0)
-            .is_err());
-        assert!(c
-            .try_add_mosfet(
-                "m_bad",
-                MosModel::nmos_65nm(),
-                -1e-6,
-                65e-9,
-                a,
-                a,
-                Circuit::gnd(),
-                Circuit::gnd(),
-            )
-            .is_err());
-        assert_eq!(c.element_count(), 1);
     }
 
     #[test]

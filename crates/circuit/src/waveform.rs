@@ -152,39 +152,6 @@ impl Waveform {
             Waveform::TwoTone { offset, .. } => offset,
         }
     }
-
-    /// Time points where the waveform has corners; the transient engine
-    /// must not step across these (breakpoints).
-    pub fn breakpoints(&self, t_stop: f64) -> Vec<f64> {
-        match *self {
-            Waveform::Dc(_) | Waveform::Sin { .. } | Waveform::TwoTone { .. } => vec![],
-            Waveform::Pulse {
-                delay,
-                rise,
-                fall,
-                width,
-                period,
-                ..
-            } => {
-                let mut pts = Vec::new();
-                let mut base = delay;
-                loop {
-                    for edge in [0.0, rise, rise + width, rise + width + fall] {
-                        let t = base + edge;
-                        if t > t_stop {
-                            return pts;
-                        }
-                        pts.push(t);
-                    }
-                    if !period.is_finite() {
-                        return pts;
-                    }
-                    base += period;
-                }
-            }
-            Waveform::Pwl(ref p) => p.iter().map(|(t, _)| *t).filter(|&t| t <= t_stop).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -197,7 +164,6 @@ mod tests {
         assert_eq!(w.eval(0.0), 1.2);
         assert_eq!(w.eval(1e9), 1.2);
         assert_eq!(w.dc_value(), 1.2);
-        assert!(w.breakpoints(1.0).is_empty());
     }
 
     #[test]
@@ -242,26 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn pulse_breakpoints() {
-        let w = Waveform::Pulse {
-            v1: 0.0,
-            v2: 1.0,
-            delay: 0.0,
-            rise: 0.1,
-            fall: 0.1,
-            width: 0.3,
-            period: 1.0,
-        };
-        let bps = w.breakpoints(1.2);
-        assert!(bps.contains(&0.0));
-        assert!(bps.contains(&0.1));
-        assert!(bps.contains(&0.4));
-        assert!(bps.contains(&0.5));
-        assert!(bps.contains(&1.0));
-        assert!(bps.iter().all(|&t| t <= 1.2));
-    }
-
-    #[test]
     fn pwl_interpolation() {
         let w = Waveform::Pwl(vec![(0.0, 0.0), (1.0, 2.0), (2.0, 1.0)]);
         assert_eq!(w.eval(-1.0), 0.0);
@@ -269,7 +215,6 @@ mod tests {
         assert_eq!(w.eval(1.5), 1.5);
         assert_eq!(w.eval(3.0), 1.0);
         assert_eq!(w.dc_value(), 0.0);
-        assert_eq!(w.breakpoints(1.5), vec![0.0, 1.0]);
     }
 
     #[test]

@@ -33,13 +33,6 @@ pub fn nmos_vgs_for_current(
     brent(id_at, 0.0, vdd, 1e-9).expect("current is monotone in vgs") // audit: allow(AUD001): the bracket is asserted two lines up; Brent cannot fail on a sign-changing interval
 }
 
-/// Saturation check: `true` if an NMOS at the given bias has
-/// `vds > vgs − vth` (current-source quality).
-pub fn nmos_is_saturated(model: &MosModel, vgs: f64, vds: f64) -> bool {
-    let (vth, _) = model.threshold(0.0);
-    vds > vgs - vth
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,12 +61,5 @@ mod tests {
     fn impossible_target_panics() {
         let m = MosModel::nmos_65nm();
         let _ = nmos_vgs_for_current(&m, 1e-6, 130e-9, 0.2, 1.0, 1.2);
-    }
-
-    #[test]
-    fn saturation_check() {
-        let m = MosModel::nmos_65nm();
-        assert!(nmos_is_saturated(&m, 0.5, 0.3));
-        assert!(!nmos_is_saturated(&m, 0.9, 0.3));
     }
 }

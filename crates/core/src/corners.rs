@@ -85,24 +85,6 @@ pub struct Corner {
 }
 
 impl Corner {
-    /// Typical corner at 27 °C, nominal supply.
-    pub fn typical() -> Self {
-        Corner {
-            process: ProcessCorner::Tt,
-            temp_c: 27.0,
-            vdd: None,
-        }
-    }
-
-    /// The conventional worst-speed point (SS, hot, low supply).
-    pub fn slow_hot(vdd_drop: f64) -> impl Fn(&MixerConfig) -> Corner {
-        move |cfg| Corner {
-            process: ProcessCorner::Ss,
-            temp_c: 85.0,
-            vdd: Some(cfg.vdd - vdd_drop),
-        }
-    }
-
     fn scale_model(m: &MosModel, fast_sign: f64, temp_c: f64) -> MosModel {
         let t = temp_c + 273.15;
         let t0 = 300.0;
@@ -254,31 +236,10 @@ impl StudyRecord for CornerOutcome {
     }
 }
 
-/// Runs the full extraction flow at every requested corner, isolating
-/// failures: a corner that refuses to converge is recorded with its
-/// convergence trace and the sweep continues to the next corner instead
-/// of aborting the design review at the first casualty.
-pub fn sweep_corners(base: &MixerConfig, corners: &[Corner]) -> CornerSweep {
-    sweep_corners_resumable(base, corners, None).value
-}
-
-/// [`sweep_corners`] with checkpoint/resume and run-budget awareness,
-/// on the default (serial) pool.
-pub fn sweep_corners_resumable(
-    base: &MixerConfig,
-    corners: &[Corner],
-    checkpoint: Option<&Path>,
-) -> Partial<CornerSweep> {
-    sweep_corners_resumable_with(
-        base,
-        corners,
-        checkpoint,
-        &remix_exec::PoolOptions::default(),
-    )
-}
-
-/// [`sweep_corners`] with checkpoint/resume, run-budget awareness and
-/// an explicit [`remix_exec::PoolOptions`] — the parallel entry point.
+/// Runs the full extraction flow at every requested corner on `pool`,
+/// isolating failures: a corner that refuses to converge is recorded
+/// with its convergence trace and the sweep continues to the next corner
+/// instead of aborting the design review at the first casualty.
 ///
 /// The sweep runs on [`crate::study::run_study`]. When
 /// `checkpoint` names a file, every completed corner (pass *or* fail)
@@ -378,6 +339,29 @@ mod tests {
     use crate::model::{ExtractedParams, MixerModel};
     use crate::MixerMode;
 
+    /// The sweep on the default (serial) pool.
+    fn serial_sweep(
+        base: &MixerConfig,
+        corners: &[Corner],
+        checkpoint: Option<&Path>,
+    ) -> Partial<CornerSweep> {
+        sweep_corners_resumable_with(
+            base,
+            corners,
+            checkpoint,
+            &remix_exec::PoolOptions::default(),
+        )
+    }
+
+    /// Typical corner at 27 °C, nominal supply.
+    fn typical() -> Corner {
+        Corner {
+            process: ProcessCorner::Tt,
+            temp_c: 27.0,
+            vdd: None,
+        }
+    }
+
     #[test]
     fn corner_scaling_laws() {
         let base = MixerConfig::default();
@@ -401,7 +385,7 @@ mod tests {
         assert!(hot.nmos.vt0 < base.nmos.vt0, "threshold falls when hot");
         assert!(hot.nmos.kf > base.nmos.kf);
 
-        let tt27 = Corner::typical().apply(&base);
+        let tt27 = typical().apply(&base);
         assert!((tt27.nmos.kp - base.nmos.kp).abs() < 1e-3 * base.nmos.kp);
     }
 
@@ -455,7 +439,7 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("remix_corner_resume_{}.json", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let sweep = sweep_corners_resumable(&base, &[Corner::typical()], Some(&path));
+        let sweep = serial_sweep(&base, &[typical()], Some(&path));
         assert!(sweep.is_complete());
         let sweep = sweep.value;
         assert_eq!(sweep.results.len(), 1);
@@ -468,7 +452,7 @@ mod tests {
 
         // A second invocation restores the corner from the checkpoint
         // bit-for-bit instead of re-extracting.
-        let resumed = sweep_corners_resumable(&base, &[Corner::typical()], Some(&path));
+        let resumed = serial_sweep(&base, &[typical()], Some(&path));
         assert!(resumed.is_complete());
         let resumed = resumed.value;
         assert_eq!(resumed.computed, 0, "completed corners must not re-run");
@@ -486,7 +470,7 @@ mod tests {
             ..base.clone()
         };
         let load = |cfg: &MixerConfig| {
-            let fingerprint = study_config(cfg, &[Corner::typical()]);
+            let fingerprint = study_config(cfg, &[typical()]);
             crate::checkpoint::load_study_any(&path, CORNER_STUDY, &fingerprint, 1)
         };
         assert_eq!(load(&base).map(|records| records.len()), Some(1));
@@ -500,7 +484,7 @@ mod tests {
         let budget = remix_exec::RunBudget::unlimited().with_deadline(std::time::Duration::ZERO);
         let token = budget.token();
         let _guard = token.arm();
-        let partial = sweep_corners_resumable(&base, &[Corner::typical()], None);
+        let partial = serial_sweep(&base, &[typical()], None);
         assert!(!partial.is_complete());
         assert!(partial.value.results.is_empty());
         let why = partial.interruption.as_ref().unwrap();
@@ -522,7 +506,7 @@ mod tests {
         let budget = remix_exec::RunBudget::unlimited().with_newton_iterations(3);
         let token = budget.token();
         let _guard = token.arm();
-        let partial = sweep_corners_resumable(&base, &[Corner::typical()], None);
+        let partial = serial_sweep(&base, &[typical()], None);
         assert!(!partial.is_complete());
         assert_eq!(partial.value.computed, 0);
         let why = partial.interruption.as_ref().unwrap();
@@ -551,7 +535,7 @@ mod tests {
         // not abort (or panic) at the first one.
         let sweep = {
             let _fault = FaultPlan::singular_pivot().arm();
-            sweep_corners(&base, &corners)
+            serial_sweep(&base, &corners, None).value
         };
         assert_eq!(sweep.results.len(), corners.len());
         assert_eq!(sweep.n_ok(), 0);
@@ -564,16 +548,8 @@ mod tests {
             );
         }
         // Disarmed, the same sweep recovers.
-        let healthy = sweep_corners(&base, &corners[..1]);
+        let healthy = serial_sweep(&base, &corners[..1], None).value;
         assert_eq!(healthy.n_ok(), 1);
-    }
-
-    #[test]
-    fn slow_hot_supply_droop() {
-        let base = MixerConfig::default();
-        let worst = Corner::slow_hot(0.1)(&base).apply(&base);
-        assert!((worst.vdd - 1.1).abs() < 1e-12);
-        assert_eq!(Corner::slow_hot(0.1)(&base).process, ProcessCorner::Ss);
     }
 
     #[test]

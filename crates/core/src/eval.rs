@@ -133,6 +133,7 @@ impl MixerEvaluator {
     /// # Errors
     ///
     /// Returns the extraction error when no compression is observed.
+    // audit: allow(AUD010): the measured reference `p1db_measured_close_to_model` checks the model's closed-form P1dB against.
     pub fn p1db_measured(
         &self,
         mode: MixerMode,

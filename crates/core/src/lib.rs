@@ -58,8 +58,7 @@ pub mod tia;
 
 pub use config::{MixerConfig, MixerMode};
 pub use corners::{
-    sweep_corners, sweep_corners_resumable, sweep_corners_resumable_with, Corner, CornerOutcome,
-    CornerSweep, ProcessCorner,
+    sweep_corners_resumable_with, Corner, CornerOutcome, CornerSweep, ProcessCorner,
 };
 pub use eval::MixerEvaluator;
 pub use mixer::{LoDrive, MixerNodes, ReconfigurableMixer, RfDrive};

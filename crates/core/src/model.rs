@@ -409,15 +409,6 @@ impl MixerModel {
         MixerModel { mode, cfg, params }
     }
 
-    /// Convenience: extract and build in one call.
-    ///
-    /// # Errors
-    ///
-    /// Propagates extraction errors.
-    pub fn from_config(cfg: &MixerConfig, mode: MixerMode) -> Result<Self, AnalysisError> {
-        Ok(Self::new(cfg.clone(), mode, ExtractedParams::extract(cfg)?))
-    }
-
     /// The configuration this model was built with.
     pub fn config(&self) -> &MixerConfig {
         &self.cfg

@@ -11,7 +11,7 @@
 //! ## Failure isolation
 //!
 //! A die that fails to converge is data, not a reason to abandon the
-//! study: [`iip2_study`] records a [`SampleOutcome`] per sample — the
+//! study: [`iip2_study_with`] records a [`SampleOutcome`] per sample — the
 //! IIP2 value or the [`ConvergenceTrace`] explaining the failure — keeps
 //! sweeping, and reports yield. Samples draw from *independently seeded*
 //! RNG streams (SplitMix64 of the study seed and the sample index), so a
@@ -208,11 +208,6 @@ impl McStudy {
         self.outcomes.iter().filter(|o| o.is_ok()).count()
     }
 
-    /// Number of failed samples.
-    pub fn n_failed(&self) -> usize {
-        self.outcomes.len() - self.n_ok()
-    }
-
     /// Fraction of samples that solved (1.0 for an empty study).
     pub fn yield_fraction(&self) -> f64 {
         if self.outcomes.is_empty() {
@@ -277,7 +272,7 @@ impl StudyRecord for SampleOutcome {
     }
 }
 
-/// Runs the failure-isolating Monte-Carlo IIP2 study.
+/// Runs the failure-isolating Monte-Carlo IIP2 study on `pool`.
 ///
 /// Every sample is attempted; failures are recorded with their traces
 /// and the sweep continues. When `checkpoint` names a file, each
@@ -290,14 +285,6 @@ impl StudyRecord for SampleOutcome {
 /// with [`McStudy::interrupted`] set and the completed prefix intact;
 /// with a checkpoint, a later invocation finishes only the remaining
 /// samples.
-///
-/// Equivalent to [`iip2_study_with`] on the default (serial) pool.
-pub fn iip2_study(base: &MixerConfig, mm: &MismatchConfig, checkpoint: Option<&Path>) -> McStudy {
-    iip2_study_with(base, mm, checkpoint, &remix_exec::PoolOptions::default())
-}
-
-/// [`iip2_study`] on an explicit [`remix_exec::PoolOptions`] — the
-/// parallel entry point.
 ///
 /// Samples are dispatched to the work-stealing pool; per-sample RNG
 /// seeding plus the pool's ordered telemetry merge make the study's
@@ -372,28 +359,6 @@ pub fn iip2_study_with(
     }
 }
 
-/// Runs the Monte-Carlo IIP2 study; returns one IIP2 (dBm) per sample,
-/// sorted ascending.
-///
-/// # Errors
-///
-/// Fails on the first failed sample, carrying its convergence trace.
-/// Use [`iip2_study`] to sweep past failures instead.
-pub fn iip2_distribution(
-    base: &MixerConfig,
-    mm: &MismatchConfig,
-) -> Result<Vec<f64>, AnalysisError> {
-    let study = iip2_study(base, mm, None);
-    if let Some((i, trace)) = study.failures().next() {
-        return Err(AnalysisError::NoConvergence {
-            context: format!("monte-carlo sample {i}"),
-            iterations: trace.total_iterations(),
-            trace: trace.clone(),
-        });
-    }
-    Ok(study.passed())
-}
-
 /// Summary statistics of a sorted distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistSummary {
@@ -423,6 +388,21 @@ pub fn summarize(sorted: &[f64]) -> DistSummary {
 mod tests {
     use super::*;
 
+    /// The study on the default (serial) pool.
+    fn serial_study(base: &MixerConfig, mm: &MismatchConfig, checkpoint: Option<&Path>) -> McStudy {
+        iip2_study_with(base, mm, checkpoint, &remix_exec::PoolOptions::default())
+    }
+
+    /// The sorted IIP2 (dBm) of every sample of a study none of whose
+    /// samples may fail.
+    fn distribution(base: &MixerConfig, mm: &MismatchConfig) -> Result<Vec<f64>, String> {
+        let study = serial_study(base, mm, None);
+        if let Some((i, trace)) = study.failures().next() {
+            return Err(format!("sample {i} failed:\n{}", trace.render()));
+        }
+        Ok(study.passed())
+    }
+
     #[test]
     fn iip2_distribution_quantifies_matching_requirement() {
         // A finding the single-simulation paper cannot show: with raw
@@ -436,7 +416,7 @@ mod tests {
             n_runs: 12,
             ..MismatchConfig::default()
         };
-        let dist = iip2_distribution(&MixerConfig::default(), &raw).unwrap();
+        let dist = distribution(&MixerConfig::default(), &raw).unwrap();
         assert_eq!(dist.len(), 12);
         let s = summarize(&dist);
         assert!(s.min > 45.0, "worst sample {:.1} dBm", s.min);
@@ -449,7 +429,7 @@ mod tests {
             n_runs: 12,
             ..MismatchConfig::default()
         };
-        let dist2 = iip2_distribution(&MixerConfig::default(), &matched).unwrap();
+        let dist2 = distribution(&MixerConfig::default(), &matched).unwrap();
         let s2 = summarize(&dist2);
         assert!(
             s2.median > 65.0,
@@ -474,11 +454,11 @@ mod tests {
             n_runs: 3,
             ..MismatchConfig::default()
         };
-        let a = iip2_distribution(&MixerConfig::default(), &mm).unwrap();
-        let b = iip2_distribution(&MixerConfig::default(), &mm).unwrap();
+        let a = distribution(&MixerConfig::default(), &mm).unwrap();
+        let b = distribution(&MixerConfig::default(), &mm).unwrap();
         assert_eq!(a, b);
         let mm2 = MismatchConfig { seed: 1, ..mm };
-        let c = iip2_distribution(&MixerConfig::default(), &mm2).unwrap();
+        let c = distribution(&MixerConfig::default(), &mm2).unwrap();
         assert_ne!(a, c);
     }
 
@@ -499,8 +479,8 @@ mod tests {
             fault_sample: None,
         };
         let base = MixerConfig::default();
-        let dt = summarize(&iip2_distribution(&base, &tight).unwrap());
-        let dl = summarize(&iip2_distribution(&base, &loose).unwrap());
+        let dt = summarize(&distribution(&base, &tight).unwrap());
+        let dl = summarize(&distribution(&base, &loose).unwrap());
         assert!(
             dt.median > dl.median,
             "tight {:.1} vs loose {:.1}",
@@ -515,7 +495,7 @@ mod tests {
         // a short study is a strict prefix of a longer one. This is the
         // property checkpoint resume relies on.
         let base = MixerConfig::default();
-        let short = iip2_study(
+        let short = serial_study(
             &base,
             &MismatchConfig {
                 n_runs: 2,
@@ -523,7 +503,7 @@ mod tests {
             },
             None,
         );
-        let long = iip2_study(
+        let long = serial_study(
             &base,
             &MismatchConfig {
                 n_runs: 4,
@@ -554,7 +534,7 @@ mod tests {
                 remix_exec::RunBudget::unlimited().with_deadline(std::time::Duration::ZERO);
             let token = budget.token();
             let _guard = token.arm();
-            iip2_study(&base, &mm, Some(&path))
+            serial_study(&base, &mm, Some(&path))
         };
         assert_eq!(interrupted.computed, 0);
         assert!(interrupted.outcomes.is_empty());
@@ -570,18 +550,18 @@ mod tests {
             let budget = remix_exec::RunBudget::unlimited().with_newton_iterations(150);
             let token = budget.token();
             let _guard = token.arm();
-            iip2_study(&base, &mm, Some(&path))
+            serial_study(&base, &mm, Some(&path))
         };
         assert!(first.interrupted.is_some(), "budget should trip mid-study");
         assert!(
             first.computed < mm.n_runs,
             "interruption must leave samples for the resume"
         );
-        let resumed = iip2_study(&base, &mm, Some(&path));
+        let resumed = serial_study(&base, &mm, Some(&path));
         assert!(resumed.interrupted.is_none());
         assert_eq!(resumed.resumed, first.outcomes.len());
         assert_eq!(resumed.computed, mm.n_runs - first.outcomes.len());
-        let fresh = iip2_study(&base, &mm, None);
+        let fresh = serial_study(&base, &mm, None);
         assert_eq!(
             resumed.outcomes, fresh.outcomes,
             "resume must not change results"
@@ -599,7 +579,7 @@ mod tests {
             n_runs: 2,
             ..MismatchConfig::default()
         };
-        let first = iip2_study(&base, &short, Some(&path));
+        let first = serial_study(&base, &short, Some(&path));
         assert_eq!(first.computed, 2);
         assert_eq!(first.resumed, 0);
 
@@ -607,10 +587,10 @@ mod tests {
             n_runs: 4,
             ..MismatchConfig::default()
         };
-        let second = iip2_study(&base, &full, Some(&path));
+        let second = serial_study(&base, &full, Some(&path));
         assert_eq!(second.resumed, 2, "completed samples must not re-run");
         assert_eq!(second.computed, 2);
-        let fresh = iip2_study(&base, &full, None);
+        let fresh = serial_study(&base, &full, None);
         assert_eq!(
             second.outcomes, fresh.outcomes,
             "resume must not change results"
@@ -632,11 +612,10 @@ mod tests {
             fault_sample: Some(7),
             ..MismatchConfig::default()
         };
-        let study = iip2_study(&base, &mm, Some(&path));
+        let study = serial_study(&base, &mm, Some(&path));
         assert_eq!(study.outcomes.len(), 40);
         assert_eq!(study.computed, 40);
         assert_eq!(study.n_ok(), 39, "only the faulted sample may fail");
-        assert_eq!(study.n_failed(), 1);
         assert!((study.yield_fraction() - 39.0 / 40.0).abs() < 1e-15);
         assert_eq!(study.summary_line(), "yield 39/40 (97.5 %)");
         let failures: Vec<_> = study.failures().collect();
@@ -649,7 +628,7 @@ mod tests {
         assert_eq!(study.passed().len(), 39);
         assert!(study.passed().iter().all(|v| v.is_finite()));
 
-        let resumed = iip2_study(&base, &mm, Some(&path));
+        let resumed = serial_study(&base, &mm, Some(&path));
         assert_eq!(resumed.computed, 0, "nothing may be recomputed");
         assert_eq!(resumed.resumed, 40);
         assert_eq!(resumed.n_ok(), 39);

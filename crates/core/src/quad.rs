@@ -7,7 +7,7 @@
 //! cases; only what drives the sources and what loads the drains changes.
 
 use crate::config::MixerConfig;
-use remix_circuit::{Circuit, ElementId, MosRegion, Node};
+use remix_circuit::{Circuit, ElementId, Node};
 
 /// Handles to the four quad devices.
 ///
@@ -83,33 +83,6 @@ pub fn switch_on_resistance(cfg: &MixerConfig, v_channel: f64) -> f64 {
     }
 }
 
-/// `true` if the switch is hard-off at the LO low level for a channel
-/// near `v_channel` (drain current below `i_off`).
-pub fn switch_is_off(cfg: &MixerConfig, v_channel: f64, i_off: f64) -> bool {
-    let model = &cfg.nmos;
-    let v_gate = cfg.lo_common - cfg.lo_amplitude;
-    let ev = model.evaluate(v_channel + 0.1, v_gate, v_channel, 0.0);
-    (ev.id * cfg.quad_w / cfg.quad_l).abs() < i_off
-}
-
-/// Verifies the quad devices operate as switches (triode when on) at the
-/// configured LO drive; returns the on-resistance.
-pub fn validate_switch_operation(cfg: &MixerConfig, v_channel: f64) -> Result<f64, String> {
-    let model = &cfg.nmos;
-    let v_on = cfg.lo_common + cfg.lo_amplitude;
-    let ev = model.evaluate(v_channel + 1e-3, v_on, v_channel, 0.0);
-    if ev.region != MosRegion::Triode {
-        return Err(format!(
-            "switch not in triode when on (region {:?}, vgate {v_on})",
-            ev.region
-        ));
-    }
-    if !switch_is_off(cfg, v_channel, 1e-6) {
-        return Err("switch conducts at LO low level".to_string());
-    }
-    Ok(switch_on_resistance(cfg, v_channel))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,27 +115,6 @@ mod tests {
         // 12 µm / 65 nm switch with 1.2 V gate, 0.6 V channel: tens of Ω.
         let r = switch_on_resistance(&MixerConfig::default(), 0.6);
         assert!(r > 5.0 && r < 200.0, "ron = {r}");
-    }
-
-    #[test]
-    fn off_state_blocks() {
-        assert!(switch_is_off(&MixerConfig::default(), 0.6, 1e-6));
-    }
-
-    #[test]
-    fn switch_validation_passes_default() {
-        let r = validate_switch_operation(&MixerConfig::default(), 0.6).unwrap();
-        assert!(r.is_finite());
-    }
-
-    #[test]
-    fn weak_lo_fails_validation() {
-        let cfg = MixerConfig {
-            lo_amplitude: 0.05,
-            lo_common: 0.3,
-            ..MixerConfig::default()
-        };
-        assert!(validate_switch_operation(&cfg, 0.6).is_err());
     }
 
     #[test]

@@ -193,17 +193,6 @@ pub fn build_tia(
     h
 }
 
-/// Extracted OTA open-loop parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OtaParams {
-    /// DC open-loop gain.
-    pub a0: f64,
-    /// Unity-gain bandwidth (Hz).
-    pub gbw_hz: f64,
-    /// Supply current when powered (A).
-    pub supply_current: f64,
-}
-
 /// Extracted closed-loop TIA parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TiaParams {
@@ -220,61 +209,6 @@ pub struct TiaParams {
     pub in2_5mhz: f64,
     /// Supply current (A) — the paper says 3.3 mA.
     pub supply_current: f64,
-}
-
-/// Characterizes the OTA in a unity-gain buffer (the open-loop response is
-/// recovered from `H = A/(1+A)`).
-///
-/// # Errors
-///
-/// Propagates analysis errors.
-pub fn characterize_ota(cfg: &MixerConfig) -> Result<OtaParams, AnalysisError> {
-    let mut ckt = Circuit::new();
-    let vdd = ckt.node("vdd");
-    let vin = ckt.node("in");
-    let out = ckt.node("out");
-    let vddsrc = ckt.add_vsource("vdd", vdd, Circuit::gnd(), Waveform::Dc(cfg.vdd));
-    ckt.add_vsource_ac(
-        "vin",
-        vin,
-        Circuit::gnd(),
-        Waveform::Dc(cfg.tca_vcm),
-        1.0,
-        0.0,
-    );
-    build_ota(
-        &mut ckt,
-        "ota",
-        vin,
-        out,
-        out,
-        vdd,
-        cfg,
-        &OtaSizing::default(),
-        true,
-    );
-    let op = dc_operating_point(&ckt, &OpOptions::default())?;
-    let supply_current = -op.branch_current(vddsrc);
-
-    let freqs = log_space(1e3, 10e9, 10);
-    let ac = ac_sweep(&ckt, &op, &freqs)?;
-    // A = H/(1−H) at low frequency for A0.
-    let h0 = ac.voltage(0, out);
-    let one = remix_numerics::Complex::ONE;
-    let a0 = (h0 / (one - h0)).abs();
-    // GBW: frequency where |A| crosses 1 — i.e. |H| ≈ 0.5 (−6 dB).
-    let mags: Vec<f64> = (0..freqs.len())
-        .map(|i| {
-            let h = ac.voltage(i, out);
-            (h / (one - h)).abs()
-        })
-        .collect();
-    let gbw = remix_numerics::interp::first_crossing(&freqs, &mags, 1.0).unwrap_or(10e9);
-    Ok(OtaParams {
-        a0,
-        gbw_hz: gbw,
-        supply_current,
-    })
 }
 
 /// Characterizes the closed-loop TIA against its netlist.
@@ -330,27 +264,6 @@ pub fn characterize_tia(cfg: &MixerConfig) -> Result<TiaParams, AnalysisError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ota_has_high_gain_and_ghz_gbw() {
-        let p = characterize_ota(&MixerConfig::default()).unwrap();
-        assert!(p.a0 > 100.0, "A0 = {}", p.a0);
-        assert!(
-            p.gbw_hz > 100e6 && p.gbw_hz < 10e9,
-            "GBW = {:.3e}",
-            p.gbw_hz
-        );
-    }
-
-    #[test]
-    fn ota_supply_current_milliamp_class() {
-        let p = characterize_ota(&MixerConfig::default()).unwrap();
-        assert!(
-            p.supply_current > 1e-3 && p.supply_current < 6e-3,
-            "i = {} mA",
-            p.supply_current * 1e3
-        );
-    }
 
     #[test]
     fn tia_transimpedance_equals_rf() {

@@ -71,23 +71,6 @@ pub fn fft_real(signal: &[f64]) -> Vec<Complex> {
     data
 }
 
-/// Inverse FFT (in place), scaled by `1/N`.
-///
-/// # Panics
-///
-/// Panics if the length is not a power of two.
-pub fn ifft_in_place(data: &mut [Complex]) {
-    let n = data.len();
-    for z in data.iter_mut() {
-        *z = z.conj();
-    }
-    fft_in_place(data);
-    let scale = 1.0 / n as f64;
-    for z in data.iter_mut() {
-        *z = z.conj().scale(scale);
-    }
-}
-
 /// Single-sided amplitude spectrum of a real signal.
 ///
 /// Returns `n/2 + 1` amplitudes: bin 0 (DC) and the Nyquist bin are not
@@ -115,11 +98,6 @@ pub fn amplitude_spectrum(signal: &[f64]) -> Vec<f64> {
 /// Frequency (Hz) of bin `k` for sample rate `fs` and FFT length `n`.
 pub fn bin_frequency(k: usize, fs: f64, n: usize) -> f64 {
     k as f64 * fs / n as f64
-}
-
-/// Nearest bin index for frequency `f` at sample rate `fs`, length `n`.
-pub fn frequency_bin(f: f64, fs: f64, n: usize) -> usize {
-    (f * n as f64 / fs).round() as usize
 }
 
 #[cfg(test)]
@@ -178,19 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn fft_ifft_roundtrip() {
-        let n = 128;
-        let signal: Vec<f64> = (0..n).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
-        let mut data: Vec<Complex> = signal.iter().map(|&x| Complex::from_re(x)).collect();
-        fft_in_place(&mut data);
-        ifft_in_place(&mut data);
-        for (z, &x) in data.iter().zip(signal.iter()) {
-            assert!((z.re - x).abs() < 1e-10);
-            assert!(z.im.abs() < 1e-10);
-        }
-    }
-
-    #[test]
     fn parseval_energy_conservation() {
         let n = 256;
         let signal: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin() + 0.3).collect();
@@ -219,7 +184,7 @@ mod tests {
         let n = 1024;
         let k = 100;
         let f = bin_frequency(k, fs, n);
-        assert_eq!(frequency_bin(f, fs, n), k);
+        assert_eq!((f * n as f64 / fs).round() as usize, k);
     }
 
     #[test]

@@ -8,15 +8,12 @@
 //! into numbers:
 //!
 //! * [`fft`] — iterative radix-2 FFT with real-signal helpers;
-//! * [`window`] — Hann / Blackman–Harris / flat-top with coherent gain and
-//!   noise-equivalent bandwidth;
+//! * [`window`] — Hann / Blackman–Harris / flat-top with coherent gain;
 //! * [`psd`] — periodogram and Welch PSD estimation;
 //! * [`tone`] — Goertzel single-bin readout and coherent-sampling plans
 //!   (every tone lands exactly on a bin, no leakage);
-//! * [`signal`] — tones, two-tone stimulus, LO square waves, Gaussian and
-//!   1/f noise processes;
-//! * [`units`] — dB/dBm/dBV conversions and the [`Freq`]/[`PowerDbm`]
-//!   newtypes.
+//! * [`signal`] — tones, LO square waves, white and 1/f noise processes;
+//! * [`units`] — dB and dBm conversions.
 //!
 //! # Examples
 //!
@@ -46,5 +43,4 @@ pub use fft::{amplitude_spectrum, fft_real};
 pub use psd::{periodogram, welch, Psd};
 pub use spectrum::Spectrum;
 pub use tone::{goertzel_amplitude, tone_amplitude, CoherentPlan};
-pub use units::{Freq, PowerDbm};
 pub use window::Window;

@@ -1,8 +1,8 @@
 //! Signal generators.
 //!
 //! Stimulus for the behavioral receiver chain and reference waveforms for
-//! simulator tests: single tones, the classic two-tone linearity stimulus,
-//! LO square waves, and Gaussian noise (Box–Muller over `rand`).
+//! simulator tests: single tones, LO square waves, and white and 1/f
+//! noise processes (Box–Muller over `rand`).
 
 use rand::Rng;
 
@@ -14,22 +14,6 @@ pub fn tone(amplitude: f64, freq: f64, phase: f64, fs: f64, n: usize) -> Vec<f64
             amplitude * (2.0 * std::f64::consts::PI * freq * t + phase).cos()
         })
         .collect()
-}
-
-/// Two equal-amplitude tones — the standard IIP3 stimulus.
-pub fn two_tone(amplitude: f64, f1: f64, f2: f64, fs: f64, n: usize) -> Vec<f64> {
-    (0..n)
-        .map(|i| {
-            let t = i as f64 / fs;
-            let w = 2.0 * std::f64::consts::PI;
-            amplitude * ((w * f1 * t).cos() + (w * f2 * t).cos())
-        })
-        .collect()
-}
-
-/// Evaluates a continuous-time tone at time `t` (used by transient sources).
-pub fn tone_at(amplitude: f64, freq: f64, phase: f64, t: f64) -> f64 {
-    amplitude * (2.0 * std::f64::consts::PI * freq * t + phase).cos()
 }
 
 /// Ideal LO square wave at time `t`: returns ±1.
@@ -59,23 +43,6 @@ pub fn lo_soft_square_at(freq: f64, phase: f64, transition: f64, t: f64) -> f64 
     // of a period.
     let k = 1.0 / (std::f64::consts::PI * transition);
     (k * x).tanh()
-}
-
-/// Fills a buffer with zero-mean Gaussian samples of the given standard
-/// deviation (Box–Muller).
-pub fn gaussian_noise<R: Rng>(rng: &mut R, sigma: f64, n: usize) -> Vec<f64> {
-    let mut out = Vec::with_capacity(n);
-    while out.len() < n {
-        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        out.push(sigma * r * theta.cos());
-        if out.len() < n {
-            out.push(sigma * r * theta.sin());
-        }
-    }
-    out
 }
 
 /// A white Gaussian noise *process* sampled on demand — each call to
@@ -204,17 +171,6 @@ mod tests {
             let t = i as f64 / 1000.0;
             assert!((v - 2.0 * (2.0 * PI * 10.0 * t + PI / 4.0).cos()).abs() < 1e-12);
         }
-        assert_eq!(tone_at(2.0, 10.0, PI / 4.0, 0.0), x[0]);
-    }
-
-    #[test]
-    fn two_tone_is_sum() {
-        let a = tone(1.0, 5.0, 0.0, 100.0, 32);
-        let b = tone(1.0, 7.0, 0.0, 100.0, 32);
-        let tt = two_tone(1.0, 5.0, 7.0, 100.0, 32);
-        for i in 0..32 {
-            assert!((tt[i] - (a[i] + b[i])).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -243,16 +199,6 @@ mod tests {
             let v = lo_soft_square_at(1.0, 0.0, 0.2, i as f64 * 0.01);
             assert!(v.abs() <= 1.0 + 1e-12);
         }
-    }
-
-    #[test]
-    fn gaussian_moments() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let x = gaussian_noise(&mut rng, 2.0, 200_000);
-        let mean = remix_numerics::stats::mean(&x);
-        let var = remix_numerics::stats::variance(&x);
-        assert!(mean.abs() < 0.02, "mean = {mean}");
-        assert!((var - 4.0).abs() < 0.1, "var = {var}");
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Spectrum analysis convenience: a one-sided amplitude spectrum with
-//! dBm conversion, peak search, and the classic spectrum-analyzer derived
-//! metrics (SFDR, THD).
+//! dBm conversion, peak search and the largest-tone listing.
 
 use crate::fft::{amplitude_spectrum, bin_frequency};
 use crate::units::{vpeak_to_dbm, Z0};
@@ -71,35 +70,6 @@ impl Spectrum {
         best
     }
 
-    /// Spurious-free dynamic range (dB): the carrier (largest bin) over
-    /// the largest other component, excluding `guard` bins around the
-    /// carrier and DC.
-    pub fn sfdr_db(&self, guard: usize) -> f64 {
-        let (fpk, apk) = self.peak();
-        let df = self.freqs.get(1).copied().unwrap_or(1.0);
-        let kpk = (fpk / df).round() as usize;
-        let mut worst = 0.0f64;
-        for k in 1..self.len() {
-            if k.abs_diff(kpk) <= guard {
-                continue;
-            }
-            worst = worst.max(self.amplitudes[k]);
-        }
-        20.0 * (apk / worst.max(1e-30)).log10()
-    }
-
-    /// Total harmonic distortion (dB below the fundamental) using the
-    /// first `n_harmonics` harmonics of the peak bin.
-    pub fn thd_db(&self, n_harmonics: usize) -> f64 {
-        let (fpk, apk) = self.peak();
-        let mut h2 = 0.0;
-        for h in 2..=(n_harmonics + 1) {
-            let a = self.amplitude_at(fpk * h as f64);
-            h2 += a * a;
-        }
-        20.0 * (apk / h2.sqrt().max(1e-30)).log10()
-    }
-
     /// The `count` largest bins (excluding DC), descending:
     /// `(freq, dBm)`.
     pub fn top_tones(&self, count: usize) -> Vec<(f64, f64)> {
@@ -143,25 +113,6 @@ mod tests {
         assert!((a - 0.5).abs() < 1e-9);
         assert!((s.amplitude_at(128.0) - 0.5).abs() < 1e-9);
         assert!((s.dbm_at(128.0) - vpeak_to_dbm(0.5, Z0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn thd_of_known_harmonic() {
-        // −40 dB second harmonic → THD = 40 dB.
-        let fs = 4096.0;
-        let x = tone_plus_harmonic(4096, fs, 256.0);
-        let s = Spectrum::analyze(&x, fs, Window::Rectangular);
-        let thd = s.thd_db(3);
-        assert!((thd - 40.0).abs() < 0.5, "thd = {thd}");
-    }
-
-    #[test]
-    fn sfdr_matches_spur_level() {
-        let fs = 4096.0;
-        let x = tone_plus_harmonic(4096, fs, 256.0);
-        let s = Spectrum::analyze(&x, fs, Window::Rectangular);
-        let sfdr = s.sfdr_db(2);
-        assert!((sfdr - 40.0).abs() < 0.5, "sfdr = {sfdr}");
     }
 
     #[test]

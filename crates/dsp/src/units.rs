@@ -1,11 +1,7 @@
-//! RF unit conversions and newtypes.
+//! RF unit conversions.
 //!
 //! The measurement layer traffics in dB quantities referenced to different
-//! bases (dBm into 50 Ω, dBV, plain ratios). Newtypes keep them from being
-//! mixed up (the API guidelines’ newtype advice).
-
-use std::fmt;
-use std::ops::{Add, Sub};
+//! bases (dBm into 50 Ω, plain power and amplitude ratios).
 
 /// Reference impedance for power conversions (Ω).
 pub const Z0: f64 = 50.0;
@@ -16,25 +12,10 @@ pub const BOLTZMANN: f64 = 1.380649e-23;
 /// Standard noise-figure reference temperature (K).
 pub const T0: f64 = 290.0;
 
-/// Converts a power *ratio* to decibels.
-///
-/// Returns `-inf` for zero, NaN for negative input (propagated for the
-/// caller to handle).
-#[inline]
-pub fn ratio_to_db(ratio: f64) -> f64 {
-    10.0 * ratio.log10()
-}
-
 /// Converts decibels to a power ratio.
 #[inline]
 pub fn db_to_ratio(db: f64) -> f64 {
     10f64.powf(db / 10.0)
-}
-
-/// Converts an *amplitude* (voltage) ratio to decibels (20·log10).
-#[inline]
-pub fn amplitude_to_db(ratio: f64) -> f64 {
-    20.0 * ratio.log10()
 }
 
 /// Converts decibels to an amplitude ratio.
@@ -69,141 +50,17 @@ pub fn dbm_to_vpeak(dbm: f64, z: f64) -> f64 {
     (2.0 * z * dbm_to_watts(dbm)).sqrt()
 }
 
-/// RMS voltage → dBV.
-#[inline]
-pub fn vrms_to_dbv(v: f64) -> f64 {
-    20.0 * v.log10()
-}
-
-/// A frequency in hertz (newtype over `f64`).
-///
-/// # Examples
-///
-/// ```
-/// use remix_dsp::units::Freq;
-/// let f = Freq::ghz(2.45);
-/// assert_eq!(f.in_hz(), 2.45e9);
-/// assert_eq!(f.in_mhz(), 2450.0);
-/// assert_eq!(format!("{f}"), "2.45 GHz");
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct Freq(f64);
-
-impl Freq {
-    /// From hertz.
-    pub const fn hz(v: f64) -> Self {
-        Freq(v)
-    }
-    /// From kilohertz.
-    pub fn khz(v: f64) -> Self {
-        Freq(v * 1e3)
-    }
-    /// From megahertz.
-    pub fn mhz(v: f64) -> Self {
-        Freq(v * 1e6)
-    }
-    /// From gigahertz.
-    pub fn ghz(v: f64) -> Self {
-        Freq(v * 1e9)
-    }
-    /// In hertz.
-    pub fn in_hz(self) -> f64 {
-        self.0
-    }
-    /// In kilohertz.
-    pub fn in_khz(self) -> f64 {
-        self.0 / 1e3
-    }
-    /// In megahertz.
-    pub fn in_mhz(self) -> f64 {
-        self.0 / 1e6
-    }
-    /// In gigahertz.
-    pub fn in_ghz(self) -> f64 {
-        self.0 / 1e9
-    }
-    /// Angular frequency ω = 2πf (rad/s).
-    pub fn omega(self) -> f64 {
-        2.0 * std::f64::consts::PI * self.0
-    }
-}
-
-impl Add for Freq {
-    type Output = Freq;
-    fn add(self, rhs: Freq) -> Freq {
-        Freq(self.0 + rhs.0)
-    }
-}
-
-impl Sub for Freq {
-    type Output = Freq;
-    fn sub(self, rhs: Freq) -> Freq {
-        Freq(self.0 - rhs.0)
-    }
-}
-
-impl fmt::Display for Freq {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let v = self.0;
-        if v.abs() >= 1e9 {
-            write!(f, "{} GHz", v / 1e9)
-        } else if v.abs() >= 1e6 {
-            write!(f, "{} MHz", v / 1e6)
-        } else if v.abs() >= 1e3 {
-            write!(f, "{} kHz", v / 1e3)
-        } else {
-            write!(f, "{v} Hz")
-        }
-    }
-}
-
-/// A power level in dBm (newtype over `f64`).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct PowerDbm(pub f64);
-
-impl PowerDbm {
-    /// Creates from a dBm value.
-    pub const fn new(dbm: f64) -> Self {
-        PowerDbm(dbm)
-    }
-    /// The dBm value.
-    pub fn dbm(self) -> f64 {
-        self.0
-    }
-    /// In watts.
-    pub fn watts(self) -> f64 {
-        dbm_to_watts(self.0)
-    }
-    /// Peak voltage into 50 Ω.
-    pub fn vpeak_50(self) -> f64 {
-        dbm_to_vpeak(self.0, Z0)
-    }
-}
-
-impl fmt::Display for PowerDbm {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.2} dBm", self.0)
-    }
-}
-
-/// Available thermal noise power density at `T0`: `kT0` ≈ −174 dBm/Hz.
-pub fn thermal_noise_floor_dbm_hz() -> f64 {
-    watts_to_dbm(BOLTZMANN * T0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn db_roundtrips() {
-        assert!((ratio_to_db(100.0) - 20.0).abs() < 1e-12);
         assert!((db_to_ratio(3.0) - 1.995).abs() < 1e-2);
-        assert!((amplitude_to_db(10.0) - 20.0).abs() < 1e-12);
         assert!((db_to_amplitude(6.0) - 1.995).abs() < 1e-2);
         for db in [-30.0, 0.0, 12.5] {
-            assert!((ratio_to_db(db_to_ratio(db)) - db).abs() < 1e-12);
-            assert!((amplitude_to_db(db_to_amplitude(db)) - db).abs() < 1e-12);
+            assert!((10.0 * db_to_ratio(db).log10() - db).abs() < 1e-12);
+            assert!((20.0 * db_to_amplitude(db).log10() - db).abs() < 1e-12);
         }
     }
 
@@ -220,40 +77,5 @@ mod tests {
         let v = dbm_to_vpeak(0.0, Z0);
         assert!((v - 0.31622776601683794).abs() < 1e-12);
         assert!((vpeak_to_dbm(v, Z0) - 0.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn freq_constructors_and_display() {
-        assert_eq!(Freq::khz(1.0).in_hz(), 1e3);
-        assert_eq!(Freq::mhz(5.0).in_hz(), 5e6);
-        assert_eq!(Freq::ghz(2.4).in_hz(), 2.4e9);
-        assert_eq!(Freq::hz(10.0).to_string(), "10 Hz");
-        assert_eq!(Freq::khz(100.0).to_string(), "100 kHz");
-        assert_eq!(Freq::mhz(5.0).to_string(), "5 MHz");
-        assert_eq!(Freq::ghz(2.4).to_string(), "2.4 GHz");
-    }
-
-    #[test]
-    fn freq_arithmetic() {
-        let lo = Freq::ghz(2.4);
-        let if_f = Freq::mhz(5.0);
-        assert_eq!((lo + if_f).in_hz(), 2.405e9);
-        assert_eq!((lo - if_f).in_hz(), 2.395e9);
-        assert!((Freq::hz(1.0).omega() - 2.0 * std::f64::consts::PI).abs() < 1e-12);
-    }
-
-    #[test]
-    fn power_dbm_type() {
-        let p = PowerDbm::new(-10.0);
-        assert_eq!(p.dbm(), -10.0);
-        assert!((p.watts() - 1e-4).abs() < 1e-12);
-        assert_eq!(p.to_string(), "-10.00 dBm");
-        assert!(PowerDbm::new(0.0) > p);
-    }
-
-    #[test]
-    fn thermal_floor() {
-        let floor = thermal_noise_floor_dbm_hz();
-        assert!((floor + 173.975).abs() < 0.05, "floor = {floor}");
     }
 }

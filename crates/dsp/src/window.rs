@@ -2,7 +2,7 @@
 //!
 //! Two-tone tests use windows to suppress leakage when tones are not
 //! exactly bin-centred; amplitude readings are corrected by the window's
-//! *coherent gain* and PSDs by the *noise-equivalent bandwidth*.
+//! *coherent gain*.
 
 /// Supported window shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -51,15 +51,6 @@ impl Window {
         self.samples(n).iter().sum::<f64>() / n as f64
     }
 
-    /// Normalized noise-equivalent bandwidth in bins:
-    /// `NENBW = n·Σw² / (Σw)²`. Divide PSD bin powers by this.
-    pub fn nenbw(self, n: usize) -> f64 {
-        let w = self.samples(n);
-        let sum: f64 = w.iter().sum();
-        let sum_sq: f64 = w.iter().map(|v| v * v).sum();
-        n as f64 * sum_sq / (sum * sum)
-    }
-
     /// Applies the window to a signal, returning a new vector.
     pub fn apply(self, signal: &[f64]) -> Vec<f64> {
         let n = signal.len();
@@ -80,7 +71,6 @@ mod tests {
         let w = Window::Rectangular.samples(8);
         assert!(w.iter().all(|&v| v == 1.0));
         assert_eq!(Window::Rectangular.coherent_gain(8), 1.0);
-        assert!((Window::Rectangular.nenbw(64) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -88,8 +78,6 @@ mod tests {
         let n = 1024;
         // Coherent gain of Hann is 0.5.
         assert!((Window::Hann.coherent_gain(n) - 0.5).abs() < 1e-3);
-        // NENBW of Hann is 1.5 bins.
-        assert!((Window::Hann.nenbw(n) - 1.5).abs() < 1e-2);
         // Periodic Hann starts at 0.
         assert_eq!(Window::Hann.value(0, n), 0.0);
     }
@@ -99,16 +87,12 @@ mod tests {
         let n = 1024;
         // Coherent gain equals the a0 coefficient for periodic windows.
         assert!((Window::BlackmanHarris.coherent_gain(n) - 0.35875).abs() < 1e-4);
-        // NENBW ≈ 2.0 bins.
-        assert!((Window::BlackmanHarris.nenbw(n) - 2.0).abs() < 0.05);
     }
 
     #[test]
     fn flat_top_properties() {
         let n = 1024;
         assert!((Window::FlatTop.coherent_gain(n) - 0.21557895).abs() < 1e-4);
-        // NENBW ≈ 3.77 bins.
-        assert!((Window::FlatTop.nenbw(n) - 3.77).abs() < 0.05);
     }
 
     #[test]

@@ -110,12 +110,6 @@ impl RunBudget {
         self
     }
 
-    /// Sets the largest admitted matrix dimension.
-    pub fn with_max_matrix_dim(mut self, n: usize) -> Self {
-        self.max_matrix_dim = Some(n);
-        self
-    }
-
     /// Starts the clock: a token charged against this budget.
     pub fn token(&self) -> CancelToken {
         CancelToken {
@@ -455,7 +449,11 @@ mod tests {
 
     #[test]
     fn matrix_dim_preflight() {
-        let token = RunBudget::unlimited().with_max_matrix_dim(100).token();
+        let token = RunBudget {
+            max_matrix_dim: Some(100),
+            ..RunBudget::unlimited()
+        }
+        .token();
         assert!(token.check_matrix_dim(100).is_ok());
         assert_eq!(
             token.check_matrix_dim(101),

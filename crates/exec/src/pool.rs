@@ -236,13 +236,6 @@ pub enum TaskOutcome<T> {
     Failed(String),
 }
 
-impl<T> TaskOutcome<T> {
-    /// `true` for [`TaskOutcome::Done`].
-    pub fn is_done(&self) -> bool {
-        matches!(self, TaskOutcome::Done(_))
-    }
-}
-
 /// Pool bookkeeping for operator reports; intentionally *not* metrics
 /// (the pool's registry footprint must be zero so serial and parallel
 /// snapshots stay byte-identical).
@@ -680,7 +673,7 @@ mod tests {
             let failed: Vec<usize> = run
                 .outcomes
                 .iter()
-                .filter(|(_, o)| !o.is_done())
+                .filter(|(_, o)| !matches!(o, TaskOutcome::Done(_)))
                 .map(|(i, _)| *i)
                 .collect();
             assert_eq!(failed, vec![4, 9], "workers={workers}");
@@ -781,7 +774,7 @@ mod tests {
             |ctx| TaskResult::Done(ctx.index),
             |index, outcome| {
                 calls.fetch_add(1, Ordering::Relaxed);
-                assert!(outcome.is_done());
+                assert!(matches!(outcome, TaskOutcome::Done(_)));
                 lock_or_recover(&seen).push(index);
             },
         );

@@ -9,16 +9,17 @@
 //! plan fixes rewrite a [`SimPlan`] (snap an FFT record coherent, refine
 //! a timestep, widen a band).
 //!
-//! [`fix_circuit`] / [`fix_plan`] drive the loop clippy users know as
+//! [`fix_circuit`] drives the loop clippy users know as
 //! `cargo clippy --fix`: lint, apply every attached fix once, re-lint,
 //! repeat until a fixpoint (no new applicable fix) or a small round
 //! cap. Findings that survive with no fix are *unfixable* and left for
 //! the human; the engine never masks them.
 
 use crate::config::LintConfig;
-use crate::diag::{json_str, Diagnostic, LintReport};
-use crate::plan::{lint_plan, SimPlan};
+use crate::diag::{Diagnostic, LintReport};
+use crate::plan::SimPlan;
 use remix_circuit::{Circuit, ElementId};
+use remix_telemetry::json_str;
 
 /// Upper bound on lint→apply rounds. Each round must apply at least one
 /// *new* fix to continue, so this only guards against a pathological
@@ -300,7 +301,7 @@ fn unique_name(circuit: &Circuit, base: &str) -> String {
     unreachable!() // audit: allow(AUD002): the numbered-suffix candidate generator always yields a fresh name
 }
 
-/// Result of a [`fix_circuit`] / [`fix_plan`] run.
+/// Result of a [`fix_circuit`] run.
 #[derive(Debug, Clone)]
 pub struct FixOutcome {
     /// The lint report of the *final* state, after all fixes.
@@ -366,44 +367,10 @@ pub fn fix_circuit(circuit: &mut Circuit, config: &LintConfig) -> FixOutcome {
     }
 }
 
-/// Runs the lint→apply loop over a simulation plan until fixpoint.
-pub fn fix_plan(plan: &mut SimPlan, config: &LintConfig) -> FixOutcome {
-    let mut applied: Vec<Fix> = Vec::new();
-    let mut rounds = 0;
-    loop {
-        rounds += 1;
-        let report = lint_plan(plan, config);
-        let mut progressed = false;
-        for d in &report.diagnostics {
-            let Some(fix) = &d.fix else { continue };
-            if applied.contains(fix) {
-                continue;
-            }
-            if fix.apply_to_plan(plan) {
-                applied.push(fix.clone());
-                progressed = true;
-            }
-        }
-        if !progressed || rounds >= MAX_ROUNDS {
-            let report = if progressed {
-                lint_plan(plan, config)
-            } else {
-                report
-            };
-            return FixOutcome {
-                report,
-                applied,
-                rounds,
-            };
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::diag::RuleId;
-    use crate::plan::PlanTargets;
     use remix_circuit::{Circuit, Waveform};
 
     fn divider() -> Circuit {
@@ -487,27 +454,6 @@ mod tests {
         assert_eq!(outcome.applied, vec![]);
         assert_eq!(outcome.unfixable().len(), 1);
         assert_eq!(outcome.unfixable()[0].rule, RuleId::DanglingNode);
-    }
-
-    #[test]
-    fn fix_plan_snaps_and_widens() {
-        let mut plan = SimPlan::new("iip3")
-            .with_fft(8e6, 1024) // 5 MHz tone beyond Nyquist
-            .with_tones(&[5e6])
-            .with_noise_band(1e6, 2e6)
-            .with_targets(PlanTargets::paper());
-        let outcome = fix_plan(&mut plan, &LintConfig::default());
-        assert!(outcome.report.is_empty(), "{}", outcome.report);
-        assert!(outcome
-            .applied
-            .iter()
-            .any(|f| matches!(f, Fix::SnapCoherent { .. })));
-        assert!(outcome
-            .applied
-            .iter()
-            .any(|f| matches!(f, Fix::WidenNoiseBand { .. })));
-        let (lo, hi) = plan.noise_band.unwrap();
-        assert!(lo <= 100e3 && hi >= 5e6);
     }
 
     #[test]

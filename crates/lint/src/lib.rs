@@ -61,7 +61,7 @@ pub mod spice;
 
 pub use config::LintConfig;
 pub use diag::{Diagnostic, LintReport, RuleId, Severity, SCHEMA_VERSION};
-pub use fix::{fix_circuit, fix_plan, Fix, FixOutcome};
+pub use fix::{fix_circuit, Fix, FixOutcome};
 pub use plan::{lint_plan, PlanTargets, SimPlan};
 pub use spice::{import_spice, lint_deck, ImportError};
 

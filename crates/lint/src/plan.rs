@@ -142,13 +142,6 @@ impl SimPlan {
         self
     }
 
-    /// Sets PSS harmonic count and the intermod order to resolve.
-    pub fn with_harmonics(mut self, harmonics: usize, intermod_order: usize) -> Self {
-        self.pss_harmonics = Some(harmonics);
-        self.intermod_order = Some(intermod_order);
-        self
-    }
-
     /// Sets the noise band (Hz).
     pub fn with_noise_band(mut self, lo: f64, hi: f64) -> Self {
         self.noise_band = Some((lo, hi));
@@ -158,25 +151,6 @@ impl SimPlan {
     /// Sets the sweep span (Hz).
     pub fn with_sweep(mut self, lo: f64, hi: f64) -> Self {
         self.sweep_band = Some((lo, hi));
-        self
-    }
-
-    /// Sets the slowest time constant (s).
-    pub fn with_slowest_tau(mut self, tau: f64) -> Self {
-        self.slowest_tau = Some(tau);
-        self
-    }
-
-    /// Sets the checkpoint interval (s of simulated time between
-    /// checkpoint writes).
-    pub fn with_checkpoint_interval(mut self, interval: f64) -> Self {
-        self.checkpoint_interval = Some(interval);
-        self
-    }
-
-    /// Declares the JSON-lines event log path the driver writes.
-    pub fn with_event_log(mut self, path: &str) -> Self {
-        self.event_log = Some(path.to_string());
         self
     }
 
@@ -509,7 +483,10 @@ mod tests {
 
         // Declaring a checkpoint interval silences the rule: the run
         // resumes instead of restarting.
-        let resumable = runaway.clone().with_checkpoint_interval(1e-4);
+        let resumable = SimPlan {
+            checkpoint_interval: Some(1e-4),
+            ..runaway.clone()
+        };
         assert_eq!(fired(&resumable, RuleId::UncheckpointedRun), 0);
 
         // A plan inside the budget never fires.
@@ -544,7 +521,10 @@ mod tests {
         assert_eq!(fired(&fixed, RuleId::UnobservedLongRun), 0);
 
         // Declaring an event log up front also silences it.
-        let logged = blind.clone().with_event_log("run.events.jsonl");
+        let logged = SimPlan {
+            event_log: Some("run.events.jsonl".into()),
+            ..blind.clone()
+        };
         assert_eq!(fired(&logged, RuleId::UnobservedLongRun), 0);
 
         // As does arming an observing telemetry sink on this thread.
@@ -620,18 +600,17 @@ mod tests {
 
     #[test]
     fn sim003_harmonic_truncation() {
-        let bad = SimPlan::new("pss").with_harmonics(2, 3);
+        let harmonics = |name: &str, n: usize| SimPlan {
+            pss_harmonics: Some(n),
+            intermod_order: Some(3),
+            ..SimPlan::new(name)
+        };
+        let bad = harmonics("pss", 2);
         let report = lint_plan(&bad, &LintConfig::default());
         let diags = report.by_rule(RuleId::PssHarmonics);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].severity, Severity::Deny);
-        assert_eq!(
-            fired(
-                &SimPlan::new("ok").with_harmonics(8, 3),
-                RuleId::PssHarmonics
-            ),
-            0
-        );
+        assert_eq!(fired(&harmonics("ok", 8), RuleId::PssHarmonics), 0);
     }
 
     #[test]
@@ -692,9 +671,10 @@ mod tests {
 
     #[test]
     fn sim006_duration_vs_tau() {
-        let bad = SimPlan::new("short")
-            .with_duration(1e-9)
-            .with_slowest_tau(1e-6);
+        let bad = SimPlan {
+            slowest_tau: Some(1e-6),
+            ..SimPlan::new("short").with_duration(1e-9)
+        };
         let report = lint_plan(&bad, &LintConfig::default());
         let diags = report.by_rule(RuleId::TranDuration);
         assert_eq!(diags.len(), 1);

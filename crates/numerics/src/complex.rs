@@ -61,12 +61,6 @@ impl Complex {
         Complex::new(r * theta.cos(), r * theta.sin())
     }
 
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Complex::new(self.re, -self.im)
-    }
-
     /// Magnitude (modulus) `|z|`, computed with `hypot` for robustness.
     #[inline]
     pub fn abs(self) -> f64 {
@@ -351,7 +345,6 @@ mod tests {
     #[test]
     fn conj_abs_arg() {
         let z = Complex::new(3.0, 4.0);
-        assert_eq!(z.conj(), Complex::new(3.0, -4.0));
         assert_eq!(z.abs(), 5.0);
         assert_eq!(z.abs_sq(), 25.0);
         assert!((Complex::I.arg() - std::f64::consts::FRAC_PI_2).abs() < EPS);

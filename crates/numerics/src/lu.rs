@@ -72,8 +72,6 @@ pub struct LuFactor<T> {
     lu: DenseMatrix<T>,
     /// Row permutation: `perm[i]` is the original row now in position `i`.
     perm: Vec<usize>,
-    /// Parity of the permutation, used for determinants.
-    sign_flips: usize,
     /// Largest |a_ij| of the factored matrix (for pivot-growth estimates).
     scale: f64,
 }
@@ -104,7 +102,6 @@ impl<T: Scalar> LuFactor<T> {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign_flips = 0usize;
         let scale = lu.max_abs().max(f64::MIN_POSITIVE);
 
         for k in 0..n {
@@ -125,7 +122,6 @@ impl<T: Scalar> LuFactor<T> {
             if pivot_row != k {
                 lu.swap_rows(pivot_row, k);
                 perm.swap(pivot_row, k);
-                sign_flips += 1;
             }
             let pivot = lu[(k, k)];
             for r in (k + 1)..n {
@@ -142,12 +138,7 @@ impl<T: Scalar> LuFactor<T> {
         }
 
         remix_telemetry::counter_add(remix_telemetry::names::LU_FACTORIZATIONS, 1);
-        Ok(LuFactor {
-            lu,
-            perm,
-            sign_flips,
-            scale,
-        })
+        Ok(LuFactor { lu, perm, scale })
     }
 
     /// Dimension of the factored system.
@@ -189,19 +180,6 @@ impl<T: Scalar> LuFactor<T> {
             x[i] = acc / self.lu[(i, i)];
         }
         Ok(x)
-    }
-
-    /// Determinant of the original matrix.
-    pub fn det(&self) -> T {
-        let mut d = if self.sign_flips.is_multiple_of(2) {
-            T::one()
-        } else {
-            -T::one()
-        };
-        for i in 0..self.dim() {
-            d *= self.lu[(i, i)];
-        }
-        d
     }
 
     /// Crude reciprocal condition estimate from the pivot magnitudes:
@@ -323,13 +301,6 @@ mod tests {
             Err(FactorError::NotSquare { rows: 2, cols: 3 }) => {}
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn determinant_with_permutation_sign() {
-        let a = DenseMatrix::from_rows(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
-        let lu = LuFactor::factor(&a).unwrap();
-        assert!((lu.det() + 1.0).abs() < 1e-12); // det = -1
     }
 
     #[test]

@@ -135,11 +135,6 @@ impl Cascade {
         20.0 * self.conv_gain(f_rf, f_if).log10()
     }
 
-    /// Total mid-band gain (all poles ignored).
-    pub fn gain_flat(&self) -> f64 {
-        self.stages.iter().map(|s| s.gain.abs()).product()
-    }
-
     /// Input-referred noise PSD (V²/Hz) for operation at (`f_rf`, `f_if`):
     /// `Σ en_k²(f_if) / (∏_{j<k} g_j)²` with preceding gains evaluated in
     /// their own domains. Flicker corners are evaluated at the IF, where
@@ -459,7 +454,6 @@ mod tests {
             .stage(StageSpec::ideal("a", 10.0))
             .stage(StageSpec::ideal("b", 0.5))
             .stage(StageSpec::ideal("c", 4.0));
-        assert!((c.gain_flat() - 20.0).abs() < 1e-12);
         assert!((c.conv_gain_db(2.4e9, 5e6) - 26.02).abs() < 0.01);
         assert_eq!(c.stages().len(), 3);
     }

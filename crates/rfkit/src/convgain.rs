@@ -1,56 +1,8 @@
 //! Conversion-gain measurement.
 //!
 //! Conversion gain of a down-converter is the ratio of the IF output
-//! amplitude to the RF input amplitude, in dB. This module provides the
-//! bookkeeping plus a harness that measures it from output sample records
-//! (behavioral chains or circuit transients).
-
-use remix_dsp::tone::{tone_amplitude, CoherentPlan};
-
-/// Conversion gain from input/output amplitudes (20·log10).
-///
-/// # Panics
-///
-/// Panics unless both amplitudes are positive.
-pub fn conversion_gain_db(a_in: f64, a_out: f64) -> f64 {
-    assert!(a_in > 0.0 && a_out > 0.0, "amplitudes must be positive");
-    20.0 * (a_out / a_in).log10()
-}
-
-/// A single conversion-gain measurement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConvGainPoint {
-    /// RF frequency (Hz).
-    pub f_rf: f64,
-    /// IF frequency (Hz).
-    pub f_if: f64,
-    /// Conversion gain (dB).
-    pub gain_db: f64,
-}
-
-/// Measures conversion gain from an output record: reads the IF tone and
-/// compares to the known input amplitude.
-///
-/// `output` must be at least `plan.n` samples; the last `plan.n` are used.
-pub fn measure_conv_gain(
-    output: &[f64],
-    plan: &CoherentPlan,
-    if_bin_index: usize,
-    a_in: f64,
-) -> f64 {
-    let n = plan.n;
-    assert!(output.len() >= n, "record shorter than plan");
-    let seg = &output[output.len() - n..];
-    let a_if = remix_dsp::tone::goertzel_amplitude(seg, plan.bins[if_bin_index], n);
-    conversion_gain_db(a_in, a_if)
-}
-
-/// Measures the amplitude of an arbitrary (possibly off-plan) tone in the
-/// tail of a record — convenience for LO-feedthrough checks.
-pub fn measure_tone(output: &[f64], n: usize, f: f64, fs: f64) -> f64 {
-    assert!(output.len() >= n);
-    tone_amplitude(&output[output.len() - n..], f, fs)
-}
+//! amplitude to the RF input amplitude, in dB. This module finds the
+//! −3 dB band edges of a measured gain curve.
 
 /// The −3 dB band edges of a gain curve `(freqs, gain_db)`.
 ///
@@ -78,28 +30,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn gain_db_basics() {
-        assert!((conversion_gain_db(0.01, 0.1) - 20.0).abs() < 1e-12);
-        assert!((conversion_gain_db(0.1, 0.1) - 0.0).abs() < 1e-12);
-        assert!(conversion_gain_db(0.1, 0.05) < 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn rejects_zero_amplitude() {
-        let _ = conversion_gain_db(0.0, 1.0);
-    }
-
-    #[test]
-    fn measure_from_record() {
-        let plan = CoherentPlan::new(&[5e6], 4096, 0.25e6).unwrap();
-        let a_out = 0.316; // ~+10 dB on 0.1 input
-        let x = remix_dsp::signal::tone(a_out, plan.tone_frequency(0), 0.0, plan.fs, plan.n);
-        let g = measure_conv_gain(&x, &plan, 0, 0.1);
-        assert!((g - 20.0 * (0.316f64 / 0.1).log10()).abs() < 1e-6);
-    }
-
-    #[test]
     fn band_edges_of_bandpass_curve() {
         let freqs = [1e9, 2e9, 3e9, 4e9, 5e9, 6e9];
         let gain = [20.0, 28.0, 29.0, 29.0, 26.5, 20.0];
@@ -118,13 +48,5 @@ mod tests {
         let (lo, hi) = band_edges_3db(&freqs, &gain);
         assert!(lo.is_none());
         assert!((hi.unwrap() - 1.6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn measure_tone_offplan() {
-        let fs = 1e9;
-        let x = remix_dsp::signal::tone(0.25, 125e6, 0.0, fs, 4096);
-        let a = measure_tone(&x, 4096, 125e6, fs);
-        assert!((a - 0.25).abs() < 1e-9);
     }
 }

@@ -11,7 +11,7 @@
 //! * [`ip3`] — intercept-point extraction with slope validation (the
 //!   procedure behind the paper's Fig. 10);
 //! * [`p1db`] — 1 dB compression extraction;
-//! * [`convgain`] — conversion-gain measurement and −3 dB band edges;
+//! * [`convgain`] — −3 dB band edges of a conversion-gain curve;
 //! * [`specs`] — the published Table I comparison rows and the paper's
 //!   "This work" targets.
 //!
@@ -44,7 +44,7 @@ pub mod zsmodel;
 
 pub use blocks::{Cascade, ChainProcessor, SampleProcessor, SignalDomain, StageSpec};
 pub use budget::{budget_rows, budget_table, BudgetRow};
-pub use convgain::{band_edges_3db, conversion_gain_db};
+pub use convgain::band_edges_3db;
 pub use ip3::{extract_ip3, spot_iip3_dbm, Ip3Result, Ip3Sweep};
 pub use nonlin::{cascade_a_iip3, Poly3};
 pub use p1db::extract_p1db;

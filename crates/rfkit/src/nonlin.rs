@@ -53,14 +53,6 @@ impl Poly3 {
         Self::from_gain_and_iip3(a1, a)
     }
 
-    /// Adds an even-order term corresponding to the given input-referred
-    /// IIP2 peak amplitude: `A_IIP2 = |a1/a2|`.
-    pub fn with_iip2(mut self, a_iip2: f64) -> Self {
-        assert!(a_iip2 > 0.0);
-        self.a2 = self.a1.abs() / a_iip2;
-        self
-    }
-
     /// Evaluates the polynomial.
     #[inline]
     pub fn eval(&self, x: f64) -> f64 {
@@ -184,7 +176,11 @@ mod tests {
 
     #[test]
     fn iip2_differential_balance() {
-        let p = Poly3::from_gain_and_iip3_dbm(10.0, 0.0).with_iip2(dbm_to_vpeak(65.0, Z0));
+        // A_IIP2 = |a1/a2|.
+        let p = Poly3 {
+            a2: 10.0 / dbm_to_vpeak(65.0, Z0),
+            ..Poly3::from_gain_and_iip3_dbm(10.0, 0.0)
+        };
         let iip2 = p.iip2_dbm().unwrap();
         assert!((iip2 - 65.0).abs() < 1e-9);
     }

@@ -74,6 +74,7 @@ impl ImpedanceModel for TiaInput {
 ///
 /// Only the impedance-ratio structure is evaluated (the device constant
 /// `Ka` cancels in comparisons between source networks).
+// audit: allow(AUD010): the paper's eq. (1), evaluated by this module's tests as the reproduction's eq. (1)/(2) evidence (EXPERIMENTS.md).
 pub fn iip2_factor<S: ImpedanceModel, L: ImpedanceModel>(
     zs: &S,
     zl: &L,
@@ -88,6 +89,7 @@ pub fn iip2_factor<S: ImpedanceModel, L: ImpedanceModel>(
 }
 
 /// Relative IIP3 factor of eq. (2).
+// audit: allow(AUD010): the paper's eq. (2), evaluated by this module's tests as the reproduction's eq. (1)/(2) evidence (EXPERIMENTS.md).
 pub fn iip3_factor<S: ImpedanceModel, L: ImpedanceModel>(
     zs: &S,
     zl: &L,

@@ -308,25 +308,9 @@ pub fn decode_request(line: &str, max_deck_bytes: usize) -> Result<RequestFrame,
     })))
 }
 
-/// JSON string literal with required escapes (mirrors the telemetry
-/// renderer so server output stays parseable by its own reader).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+/// JSON string literal with required escapes: telemetry's renderer, so
+/// server output stays parseable by its own reader.
+pub use remix_telemetry::json_str as json_escape;
 
 /// Encodes the request a client sends for `job` (the only frame
 /// clients build programmatically; ping/stats are literals).

@@ -9,6 +9,9 @@ use std::fmt;
 
 /// JSON string literal (quotes included) with the escapes JSON
 /// requires.
+// Inlinable across crates: `remix-serve` escapes every frame through it,
+// and the out-of-line call cost its benchmark about 10 % of ops/s.
+#[inline]
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

@@ -20,8 +20,9 @@
 //! `generate()` that compiles to a defect-free, lint-deny-clean
 //! circuit; an `emit()` producing a SPICE deck that round-trips through
 //! `import_spice`; and registration in the [`study`] drivers so
-//! Monte-Carlo, corners, and `dc_sweep_parallel` run over any family
-//! behind the existing `Parallelism` knob.
+//! Monte-Carlo and corners run over any family behind the existing
+//! `Parallelism` knob, and a bias sweep runs as one serial
+//! operating-point session.
 //!
 //! ## Quick start: generate and sweep
 //!

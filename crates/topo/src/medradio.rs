@@ -5,9 +5,8 @@
 //! a subthreshold-biased common-source transconductor (gate bias
 //! *below* `vt0`) drives a large resistive load, AC-couples into a
 //! single passive mixing switch, and lands on a baseband R‖C. Total
-//! supply power must stay under 50 µW — the generator exposes
-//! [`MedRadioFrontEnd::supply_power_uw`] so studies check the headline
-//! number directly from the operating point.
+//! supply power must stay under 50 µW — the study drivers' MedRadio
+//! metric reads that headline number from the operating point.
 //!
 //! This family exists to stress the MOS model's weak-inversion corner:
 //! the subthreshold/saturation boundary must be smooth (no Jacobian
@@ -16,7 +15,6 @@
 
 use crate::error::{in_range, TopoError};
 use crate::FAMILY_MEDRADIO;
-use remix_analysis::{dc_operating_point, supply_power, AnalysisError, OpOptions};
 use remix_circuit::{Circuit, ElementId, MosModel, Node, Waveform};
 
 /// Parameters of the MedRadio front-end.
@@ -222,22 +220,10 @@ impl MedRadioParams {
     }
 }
 
-impl MedRadioFrontEnd {
-    /// Total DC supply power (µW) from the operating point — the
-    /// family's headline sub-50 µW budget.
-    ///
-    /// # Errors
-    ///
-    /// [`AnalysisError`] when the operating point fails to converge.
-    pub fn supply_power_uw(&self) -> Result<f64, AnalysisError> {
-        let op = dc_operating_point(&self.circuit, &OpOptions::default())?;
-        Ok(supply_power(&self.circuit, &op).total_mw() * 1e3)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use remix_analysis::{dc_operating_point, supply_power, OpOptions};
     use remix_lint::{lint, LintConfig};
 
     #[test]
@@ -252,7 +238,8 @@ mod tests {
     #[test]
     fn default_bias_meets_the_power_budget() {
         let fe = MedRadioParams::default().generate().unwrap();
-        let uw = fe.supply_power_uw().unwrap();
+        let op = dc_operating_point(&fe.circuit, &OpOptions::default()).unwrap();
+        let uw = supply_power(&fe.circuit, &op).total_mw() * 1e3;
         assert!(uw > 0.1, "amplifier draws no current ({uw} µW)");
         assert!(uw < 50.0, "power budget blown: {uw} µW ≥ 50 µW");
     }

@@ -1,7 +1,8 @@
-//! Family-generic study drivers: Monte-Carlo mismatch, process
-//! corners, and parallel DC transfer sweeps over any topology family,
-//! all behind the existing [`Parallelism`](remix_exec::Parallelism)
-//! knob.
+//! Family-generic study drivers over any topology family: Monte-Carlo
+//! mismatch and process corners behind the existing
+//! [`Parallelism`](remix_exec::Parallelism) knob, and a DC transfer
+//! sweep of the family's bias source as one serial operating-point
+//! session.
 //!
 //! The drivers in `remix-core` are welded to the paper's `MixerConfig`;
 //! these operate on [`Family`] — generate the circuit, perturb every
@@ -25,7 +26,7 @@ use crate::single_balanced::SingleBalancedParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use remix_analysis::{
-    dc_operating_point, dc_sweep_parallel, supply_power, AnalysisError, DcSweepResult, OpOptions,
+    dc_operating_point, dc_sweep_partial, supply_power, AnalysisError, DcSweepResult, OpOptions,
     Partial,
 };
 use remix_circuit::{Circuit, Element};
@@ -440,8 +441,9 @@ pub fn corner_study(
     })
 }
 
-/// Parallel DC transfer sweep of a family's bias source (`vrf`) through
-/// the existing [`dc_sweep_parallel`] machinery.
+/// DC transfer sweep of a family's bias source (`vrf`) through
+/// [`dc_sweep_partial`]: one operating-point session, so the circuit is
+/// linted, laid out, plan-compiled and pivot-searched once per sweep.
 ///
 /// # Errors
 ///
@@ -451,17 +453,14 @@ pub fn corner_study(
 pub fn bias_sweep(
     family: &Family,
     values: &[f64],
-    pool: &PoolOptions,
 ) -> Result<Partial<DcSweepResult>, Box<dyn std::error::Error>> {
     let circuit = family.generate()?;
-    let result = dc_sweep_parallel(
+    Ok(dc_sweep_partial(
         &circuit,
         family.sweep_source(),
         values,
         &OpOptions::default(),
-        pool,
-    )?;
-    Ok(result)
+    )?)
 }
 
 #[cfg(test)]
@@ -523,14 +522,40 @@ mod tests {
     }
 
     #[test]
-    fn bias_sweep_runs_through_parallel_pool() {
+    fn bias_sweep_is_one_session_of_standalone_points() {
+        use remix_circuit::Waveform;
+        use remix_telemetry::names::{LU_PIVOT_SEARCHES, STAMP_PLANS};
+
         let family = Family::MedRadio(MedRadioParams::default());
         let values: Vec<f64> = (0..5).map(|i| 0.2 + 0.02 * i as f64).collect();
-        let sweep = bias_sweep(&family, &values, &PoolOptions::default()).unwrap();
+        let tel = remix_telemetry::Telemetry::new();
+        let sweep = {
+            let _armed = tel.arm();
+            bias_sweep(&family, &values).unwrap()
+        };
+        let snap = tel.snapshot();
+        // One session: one stamp plan and one pivot search for the
+        // whole sweep, not one per point.
+        assert_eq!(snap.counter(LU_PIVOT_SEARCHES), Some(1));
+        assert_eq!(snap.counter(STAMP_PLANS), Some(1));
         assert!(sweep.interruption.is_none());
+        assert_eq!(sweep.value.values, values);
         assert_eq!(sweep.value.points.len(), 5);
-        // Supply droop at the amp node must be monotone in bias drive.
+
+        // Each point is, bit for bit, the standalone operating point of
+        // the circuit at that bias (`Debug` prints round-trip floats).
         let circuit = family.generate().unwrap();
+        let source = circuit.find_element(family.sweep_source()).unwrap();
+        for (&v, point) in values.iter().zip(&sweep.value.points) {
+            let mut at_v = circuit.clone();
+            if let Element::VoltageSource { wave, .. } = at_v.element_mut(source) {
+                *wave = Waveform::Dc(v);
+            }
+            let solo = dc_operating_point(&at_v, &OpOptions::default()).unwrap();
+            assert_eq!(format!("{point:?}"), format!("{solo:?}"), "bias {v} V");
+        }
+
+        // Supply droop at the amp node must be monotone in bias drive.
         let amp = circuit.find_node("amp").unwrap();
         let curve: Vec<f64> = sweep.value.points.iter().map(|p| p.voltage(amp)).collect();
         for w in curve.windows(2) {

@@ -2,7 +2,7 @@
 //! engine (ROADMAP item 1): the work-stealing pool must be invisible
 //! in the results.
 //!
-//! * **Equality**: `iip2_study` and `sweep_corners` produce identical
+//! * **Equality**: `iip2_study_with` and `sweep_corners_resumable_with` produce identical
 //!   outcomes AND identical `without_timings()` telemetry snapshots
 //!   for any worker count — parallelism may only change wall-clock.
 //! * **Resume**: a study killed mid-flight (chaos-cancelled between
