@@ -181,13 +181,14 @@ impl NewtonSystem {
 
     /// Restarts the sparse solver for a solve whose first matrix is the
     /// system's first matrix again: from the seed when there is one (no
-    /// pivot search, the same factors bit for bit), with nothing
+    /// pivot search, the same factors bit for bit), copied into the
+    /// solver's current factors without allocating, with nothing
     /// factored otherwise. The stamp plan is kept.
     pub(crate) fn restart(&mut self) {
-        self.solver = match &self.seed {
-            Seed::Kept(lu) => SparseSolver::seeded(lu.clone()),
-            Seed::Pending | Seed::Absent => SparseSolver::new(),
-        };
+        match &self.seed {
+            Seed::Kept(lu) => self.solver.reseed(lu),
+            Seed::Pending | Seed::Absent => self.solver = SparseSolver::new(),
+        }
     }
 
     /// Runs damped Newton on the system `mode` (plus `attempt`'s

@@ -224,7 +224,8 @@ pub(crate) fn finding(
     if severity == Severity::Allow {
         return None;
     }
-    if rule.suppressible() && file.has_marker(index, &format!("audit: allow({})", short_code(rule)))
+    if rule.suppressible()
+        && file.has_marker(index, &format!("audit: allow({}):", short_code(rule)))
     {
         return None;
     }
@@ -364,6 +365,24 @@ mod tests {
     fn unwrap_suppressed_by_justification() {
         let src = "fn lib() { value.unwrap(); } // audit: allow(AUD001): infallible here\n";
         assert!(audit_one("crates/x/src/a.rs", src).is_empty());
+    }
+
+    #[test]
+    fn a_marker_without_a_reason_suppresses_nothing() {
+        for src in [
+            "fn lib() { value.unwrap(); } // audit: allow(AUD001)\n",
+            "fn lib() { value.unwrap(); } // audit: allow(AUD001):\n",
+            "// audit: allow(AUD001):\nfn lib() { value.unwrap(); }\n",
+        ] {
+            let f = audit_one("crates/x/src/a.rs", src);
+            assert_eq!(rules_of(&f), vec![AuditRule::UnwrapInLib], "{src}");
+            assert_eq!(f[0].severity, Severity::Deny, "{src}");
+        }
+        let bare =
+            "fn f(a: &AtomicU64) -> u64 { a.load(Ordering::Relaxed) } // audit: relaxed-ok:\n";
+        let f = audit_one("crates/x/src/a.rs", bare);
+        assert_eq!(rules_of(&f), vec![AuditRule::UnjustifiedRelaxed]);
+        assert_eq!(f[0].severity, Severity::Deny);
     }
 
     #[test]

@@ -53,15 +53,25 @@ pub struct ScannedFile {
     pub lines: Vec<ScannedLine>,
 }
 
+/// `true` when `comment` holds `marker` followed by a reason: some
+/// non-blank text after it on the same line.
+fn reasoned(comment: &str, marker: &str) -> bool {
+    comment
+        .match_indices(marker)
+        .any(|(at, _)| !comment[at + marker.len()..].trim().is_empty())
+}
+
 impl ScannedFile {
     /// `true` when the line *before* `index` (0-based into `lines`)
     /// chains upward through comment-only lines to one whose comment
-    /// contains `marker`, or when line `index` itself carries it.
+    /// carries `marker` with a reason after it, or when line `index`
+    /// itself does.
     ///
     /// This is the justification lookup: a marker comment may trail
-    /// the flagged line or sit on its own line(s) directly above.
+    /// the flagged line or sit on its own line(s) directly above. A
+    /// marker with nothing after it justifies nothing.
     pub fn has_marker(&self, index: usize, marker: &str) -> bool {
-        if self.lines[index].comment.contains(marker) {
+        if reasoned(&self.lines[index].comment, marker) {
             return true;
         }
         let mut i = index;
@@ -69,7 +79,7 @@ impl ScannedFile {
             i -= 1;
             let line = &self.lines[i];
             if line.is_code_free() && !line.comment.is_empty() {
-                if line.comment.contains(marker) {
+                if reasoned(&line.comment, marker) {
                     return true;
                 }
                 continue; // keep walking up a comment block
@@ -470,6 +480,23 @@ y.load(Ordering::Relaxed);
             "x.load(Ordering::Relaxed); // audit: relaxed-ok: why\n",
         );
         assert!(f.has_marker(0, "audit: relaxed-ok:"));
+    }
+
+    #[test]
+    fn a_marker_needs_a_reason() {
+        let src = "\
+x.load(Ordering::Relaxed); // audit: relaxed-ok:
+// audit: relaxed-ok:
+y.load(Ordering::Relaxed);
+z.load(Ordering::Relaxed); // audit: relaxed-ok: why
+";
+        let f = scan_source("t.rs", src);
+        assert!(
+            !f.has_marker(0, "audit: relaxed-ok:"),
+            "trailing, no reason"
+        );
+        assert!(!f.has_marker(2, "audit: relaxed-ok:"), "above, no reason");
+        assert!(f.has_marker(3, "audit: relaxed-ok:"));
     }
 
     #[test]

@@ -70,8 +70,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // DC transfer sweep of the MedRadio amp bias: one serial
-    // operating-point session. The printed label below predates the
-    // session and stays as is, so the output golden does not move.
+    // operating-point session.
     let family = Family::MedRadio(MedRadioParams::default());
     let values: Vec<f64> = (0..9).map(|i| 0.16 + 0.02 * i as f64).collect();
     let sweep = bias_sweep(&family, &values)?;
@@ -88,7 +87,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         .map(|(&v, p)| (v, p.voltage(amp)))
         .collect();
     println!(
-        "\nbias sweep ({} points through the pool):\n{}",
+        "\nbias sweep ({} points, one operating-point session):\n{}",
         curve.len(),
         remix_bench::ascii_plot(&[("v(amp)", &curve)], "v(amp) (V)", 1.0, "V bias")
     );

@@ -191,14 +191,25 @@ pub struct MosCaps {
 /// Smoothed positive-part function `sp(x) = a·ln(1+e^{x/a})` and its
 /// derivative (logistic sigmoid).
 ///
-/// Evaluated branch-free via `ln_1p` of the *decaying* exponential on
-/// each side of zero, so the value/derivative pair is exact to machine
-/// precision for every finite `x` — no cutoff thresholds whose crossings
-/// would put a (tiny but Newton-visible) kink in the weak-inversion
-/// characteristic that family-(c) MedRadio bias points live on.
+/// Evaluated via `ln_1p` of the *decaying* exponential on each side of
+/// zero, so the value/derivative pair is exact to machine precision for
+/// every finite `x` — no approximating cutoff whose crossing would put a
+/// (tiny but Newton-visible) kink in the weak-inversion characteristic
+/// that family-(c) MedRadio bias points live on.
+///
+/// The one shortcut, `z = x/a ≥ 40 → (x, 1)`, returns exactly what the
+/// full formula rounds to: there `e = e^{−z} < 4.3e-18`, so
+/// `a·ln_1p(e) < |x|·1.1e-19` is below half an ulp of `x` (at least
+/// `|x|·2⁻⁵⁴`) and `x + a·ln_1p(e)` rounds to `x`, while `1 + e` rounds
+/// to 1. The threshold's smooth floor takes it for every
+/// `vbs ≤ 0.449 V`, nearly every evaluation in the mixer, saving one
+/// `exp` and one `ln_1p` each. NaN fails the compare and takes the full
+/// formula.
 fn softplus(x: f64, a: f64) -> (f64, f64) {
     let z = x / a;
-    if z >= 0.0 {
+    if z >= 40.0 {
+        (x, 1.0)
+    } else if z >= 0.0 {
         let e = (-z).exp(); // e ∈ (0, 1]: never overflows
         (x + a * e.ln_1p(), 1.0 / (1.0 + e))
     } else {
@@ -638,6 +649,37 @@ mod tests {
         // Deep forward body bias must still evaluate to finite values.
         let e = m.evaluate(0.3, 0.25, 0.0, 1.0);
         assert!(e.id.is_finite() && e.gm.is_finite() && e.gmbs.is_finite());
+    }
+
+    #[test]
+    fn softplus_early_out_is_the_full_formula_bit_for_bit() {
+        // The formula `softplus` evaluates for z ≥ 0, without its
+        // z ≥ 40 shortcut. The grid starts at z = 20, so a shortcut
+        // taken too early (below z ≈ 37 it is no longer exact) fails.
+        let full = |x: f64, a: f64| {
+            let e = (-(x / a)).exp();
+            (x + a * e.ln_1p(), 1.0 / (1.0 + e))
+        };
+        let bits = |(v, d): (f64, f64)| (v.to_bits(), d.to_bits());
+        let widths = [0.01, nmos().n * VT_300K, pmos().n * VT_300K];
+        let mut shortcut = 0;
+        for a in widths {
+            for k in 0..=200_000 {
+                let x = a * (20.0 + 780.0 * k as f64 / 200_000.0);
+                if x / a >= 40.0 {
+                    shortcut += 1;
+                }
+                assert_eq!(bits(softplus(x, a)), bits(full(x, a)), "x = {x:e}, a = {a}");
+            }
+        }
+        assert!(
+            shortcut > 580_000,
+            "{shortcut} grid points took the shortcut"
+        );
+        // Infinity still maps to itself; NaN still propagates.
+        assert_eq!(softplus(f64::INFINITY, 0.01), (f64::INFINITY, 1.0));
+        let (v, d) = softplus(f64::NAN, 0.01);
+        assert!(v.is_nan() && d.is_nan());
     }
 
     #[test]

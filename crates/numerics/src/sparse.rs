@@ -19,12 +19,14 @@
 //!   written once and copied per assembly;
 //! * [`SparseLu`] — an LU factorization with threshold partial pivoting.
 //!   [`SparseLu::factor`] runs the pivot search (right-looking elimination
-//!   on row lists), then the symbolic phase (the structural fill pattern of
-//!   L and U for the chosen row order) and the numeric phase (row-by-row
-//!   elimination into flat value arrays on that pattern).
+//!   on row lists, linear in the entries it touches), then the symbolic
+//!   phase (the structural fill pattern of L and U for the chosen row
+//!   order) and the numeric phase (row-by-row elimination into flat value
+//!   arrays on that pattern, keeping the pivots' rcond as it goes).
 //!   [`SparseLu::refactor`] reruns only the numeric phase on a new matrix
-//!   with the same pattern, and falls back to a fresh pivot search when a
-//!   reused pivot no longer passes the threshold test;
+//!   with the same pattern, in one pass over the input, and falls back to
+//!   a fresh pivot search when a reused pivot no longer passes the
+//!   threshold test;
 //! * [`SparseSolver`] — one analysis call's solver: factored once (or
 //!   seeded with earlier factors of the same matrix), then refactored in
 //!   the stored pattern.
@@ -410,7 +412,14 @@ impl<T> SlotCursor<'_, T> {
 /// the structural fill of the input pattern under the row order `P`, so
 /// [`refactor`](Self::refactor) can refill it for any matrix with the same
 /// pattern without searching for pivots again.
-#[derive(Debug, Clone)]
+///
+/// Costs: the pivot search is linear in the row-list entries it creates
+/// and eliminates, plus two scans of the remaining rows per step; the
+/// numeric phase reads each input value once (taking the scale and the
+/// finiteness check on the way) and records the pivots' smallest and
+/// largest magnitude, so [`rcond_estimate`](Self::rcond_estimate) is a
+/// field read.
+#[derive(Debug)]
 pub struct SparseLu<T> {
     n: usize,
     /// Row permutation: factored row `i` is input row `perm[i]`.
@@ -427,6 +436,8 @@ pub struct SparseLu<T> {
     a_pattern: Arc<Pattern>,
     /// Largest |a_ij| of the factored matrix (for pivot-growth estimates).
     scale: f64,
+    /// `min |Uᵢᵢ| / max |Uᵢᵢ|` over the pivots, kept by the numeric phase.
+    rcond: f64,
     /// Dense working row of the numeric phase, all zero between rows.
     work: Vec<T>,
     /// Per column, the largest candidate-pivot magnitude seen by the
@@ -434,14 +445,49 @@ pub struct SparseLu<T> {
     col_max: Vec<f64>,
 }
 
+/// Field by field, so that [`clone_from`](Clone::clone_from) refills the
+/// target's vectors in place: restarting a solver from a seed copies
+/// the factors without allocating.
+impl<T: Clone> Clone for SparseLu<T> {
+    fn clone(&self) -> Self {
+        SparseLu {
+            n: self.n,
+            perm: self.perm.clone(),
+            ptr: self.ptr.clone(),
+            diag: self.diag.clone(),
+            col: self.col.clone(),
+            val: self.val.clone(),
+            a_pattern: Arc::clone(&self.a_pattern),
+            scale: self.scale,
+            rcond: self.rcond,
+            work: self.work.clone(),
+            col_max: self.col_max.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.perm.clone_from(&source.perm);
+        self.ptr.clone_from(&source.ptr);
+        self.diag.clone_from(&source.diag);
+        self.col.clone_from(&source.col);
+        self.val.clone_from(&source.val);
+        self.a_pattern.clone_from(&source.a_pattern);
+        self.scale = source.scale;
+        self.rcond = source.rcond;
+        self.work.clone_from(&source.work);
+        self.col_max.clone_from(&source.col_max);
+    }
+}
+
 /// Pivot tolerance relative to the largest candidate in the column.
 const PIVOT_THRESHOLD: f64 = 1e-3;
 /// Magnitude below which an eliminated fill-in entry is dropped.
 const DROP_TOL: f64 = 0.0; // keep everything: exactness over speed
 
-/// Checks a matrix before factoring it and returns its scale, the
-/// largest |a_ij| (floored at the smallest positive double).
-fn check_input<T: Scalar>(a: &CsrMatrix<T>) -> Result<f64, FactorError> {
+/// The checks every factorization makes before it reads a value: the
+/// dimension budget, then squareness.
+fn check_shape<T: Scalar>(a: &CsrMatrix<T>) -> Result<(), FactorError> {
     remix_exec::check_matrix_dim(a.rows()).map_err(FactorError::Budget)?;
     if a.rows() != a.cols() {
         return Err(FactorError::NotSquare {
@@ -449,6 +495,13 @@ fn check_input<T: Scalar>(a: &CsrMatrix<T>) -> Result<f64, FactorError> {
             cols: a.cols(),
         });
     }
+    Ok(())
+}
+
+/// Checks a matrix before factoring it and returns its scale, the
+/// largest |a_ij| (floored at the smallest positive double).
+fn check_input<T: Scalar>(a: &CsrMatrix<T>) -> Result<f64, FactorError> {
+    check_shape(a)?;
     let mut scale = 0.0f64;
     for v in &a.values {
         if !v.is_finite_scalar() {
@@ -467,88 +520,85 @@ fn check_input<T: Scalar>(a: &CsrMatrix<T>) -> Result<f64, FactorError> {
 /// The pivot search: right-looking elimination on row lists that picks,
 /// at each step, the row order `perm` (input row of each pivot).
 ///
-/// Threshold partial pivoting: among rows whose candidate pivot is within
-/// [`PIVOT_THRESHOLD`] of the column maximum, choose the sparsest (a cheap
-/// Markowitz-style fill heuristic).
+/// Threshold partial pivoting: among rows whose candidate pivot is
+/// non-zero and within [`PIVOT_THRESHOLD`] of the column maximum, choose
+/// the sparsest, the first in position order on a tie (a cheap
+/// Markowitz-style fill heuristic). Exact zeros produced by elimination
+/// are dropped; explicit zeros of the input are kept.
+///
+/// Linear in the entries it touches: at step `k` every remaining row
+/// holds only columns ≥ `k`, so a row's column-`k` entry, if any, is its
+/// first, and eliminating it is one merge of two column-sorted rows.
 fn pivot_order<T: Scalar>(a: &CsrMatrix<T>, scale: f64) -> Result<Vec<usize>, FactorError> {
     let n = a.rows();
     let mut rows: Vec<Vec<(usize, T)>> = (0..n).map(|r| a.row(r).collect()).collect();
     let mut perm: Vec<usize> = (0..n).collect();
-
-    // Dense scatter buffer reused per eliminated row.
-    let mut work = vec![T::zero(); n];
-    let mut pattern: Vec<usize> = Vec::with_capacity(n);
+    // The merged row under construction; swapped with the row it
+    // replaces, so elimination allocates only when a row grows.
+    let mut merged: Vec<(usize, T)> = Vec::new();
+    // A row's candidate pivot at step k: its non-zero column-k entry.
+    let candidate = |row: &[(usize, T)], k: usize| match row.first() {
+        Some(&(c, v)) if c == k && v.magnitude() > 0.0 => Some(v.magnitude()),
+        _ => None,
+    };
 
     for k in 0..n {
-        // --- pivot selection among rows k..n having an entry in col k ---
-        // Two passes keep the logic obviously correct.
-        let candidates: Vec<(usize, f64, usize)> = rows
+        let max_mag = rows[k..]
             .iter()
-            .enumerate()
-            .skip(k)
-            .filter_map(|(ri, row)| {
-                row.binary_search_by_key(&k, |e| e.0)
-                    .ok()
-                    .map(|pos| (ri, row[pos].1.magnitude(), row.len()))
-                    .filter(|&(_, m, _)| m > 0.0)
-            })
-            .collect();
-        let max_mag = candidates.iter().map(|c| c.1).fold(0.0, f64::max);
-        let best_row = candidates
-            .iter()
-            .filter(|c| c.1 >= PIVOT_THRESHOLD * max_mag)
-            .min_by_key(|c| c.2)
-            .map(|c| c.0)
-            .unwrap_or(usize::MAX);
-        if best_row == usize::MAX || max_mag <= 1e-13 * scale {
-            return Err(FactorError::Singular { step: k });
+            .filter_map(|row| candidate(row, k))
+            .fold(0.0, f64::max);
+        let mut best: Option<(usize, usize)> = None; // (row index, length)
+        for (ri, row) in rows.iter().enumerate().skip(k) {
+            let acceptable = candidate(row, k).is_some_and(|m| m >= PIVOT_THRESHOLD * max_mag);
+            if acceptable && best.is_none_or(|(_, len)| row.len() < len) {
+                best = Some((ri, row.len()));
+            }
         }
+        let best_row = match best {
+            Some((ri, _)) if max_mag > 1e-13 * scale => ri,
+            _ => return Err(FactorError::Singular { step: k }),
+        };
         rows.swap(k, best_row);
         perm.swap(k, best_row);
 
+        // The candidate test above saw the pivot as the row's first entry.
         let pivot_row = std::mem::take(&mut rows[k]);
-        // The pivot-selection scan above only accepts rows holding
-        // a finite entry in column k, so the search cannot miss; a
-        // miss would be a broken factorization invariant, not a
-        // property of the input matrix.
-        let Ok(pivot_pos) = pivot_row.binary_search_by_key(&k, |e| e.0) else {
-            unreachable!("pivot entry must exist"); // audit: allow(AUD002): a miss is a broken factorization invariant, per the comment above
-        };
-        let pivot_val = pivot_row[pivot_pos].1;
+        let pivot_val = pivot_row[0].1;
+        let upper = &pivot_row[1..];
 
-        // --- eliminate column k from all remaining rows ---
+        // --- eliminate column k from every remaining row holding it ---
         for row in rows.iter_mut().skip(k + 1) {
-            let Ok(pos) = row.binary_search_by_key(&k, |e| e.0) else {
-                continue;
+            let x = match row.first() {
+                Some(&(c, x)) if c == k => x,
+                _ => continue,
             };
-            let mult = row[pos].1 / pivot_val;
-
-            // Scatter target row.
-            pattern.clear();
-            for &(c, v) in row.iter() {
-                if c != k {
-                    work[c] = v;
-                    pattern.push(c);
-                }
-            }
-            // Subtract mult * pivot_row (entries beyond column k).
-            for &(c, v) in &pivot_row[pivot_pos + 1..] {
-                let delta = mult * v;
-                if work[c] == T::zero() && !pattern.contains(&c) {
-                    pattern.push(c);
-                }
-                work[c] -= delta;
-            }
-            // Gather back, sorted.
-            pattern.sort_unstable();
-            row.clear();
-            for &c in &pattern {
-                let v = work[c];
-                work[c] = T::zero();
+            let mult = x / pivot_val;
+            // row[1..] − mult · upper, both sorted by column. A column
+            // only the pivot row holds starts from zero, as in a dense
+            // elimination.
+            merged.clear();
+            let mut keep = |c: usize, v: T| {
                 if v.magnitude() > DROP_TOL {
-                    row.push((c, v));
+                    merged.push((c, v));
+                }
+            };
+            let mut i = 1;
+            for &(cu, vu) in upper {
+                while i < row.len() && row[i].0 < cu {
+                    keep(row[i].0, row[i].1);
+                    i += 1;
+                }
+                if i < row.len() && row[i].0 == cu {
+                    keep(cu, row[i].1 - mult * vu);
+                    i += 1;
+                } else {
+                    keep(cu, T::zero() - mult * vu);
                 }
             }
+            for &(c, v) in &row[i..] {
+                keep(c, v);
+            }
+            std::mem::swap(row, &mut merged);
         }
     }
     Ok(perm)
@@ -578,14 +628,22 @@ impl<T: Scalar> SparseLu<T> {
     /// Otherwise runs a fresh pivot search, exactly as
     /// [`factor`](Self::factor) would.
     ///
+    /// One pass over `a`: the numeric phase's scatter of each input
+    /// value also takes the scale and checks finiteness, so the reuse
+    /// path reads every value once. Only when that phase fails (a
+    /// non-finite value, a pivot that fails its test) does `refactor`
+    /// rescan the input and search, so errors come in the same order as
+    /// from `factor`.
+    ///
     /// # Errors
     ///
     /// As for [`factor`](Self::factor). After an error the factors are
     /// unusable until the next successful `factor` or `refactor`.
     pub fn refactor(&mut self, a: &CsrMatrix<T>) -> Result<(), FactorError> {
-        let scale = check_input(a)?;
+        check_shape(a)?;
         let same_pattern = Arc::ptr_eq(&a.pattern, &self.a_pattern) || a.pattern == self.a_pattern;
-        if !(same_pattern && self.numeric(a, scale).is_ok()) {
+        if !(same_pattern && self.numeric(a).is_ok()) {
+            let scale = check_input(a)?;
             *self = Self::search(a, scale)?;
         }
         self.record();
@@ -598,8 +656,9 @@ impl<T: Scalar> SparseLu<T> {
         let perm = pivot_order(a, scale)?;
         let mut lu = Self::symbolic(a, perm);
         // The numeric phase repeats the search's arithmetic on a superset
-        // pattern, so it accepts the pivots the search chose.
-        lu.numeric(a, scale)
+        // pattern, so it accepts the pivots the search chose; it takes
+        // the same scale from the same (finite) values.
+        lu.numeric(a)
             .map_err(|step| FactorError::Singular { step })?;
         if remix_telemetry::is_armed() {
             remix_telemetry::counter_add(remix_telemetry::names::LU_PIVOT_SEARCHES, 1);
@@ -652,6 +711,7 @@ impl<T: Scalar> SparseLu<T> {
             val: vec![T::zero(); fill],
             a_pattern: Arc::clone(&a.pattern),
             scale: 0.0,
+            rcond: 0.0,
             work: vec![T::zero(); n],
             col_max: vec![0.0; n],
         }
@@ -659,10 +719,15 @@ impl<T: Scalar> SparseLu<T> {
 
     /// The numeric phase: row-by-row elimination of `a` into the stored
     /// pattern and row order. Each entry sees the same operations in the
-    /// same order as in the right-looking pivot search. Returns the first
-    /// step whose pivot fails the zero, threshold or singularity test.
-    fn numeric(&mut self, a: &CsrMatrix<T>, scale: f64) -> Result<(), usize> {
+    /// same order as in the right-looking pivot search. The scatter of
+    /// `a` reads every input value once, so it also takes the scale
+    /// (what [`check_input`] returns) and checks finiteness; the pivot
+    /// magnitudes give the stored rcond. Returns the first step whose
+    /// pivot fails the zero, threshold or singularity test, or `n` when
+    /// an input value is not finite.
+    fn numeric(&mut self, a: &CsrMatrix<T>) -> Result<(), usize> {
         let SparseLu {
+            n,
             perm,
             ptr,
             diag,
@@ -673,8 +738,16 @@ impl<T: Scalar> SparseLu<T> {
             ..
         } = self;
         col_max.fill(0.0);
+        let mut scale = 0.0f64;
+        let mut finite = true;
+        let (mut pivot_min, mut pivot_max) = (f64::INFINITY, 0.0f64);
         for (i, &src) in perm.iter().enumerate() {
             for (c, v) in a.row(src) {
+                finite &= v.is_finite_scalar();
+                let m = v.magnitude();
+                if m > scale {
+                    scale = m;
+                }
                 work[c] = v;
             }
             let (lo, d, hi) = (ptr[i], diag[i], ptr[i + 1]);
@@ -698,13 +771,24 @@ impl<T: Scalar> SparseLu<T> {
                 return Err(i);
             }
             col_max[i] = col_max[i].max(pivot);
+            pivot_min = pivot_min.min(pivot);
+            pivot_max = pivot_max.max(pivot);
         }
+        if !finite {
+            return Err(*n);
+        }
+        let scale = scale.max(f64::MIN_POSITIVE);
         for (k, &m) in col_max.iter().enumerate() {
             if m <= 1e-13 * scale || val[diag[k]].magnitude() < PIVOT_THRESHOLD * m {
                 return Err(k);
             }
         }
         self.scale = scale;
+        self.rcond = if pivot_max == 0.0 {
+            0.0
+        } else {
+            pivot_min / pivot_max
+        };
         Ok(())
     }
 
@@ -728,23 +812,13 @@ impl<T: Scalar> SparseLu<T> {
     }
 
     /// Crude reciprocal condition estimate from the pivot magnitudes:
-    /// `min |Uᵢᵢ| / max |Uᵢᵢ|`. Cheap (one pass over the stored diagonal)
-    /// and sufficient for flagging near-singular circuit matrices —
-    /// floating nodes held up only by gmin, broken feedback loops —
-    /// where a solve *succeeds* numerically but deserves distrust.
+    /// `min |Uᵢᵢ| / max |Uᵢᵢ|`, kept by the numeric phase as it computes
+    /// each pivot, so reading it costs nothing. Sufficient for flagging
+    /// near-singular circuit matrices — floating nodes held up only by
+    /// gmin, broken feedback loops — where a solve *succeeds* numerically
+    /// but deserves distrust.
     pub fn rcond_estimate(&self) -> f64 {
-        let mut min = f64::INFINITY;
-        let mut max = 0.0f64;
-        for &d in &self.diag {
-            let m = self.val[d].magnitude();
-            min = min.min(m);
-            max = max.max(m);
-        }
-        if max == 0.0 {
-            0.0
-        } else {
-            min / max
-        }
+        self.rcond
     }
 
     /// Reciprocal pivot growth `max |aᵢⱼ| / max |uᵢⱼ|`: values far below
@@ -830,7 +904,7 @@ impl<T: Scalar> SparseLu<T> {
 /// or a reused pivot fails. A solver carries state from one solve to the
 /// next only to save work: its factors equal a fresh factorization's up
 /// to rounding. Create one per analysis call, or restart one from a
-/// [`seeded`](Self::seeded) copy of an earlier call's first factors.
+/// copy of an earlier call's first factors ([`reseed`](Self::reseed)).
 #[derive(Debug, Clone)]
 pub struct SparseSolver<T> {
     lu: Option<SparseLu<T>>,
@@ -848,14 +922,18 @@ impl<T: Scalar> SparseSolver<T> {
         Self::default()
     }
 
-    /// A solver whose first [`factor`](Self::factor) refactors in
-    /// `seed`'s row order and fill pattern instead of searching for
-    /// pivots. Given the matrix `seed` was factored from, that refactor
-    /// computes the same factors, bit for bit, as the search did: the
-    /// numeric phase overwrites every stored value and repeats the
-    /// search's arithmetic.
-    pub fn seeded(seed: SparseLu<T>) -> Self {
-        SparseSolver { lu: Some(seed) }
+    /// Restarts the solver from a copy of `seed`, so that its next
+    /// [`factor`](Self::factor) refactors in `seed`'s row order and fill
+    /// pattern instead of searching for pivots. Given the matrix `seed`
+    /// was factored from, that refactor computes the same factors, bit
+    /// for bit, as the search did: the numeric phase overwrites every
+    /// stored value and repeats the search's arithmetic. The copy goes
+    /// into the solver's current factors, reusing their storage.
+    pub fn reseed(&mut self, seed: &SparseLu<T>) {
+        match &mut self.lu {
+            Some(lu) => lu.clone_from(seed),
+            None => self.lu = Some(seed.clone()),
+        }
     }
 
     /// Factors `a`. After an error the next call starts with a fresh
@@ -1189,7 +1267,16 @@ mod tests {
         let mut seed = fresh.clone();
         seed.refactor(&matrix(1.7)).unwrap();
         assert_eq!(seed.perm, fresh.perm);
-        let mut solver = SparseSolver::seeded(seed);
+        // A solver holding other factors (another size and pattern), so
+        // the copy goes through `clone_from`.
+        let mut solver = SparseSolver::new();
+        let mut other = TripletMatrix::new(4, 4);
+        for i in 0..4 {
+            other.push(i, i, 1.0 + i as f64);
+            other.push(i, 3 - i, 0.5);
+        }
+        solver.factor(&other.to_csr()).unwrap();
+        solver.reseed(&seed);
         let (factors, searches) = lu_counts(|| {
             let lu = solver.factor(&a).unwrap();
             assert_eq!(lu.perm, fresh.perm);
@@ -1202,6 +1289,273 @@ mod tests {
             );
         });
         assert_eq!((factors, searches), (1, 0));
+    }
+
+    /// The pivot rule written out plainly, as a dense-minded reader would:
+    /// every remaining row's column-`k` entry found by search, the column
+    /// maximum over the non-zero ones, the sparsest row within the
+    /// threshold (the first on a tie), then elimination through a dense
+    /// scratch row, dropping exact zeros.
+    fn reference_pivot_order(a: &CsrMatrix<f64>, scale: f64) -> Result<Vec<usize>, FactorError> {
+        let n = a.rows();
+        let mut rows: Vec<Vec<(usize, f64)>> = (0..n).map(|r| a.row(r).collect()).collect();
+        let mut perm: Vec<usize> = (0..n).collect();
+        let at = |row: &[(usize, f64)], k: usize| row.iter().position(|e| e.0 == k);
+        for k in 0..n {
+            let candidates: Vec<(usize, f64, usize)> = (k..n)
+                .filter_map(|ri| {
+                    let m = rows[ri][at(&rows[ri], k)?].1.abs();
+                    (m > 0.0).then_some((ri, m, rows[ri].len()))
+                })
+                .collect();
+            let max_mag = candidates.iter().map(|c| c.1).fold(0.0, f64::max);
+            let best = candidates
+                .iter()
+                .filter(|c| c.1 >= PIVOT_THRESHOLD * max_mag)
+                .min_by_key(|c| c.2);
+            let Some(&(best, _, _)) = best.filter(|_| max_mag > 1e-13 * scale) else {
+                return Err(FactorError::Singular { step: k });
+            };
+            rows.swap(k, best);
+            perm.swap(k, best);
+            let pivot_row = std::mem::take(&mut rows[k]);
+            let pivot = pivot_row[at(&pivot_row, k).unwrap()].1;
+            for row in rows.iter_mut().skip(k + 1) {
+                let Some(pos) = at(row, k) else { continue };
+                let mult = row[pos].1 / pivot;
+                let mut dense: Vec<Option<f64>> = vec![None; n];
+                for &(c, v) in row.iter().filter(|e| e.0 != k) {
+                    dense[c] = Some(v);
+                }
+                for &(c, v) in pivot_row.iter().filter(|e| e.0 > k) {
+                    dense[c] = Some(dense[c].unwrap_or(0.0) - mult * v);
+                }
+                *row = (0..n)
+                    .filter_map(|c| dense[c].map(|v| (c, v)))
+                    .filter(|e| e.1.abs() > 0.0)
+                    .collect();
+            }
+        }
+        Ok(perm)
+    }
+
+    #[test]
+    fn pivot_search_matches_the_reference_rule() {
+        let mut s = 0x5eed_u64;
+        let unit = |s: &mut u64| 0.5 * (lcg(s) + 1.0);
+        let (mut ok, mut singular) = (0, 0);
+        for _ in 0..4_000 {
+            let n = 1 + (unit(&mut s) * 9.0) as usize;
+            let density = 0.2 + 0.6 * unit(&mut s);
+            // Values from a small set make ties in row length and
+            // magnitude, exact cancellations, explicit zeros and
+            // below-threshold candidates common.
+            let mut dense = vec![vec![None; n]; n];
+            for cell in dense.iter_mut().flatten() {
+                if unit(&mut s) < density {
+                    *cell = Some(match (unit(&mut s) * 6.0) as usize {
+                        0 => 0.0,
+                        1 => 1.0,
+                        2 => -1.0,
+                        3 => 2.0,
+                        4 => 1e-4,
+                        _ => lcg(&mut s),
+                    });
+                }
+            }
+            // Now and then a repeated row: singular, or nearly so.
+            if n > 1 && unit(&mut s) < 0.2 {
+                dense[n - 1] = dense[0].clone();
+            }
+            let mut t = TripletMatrix::new(n, n);
+            for (r, row) in dense.iter().enumerate() {
+                for (c, v) in row.iter().enumerate() {
+                    if let Some(v) = *v {
+                        t.push(r, c, v);
+                    }
+                }
+            }
+            let a = t.to_csr();
+            let scale = check_input(&a).unwrap();
+            let got = pivot_order(&a, scale);
+            assert_eq!(got, reference_pivot_order(&a, scale), "{dense:?}");
+            match got {
+                Ok(_) => ok += 1,
+                Err(_) => singular += 1,
+            }
+        }
+        assert!(
+            ok > 1_000 && singular > 1_000,
+            "{ok} factored, {singular} singular"
+        );
+    }
+
+    /// `min |Uᵢᵢ| / max |Uᵢᵢ|` by a pass over the stored diagonal.
+    fn diagonal_rcond(lu: &SparseLu<f64>) -> f64 {
+        let mut min = f64::INFINITY;
+        let mut max = 0.0f64;
+        for &d in &lu.diag {
+            min = min.min(lu.val[d].abs());
+            max = max.max(lu.val[d].abs());
+        }
+        if max == 0.0 {
+            0.0
+        } else {
+            min / max
+        }
+    }
+
+    #[test]
+    fn stored_rcond_is_the_diagonal_scan_bit_for_bit() {
+        let matrix = |s: f64| {
+            let stamps = [
+                (0, 1, 2.0 * s),
+                (0, 2, 1.0),
+                (1, 0, 1.0),
+                (1, 1, 4.0 * s),
+                (2, 0, 3.0 + s),
+                (2, 2, 1e-3 * s),
+            ];
+            triplets(&stamps).to_csr()
+        };
+        let same = |lu: &SparseLu<f64>| {
+            assert_eq!(lu.rcond_estimate().to_bits(), diagonal_rcond(lu).to_bits());
+        };
+        let mut lu = SparseLu::factor(&matrix(1.0)).unwrap();
+        same(&lu);
+        let seed = lu.clone();
+        for s in [1.7, -0.3, 1e-6, 40.0] {
+            lu.refactor(&matrix(s)).unwrap();
+            same(&lu);
+        }
+        // Another pattern: refactor searches afresh.
+        let (_, searches) = lu_counts(|| {
+            lu.refactor(&two_rows_swapped()).unwrap();
+        });
+        assert_eq!(searches, 1);
+        same(&lu);
+        let mut solver = SparseSolver::new();
+        solver.factor(&two_rows_swapped()).unwrap();
+        solver.reseed(&seed);
+        same(solver.factor(&matrix(1.0)).unwrap());
+        // Random systems, sparse and dense.
+        let mut st = 7u64;
+        for n in [1, 2, 5, 12] {
+            let mut t = TripletMatrix::new(n, n);
+            for r in 0..n {
+                for c in 0..n {
+                    if r == c || lcg(&mut st) > 0.3 {
+                        t.push(r, c, lcg(&mut st));
+                    }
+                }
+            }
+            same(&SparseLu::factor(&t.to_csr()).unwrap());
+        }
+    }
+
+    /// A 3×3 matrix on another pattern than `stored_rcond_…`'s.
+    fn two_rows_swapped() -> CsrMatrix<f64> {
+        triplets(&[
+            (0, 0, 1e-9),
+            (0, 1, 1.0),
+            (1, 0, 1.0),
+            (1, 1, 1.0),
+            (2, 2, 5.0),
+        ])
+        .to_csr()
+    }
+
+    #[test]
+    fn refactor_fails_as_factor_does_and_factors_again_after() {
+        let good = triplets(&[
+            (0, 0, 4.0),
+            (0, 1, 1.0),
+            (1, 1, 3.0),
+            (2, 0, 1.0),
+            (2, 2, 2.0),
+        ]);
+        let good = good.to_csr();
+        let fresh = SparseLu::factor(&good).unwrap();
+        let bits = |lu: &SparseLu<f64>| lu.val.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let poisoned = |v: f64| {
+            triplets(&[
+                (0, 0, 4.0),
+                (0, 1, v),
+                (1, 1, 3.0),
+                (2, 0, 1.0),
+                (2, 2, 2.0),
+            ])
+            .to_csr()
+        };
+        let mut wide = TripletMatrix::new(3, 4);
+        wide.push(0, 3, 1.0);
+        let limited = remix_exec::RunBudget {
+            max_matrix_dim: Some(2),
+            ..remix_exec::RunBudget::unlimited()
+        }
+        .token();
+        let mut lu = fresh.clone();
+        let mut check = |bad: &CsrMatrix<f64>, expected: FactorError| {
+            assert_eq!(SparseLu::factor(bad).err(), Some(expected.clone()));
+            assert_eq!(lu.refactor(bad), Err(expected));
+            lu.refactor(&good).unwrap();
+            assert_eq!(bits(&lu), bits(&fresh));
+            assert_eq!(bits(&SparseLu::factor(&good).unwrap()), bits(&fresh));
+        };
+        check(&poisoned(f64::INFINITY), FactorError::NotFinite);
+        check(&poisoned(f64::NAN), FactorError::NotFinite);
+        check(&poisoned(f64::NEG_INFINITY), FactorError::NotFinite);
+        check(&wide.to_csr(), FactorError::NotSquare { rows: 3, cols: 4 });
+        {
+            let _armed = limited.arm();
+            let refused =
+                FactorError::Budget(remix_exec::Interruption::MatrixDim { dim: 3, limit: 2 });
+            assert_eq!(SparseLu::factor(&good).err(), Some(refused.clone()));
+            assert_eq!(lu.refactor(&good), Err(refused));
+        }
+        lu.refactor(&good).unwrap();
+        assert_eq!(bits(&lu), bits(&fresh));
+        assert_eq!(bits(&SparseLu::factor(&good).unwrap()), bits(&fresh));
+    }
+
+    #[test]
+    fn reseed_copies_into_the_solver_s_storage() {
+        let a = triplets(&[
+            (0, 1, 2.0),
+            (0, 2, 1.0),
+            (1, 0, 1.0),
+            (1, 1, 4.0),
+            (2, 2, 1.0),
+        ]);
+        let b = triplets(&[
+            (0, 1, 3.0),
+            (0, 2, 1.0),
+            (1, 0, 2.0),
+            (1, 1, 5.0),
+            (2, 2, 7.0),
+        ]);
+        let seed = SparseLu::factor(&a.to_csr()).unwrap();
+        let mut solver = SparseSolver::new();
+        solver.factor(&b.to_csr()).unwrap();
+        let storage = |s: &SparseSolver<f64>| {
+            let lu = s.lu.as_ref().unwrap();
+            (
+                lu.perm.as_ptr(),
+                lu.col.as_ptr(),
+                lu.val.as_ptr(),
+                lu.work.as_ptr(),
+            )
+        };
+        let before = storage(&solver);
+        solver.reseed(&seed);
+        assert_eq!(storage(&solver), before);
+        let lu = solver.lu.as_ref().unwrap();
+        assert_eq!(
+            (&lu.perm, &lu.ptr, &lu.col),
+            (&seed.perm, &seed.ptr, &seed.col)
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&lu.val), bits(&seed.val));
     }
 
     /// Pushes `stamps` into a fresh 3×3 triplet matrix.
