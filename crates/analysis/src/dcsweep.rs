@@ -10,7 +10,7 @@
 
 use crate::convergence::{StageKind, TraceStage};
 use crate::error::{AnalysisError, PartialProgress};
-use crate::op::{dc_operating_point, OpOptions, OpSession, OperatingPoint, Seed};
+use crate::op::{dc_operating_point, LinearSolverKind, OpOptions, OpSession, OperatingPoint, Seed};
 use crate::partial::{Interrupted, Partial};
 use remix_circuit::{Circuit, Element, ElementId, Node, Waveform};
 
@@ -118,7 +118,12 @@ fn dc_sweep_inner(
         let solved = if v.is_finite() {
             let session = match &mut session {
                 Some(s) => s,
-                None => session.insert(OpSession::open(&work, opts, Seed::Pending)?),
+                None => session.insert(OpSession::open(
+                    &work,
+                    opts,
+                    LinearSolverKind::Sparse,
+                    Seed::Pending,
+                )?),
             };
             session.solve(&work)
         } else {

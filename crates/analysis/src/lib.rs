@@ -65,9 +65,7 @@ pub use dcsweep::{dc_sweep, dc_sweep_partial, DcSweepResult};
 pub use error::{AnalysisError, PartialProgress};
 #[cfg(feature = "fault-inject")]
 pub use fault::{active_plan, FaultGuard, FaultKind, FaultPlan};
-pub use op::{
-    dc_operating_point, dc_operating_point_dense, LinearSolverKind, OpOptions, OperatingPoint,
-};
+pub use op::{dc_operating_point, dc_operating_point_dense, OpOptions, OperatingPoint};
 pub use partial::{Interrupted, Partial};
 pub use plan::{fastest_stimulus, noise_plan, pss_plan, sweep_plan, tran_plan};
 pub use power::{supply_power, PowerReport};

@@ -44,10 +44,9 @@ use remix_numerics::{CsrMatrix, FactorError, LuFactor, SparseLu, SparseSolver, T
 /// independent reference implementation (different pivoting order,
 /// different elimination code, no fault-injection hooks) used by the
 /// differential oracle in `tests/` to cross-check operating points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LinearSolverKind {
-    /// Sparse LU via `remix_numerics::SparseLu` (default).
-    #[default]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LinearSolverKind {
+    /// Sparse LU via `remix_numerics::SparseLu`.
     Sparse,
     /// Dense LU with partial pivoting via `remix_numerics::LuFactor`,
     /// factoring the densified MNA matrix.
@@ -71,8 +70,6 @@ pub struct OpOptions {
     pub gmin: f64,
     /// The homotopy ladder to walk when the direct solve stalls.
     pub policy: ConvergencePolicy,
-    /// The linear-algebra path used per Newton step.
-    pub solver: LinearSolverKind,
 }
 
 impl Default for OpOptions {
@@ -83,7 +80,6 @@ impl Default for OpOptions {
             dv_max: 0.3,
             gmin: 1e-12,
             policy: ConvergencePolicy::default(),
-            solver: LinearSolverKind::default(),
         }
     }
 }
@@ -508,7 +504,8 @@ pub(crate) struct OpSession<'o> {
 }
 
 impl<'o> OpSession<'o> {
-    /// Lints `circuit` and lays it out. `seed` is [`Seed::Pending`]
+    /// Lints `circuit` and lays it out, to factor each Newton step
+    /// through `kind`. `seed` is [`Seed::Pending`]
     /// for a session that will solve more than once (a DC sweep), so
     /// its system keeps the first factors to restart from, and
     /// [`Seed::Absent`] for a single solve, which needs no copy of them.
@@ -520,6 +517,7 @@ impl<'o> OpSession<'o> {
     pub(crate) fn open(
         circuit: &Circuit,
         opts: &'o OpOptions,
+        kind: LinearSolverKind,
         seed: Seed,
     ) -> Result<Self, AnalysisError> {
         let lint = remix_lint::lint(circuit, &remix_lint::LintConfig::default());
@@ -527,7 +525,7 @@ impl<'o> OpSession<'o> {
             return Err(AnalysisError::Lint(lint));
         }
         let layout = MnaLayout::new(circuit);
-        let sys = NewtonSystem::new(&layout, opts.solver, seed);
+        let sys = NewtonSystem::new(&layout, kind, seed);
         Ok(OpSession {
             opts,
             lint,
@@ -686,12 +684,12 @@ pub fn dc_operating_point(
     circuit: &Circuit,
     opts: &OpOptions,
 ) -> Result<OperatingPoint, AnalysisError> {
-    OpSession::open(circuit, opts, Seed::Absent)?.solve(circuit)
+    OpSession::open(circuit, opts, LinearSolverKind::Sparse, Seed::Absent)?.solve(circuit)
 }
 
-/// [`dc_operating_point`] through the dense reference LU path
-/// ([`LinearSolverKind::Dense`]): same Newton iteration and homotopy
-/// ladder, independent linear algebra. Exists for differential testing —
+/// [`dc_operating_point`] through the dense reference LU path (the
+/// densified MNA matrix factored by `remix_numerics::LuFactor`): same
+/// Newton iteration and homotopy ladder, independent linear algebra. Exists for differential testing —
 /// solve a circuit both ways and compare node voltages.
 ///
 /// # Errors
@@ -701,11 +699,7 @@ pub fn dc_operating_point_dense(
     circuit: &Circuit,
     opts: &OpOptions,
 ) -> Result<OperatingPoint, AnalysisError> {
-    let opts = OpOptions {
-        solver: LinearSolverKind::Dense,
-        ..opts.clone()
-    };
-    dc_operating_point(circuit, &opts)
+    OpSession::open(circuit, opts, LinearSolverKind::Dense, Seed::Absent)?.solve(circuit)
 }
 
 #[cfg(test)]

@@ -44,12 +44,6 @@ pub const THREAD_LOCALS: &[ThreadLocalEntry] = &[
         guard: "FaultGuard",
         rearm: "FaultPlan::arm",
     },
-    ThreadLocalEntry {
-        file: "crates/exec/src/pool.rs",
-        static_name: "WORKER",
-        guard: "WorkerGuard",
-        rearm: "WorkerContext::arm",
-    },
 ];
 
 /// Looks up the catalog entry for a static declared in `file`.

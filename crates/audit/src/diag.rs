@@ -89,11 +89,14 @@ pub enum AuditRule {
     /// atomic the pool will share must argue why it needs no
     /// happens-before edge — or be upgraded.
     UnjustifiedRelaxed,
-    /// `AUD010` — a `pub fn` nothing calls: no non-test code in its own
-    /// file and no other file (tests, examples and the benchmark
-    /// harness included) names it, in code or in a doctest. rustc's
-    /// `dead_code` lint never fires on `pub` items, so without this
-    /// rule dead public surface stays compiled and tested forever.
+    /// `AUD010` — a `pub` fn, struct, enum, trait, type, const or
+    /// static nothing names: no non-test code in its own file and no
+    /// other file (tests, examples and the benchmark harness included)
+    /// names it, in code, in a doctest or as an inline format argument.
+    /// rustc's `dead_code` lint never fires on `pub` items, so without
+    /// this rule dead public surface stays compiled and tested forever.
+    /// The variant and its code keep their original `PUB_FN` names so
+    /// existing markers and configurations stay valid.
     /// Checked by [`audit_workspace`](crate::audit_workspace) only: it
     /// needs the whole workspace to see every caller.
     UnreferencedPubFn,
@@ -159,7 +162,7 @@ impl AuditRule {
             AuditRule::UnregisteredThreadLocal => "thread_local! missing from the RAII catalog",
             AuditRule::UnknownMetricName => "metric name literal outside telemetry::names",
             AuditRule::UnjustifiedRelaxed => "Ordering::Relaxed without a relaxed-ok justification",
-            AuditRule::UnreferencedPubFn => "pub fn that no code, test, example or doctest calls",
+            AuditRule::UnreferencedPubFn => "pub item that no code, test, example or doctest names",
         }
     }
 }

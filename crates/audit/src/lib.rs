@@ -23,7 +23,7 @@
 //! | `AUD007_UNREGISTERED_THREAD_LOCAL` | a `thread_local!` missing from [`catalog::THREAD_LOCALS`] |
 //! | `AUD008_UNKNOWN_METRIC_NAME` | a `"remix.*"` name literal outside `remix_telemetry::names` |
 //! | `AUD009_UNJUSTIFIED_RELAXED` | `Ordering::Relaxed` without `// audit: relaxed-ok: <why>` |
-//! | `AUD010_UNREFERENCED_PUB_FN` | a `pub fn` no non-test code in its file and no other file (tests, examples, perfbench, doctests) names, without `// audit: allow(AUD010): <why>`; workspace audit only |
+//! | `AUD010_UNREFERENCED_PUB_FN` | a `pub` fn, struct, enum, trait, type, const or static no non-test code in its file and no other file (tests, examples, perfbench, doctests, inline format arguments) names, without `// audit: allow(AUD010): <why>`; workspace audit only |
 //!
 //! ## Example
 //!

@@ -18,7 +18,7 @@
 
 use crate::catalog;
 use crate::diag::{AuditConfig, AuditReport, AuditRule, Finding, Severity};
-use crate::reach::unreferenced_pub_fns;
+use crate::reach::unreferenced_pub_items;
 use crate::scan::{scan_source, ScannedFile};
 use crate::workspace::{reference_sources, workspace_sources};
 use std::fs;
@@ -256,7 +256,7 @@ where
 
 /// Audits the workspace rooted at `root`: walks the covered sources
 /// (see [`workspace_sources`]) and runs every rule, including the
-/// cross-file `AUD010_UNREFERENCED_PUB_FN`, whose callers may also live
+/// cross-file `AUD010_UNREFERENCED_PUB_FN`, whose users may also live
 /// in files the audit does not itself check: `tests/`, `examples/`,
 /// each crate's `tests/` and `examples/`, and `perfbench/src/`.
 pub fn audit_workspace(root: &Path, config: &AuditConfig) -> io::Result<AuditReport> {
@@ -275,7 +275,7 @@ pub fn audit_workspace(root: &Path, config: &AuditConfig) -> io::Result<AuditRep
     let corpus = scan_all(reference_sources(root)?)?;
     report
         .findings
-        .extend(unreferenced_pub_fns(&audited, &corpus, config));
+        .extend(unreferenced_pub_items(&audited, &corpus, config));
     report.sort();
     Ok(report)
 }

@@ -65,7 +65,7 @@ fn every_rule_has_a_fixture() {
     // file-name prefix) and every fixture names a real rule — a rule
     // may have several fixtures (AUD007 proves both the generic and
     // the pool-lookalike conviction). AUD010 is the exception: it
-    // judges a function by the other files that call it, so it runs
+    // judges a public item by the other files that name it, so it runs
     // only over a whole workspace and its unit tests build in-memory
     // corpora instead of a one-file fixture.
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");

@@ -8,7 +8,7 @@
 //! cargo run --release -p remix-bench --bin npath_zin
 //! ```
 
-use remix_topo::{input_impedance_vs_lo, MixerFirstParams, ZinConfig, ZinOutcome};
+use remix_topo::{input_impedance_vs_lo, MixerFirstParams, ZinConfig};
 
 fn main() {
     remix_bench::run_bin("npath zin", run)
@@ -34,14 +34,14 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     println!("probe f_rf = {:.3e} Hz", sweep.f_rf);
     for (f_lo, outcome) in &sweep.points {
         match outcome {
-            ZinOutcome::Ok(z) => println!(
+            Ok(z) => println!(
                 "  f_lo {:>6.2} MHz  |Zin| {:>8.1} Ω  (re {:>8.1}, im {:>8.1})",
                 f_lo / 1e6,
                 z.abs(),
                 z.re,
                 z.im
             ),
-            ZinOutcome::Failed(msg) => println!("  f_lo {:>6.2} MHz  failed: {msg}", f_lo / 1e6),
+            Err(msg) => println!("  f_lo {:>6.2} MHz  failed: {msg}", f_lo / 1e6),
         }
     }
 

@@ -77,17 +77,16 @@ fn run() {
     let run = remix_exec::run_tasks(
         &indices,
         &pool,
-        |ctx| remix_exec::TaskResult::Done(report(modes[ctx.index])),
+        |i| remix_exec::TaskResult::Done(report(modes[i])),
         |_, _| {},
     );
-    // Outcomes come back sorted by mode index, so the report order is
-    // stable no matter which transient finishes first.
-    for (i, outcome) in &run.outcomes {
+    // Outcomes come back in mode order, so the report order is stable
+    // no matter which transient finishes first.
+    for (mode, outcome) in modes.iter().zip(&run.outcomes) {
         match outcome {
-            remix_exec::TaskOutcome::Done(line) => println!("{line}"),
-            remix_exec::TaskOutcome::Failed(why) => {
-                println!("{:<8} died: {why}", modes[*i].label());
-            }
+            Some(Ok(line)) => println!("{line}"),
+            Some(Err(why)) => println!("{:<8} died: {why}", mode.label()),
+            None => {}
         }
     }
     if let Some(why) = &run.interrupted {

@@ -15,7 +15,7 @@
 //! retries-exhausted) and the server drains cleanly. A panic or a
 //! wedge is the only failure.
 
-use remix_exec::{env_u64_or_warn, run_tasks, Parallelism, PoolOptions, TaskOutcome, TaskResult};
+use remix_exec::{env_u64_or_warn, run_tasks, Parallelism, PoolOptions, TaskResult};
 use remix_serve::protocol::{JobKind, JobRequest};
 use remix_serve::{call_with_retry, ClientError, RetryPolicy, ServeConfig, Server, Status};
 use remix_telemetry::names;
@@ -99,8 +99,8 @@ fn run() -> Result<bool, String> {
     let run = run_tasks(
         &indices,
         &PoolOptions::with_parallelism(Parallelism::Workers(clients)),
-        |ctx| {
-            let request = build_job(ctx.index as u64);
+        |index| {
+            let request = build_job(index as u64);
             // audit: allow(AUD004): client-observed latency is the
             // measurand here; server-side budgets still govern the work.
             let started = Instant::now();
@@ -124,13 +124,14 @@ fn run() -> Result<bool, String> {
     );
     let wall_s = started.elapsed().as_secs_f64();
 
-    // Outcomes come back sorted by index; a failed client (or a
+    // Outcomes come back in index order; a failed client (or a
     // contained panic, traced `panic: …`) fails the run.
     let mut observations = Vec::new();
-    for (i, outcome) in run.outcomes {
+    for (i, outcome) in run.outcomes.into_iter().enumerate() {
         match outcome {
-            TaskOutcome::Done(obs) => observations.push(obs),
-            TaskOutcome::Failed(msg) => return Err(format!("load-{i}: {msg}")),
+            Some(Ok(obs)) => observations.push(obs),
+            Some(Err(msg)) => return Err(format!("load-{i}: {msg}")),
+            None => {}
         }
     }
     let snapshot = server.shutdown();

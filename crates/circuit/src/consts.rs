@@ -3,9 +3,6 @@
 /// Boltzmann constant (J/K).
 pub const BOLTZMANN: f64 = 1.380649e-23;
 
-/// Elementary charge (C).
-pub const Q_ELECTRON: f64 = 1.602176634e-19;
-
 /// Default simulation temperature (K).
 pub const ROOM_TEMP: f64 = 300.0;
 
@@ -21,11 +18,5 @@ mod tests {
         // 4kT at 300 K ≈ 1.657e-20 J — the factor in every thermal PSD.
         let four_kt = 4.0 * BOLTZMANN * ROOM_TEMP;
         assert!((four_kt - 1.6568e-20).abs() < 1e-23);
-    }
-
-    #[test]
-    fn thermal_voltage() {
-        let vt = BOLTZMANN * ROOM_TEMP / Q_ELECTRON;
-        assert!((vt - 0.02585).abs() < 1e-4);
     }
 }

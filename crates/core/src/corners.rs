@@ -276,8 +276,7 @@ pub fn sweep_corners_resumable_with(
         corners.len(),
         checkpoint,
         pool,
-        |ctx| {
-            let i = ctx.index;
+        |i| {
             #[cfg(feature = "fault-inject")]
             let _fault = caller_fault.map(remix_analysis::FaultPlan::arm);
             let cfg = corners[i].apply(base);

@@ -317,8 +317,7 @@ pub fn iip2_study_with(
         mm.n_runs,
         checkpoint,
         pool,
-        |ctx| {
-            let i = ctx.index;
+        |i| {
             #[cfg(feature = "fault-inject")]
             let _fault = if mm.fault_sample == Some(i) {
                 Some(remix_analysis::FaultPlan::singular_pivot().arm())

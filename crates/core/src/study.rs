@@ -11,7 +11,7 @@
 
 use crate::checkpoint::{load_study_any, save_study_v3, StudyOutcome};
 use remix_analysis::ConvergenceTrace;
-use remix_exec::{Interruption, PoolOptions, TaskContext, TaskOutcome, TaskResult};
+use remix_exec::{Interruption, PoolOptions, TaskResult};
 use std::path::Path;
 
 /// A study's per-unit outcome — solved, or failed with a trace — and its
@@ -42,15 +42,6 @@ pub struct StudyRun<T> {
     pub interrupted: Option<Interruption>,
 }
 
-/// Maps a pool outcome into the study's vocabulary: a contained panic
-/// is a *failed unit* with a one-line trace, never a dead study.
-fn from_pool<T: StudyRecord>(outcome: &TaskOutcome<T>) -> T {
-    match outcome {
-        TaskOutcome::Done(done) => done.clone(),
-        TaskOutcome::Failed(trace) => T::failed(ConvergenceTrace::new(trace.clone())),
-    }
-}
-
 /// Runs the `total` units of the study labelled `study` on the
 /// work-stealing pool, resuming from and persisting to `checkpoint`.
 ///
@@ -78,7 +69,7 @@ pub fn run_study<T, F, O>(
 ) -> StudyRun<T>
 where
     T: StudyRecord,
-    F: Fn(&TaskContext) -> TaskResult<T> + Sync,
+    F: Fn(usize) -> TaskResult<T> + Sync,
     O: FnMut(&T) + Send,
 {
     let mut slots: Vec<Option<T>> = vec![None; total];
@@ -101,20 +92,23 @@ where
     }
     let resumed = records.len();
     let todo: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
-    let run = remix_exec::run_tasks(&todo, pool, task, |index, outcome| {
-        let outcome = from_pool(outcome);
+    let run = remix_exec::run_tasks(&todo, pool, task, |index, result| {
+        // A contained panic is a *failed unit* with a one-line trace,
+        // never a dead study.
+        let outcome = match result {
+            Ok(done) => done.clone(),
+            Err(trace) => T::failed(ConvergenceTrace::new(trace.clone())),
+        };
         on_outcome(&outcome);
         records.push((index, outcome.encode()));
         if let Some(path) = checkpoint {
             let _ = save_study_v3(path, study, config, total, &records);
         }
+        slots[index] = Some(outcome);
     });
-    for (index, outcome) in &run.outcomes {
-        slots[*index] = Some(from_pool(outcome));
-    }
     StudyRun {
         outcomes: slots.into_iter().map_while(|slot| slot).collect(),
-        computed: run.outcomes.len(),
+        computed: records.len() - resumed,
         resumed,
         interrupted: run.interrupted,
     }
@@ -140,9 +134,9 @@ mod tests {
             total,
             path,
             &PoolOptions::default(),
-            |ctx| {
-                ran.lock().expect("lock").push(ctx.index);
-                match ctx.index {
+            |index| {
+                ran.lock().expect("lock").push(index);
+                match index {
                     1 => TaskResult::Failed("no convergence".into()),
                     2 => panic!("unit 2 blew up"),
                     i => TaskResult::Done(SampleOutcome::Ok(i as f64)),

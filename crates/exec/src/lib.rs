@@ -27,10 +27,12 @@
 //! * [`contain`] — the one `catch_unwind` in the stack: runs a job body
 //!   and turns a panic into its message. The bench binaries and the
 //!   serve workers call it directly around each job;
-//! * [`run_tasks`] (the `pool` module) — a work-stealing study pool:
-//!   per-worker deques, [`contain`]ed tasks, per-attempt child budget
-//!   tokens, deterministic telemetry merge, and a deterministic chaos
-//!   layer for soak testing;
+//! * [`run_tasks`] (the `pool` module) — the one study fan-out: a
+//!   work-stealing pool with per-worker deques, [`contain`]ed tasks,
+//!   per-attempt child budget tokens, deterministic telemetry merge and
+//!   a deterministic chaos layer for soak testing. It hands back one
+//!   `Option<Result<T, String>>` per requested index, in request order
+//!   (`None`: the unit never ran);
 //! * [`atomic_write`] — the crash-safe (tmp + fsync + rename) file
 //!   replacement under every persistence layer in the stack.
 //!
@@ -57,6 +59,6 @@ pub use contain::contain;
 pub use env::{env_u64, env_u64_or_warn, warn_malformed, EnvValue};
 pub use persist::atomic_write;
 pub use pool::{
-    run_tasks, Parallelism, PoolChaos, PoolOptions, PoolRun, PoolStats, TaskContext, TaskOutcome,
-    TaskResult, WorkerContext, WorkerGuard, ENV_POOL_CHAOS, ENV_WORKERS,
+    run_tasks, Parallelism, PoolChaos, PoolOptions, PoolRun, TaskResult, ENV_POOL_CHAOS,
+    ENV_WORKERS,
 };

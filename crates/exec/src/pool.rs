@@ -1,5 +1,11 @@
 //! Fault-tolerant work-stealing pool for embarrassingly parallel
-//! studies (Monte-Carlo samples, corner sweeps, DC sweep points).
+//! studies (Monte-Carlo samples, corner sweeps, LO sweep points).
+//!
+//! [`run_tasks`] is the one fan-out contract: the task takes its plain
+//! study index, and [`PoolRun::outcomes`] hands back one
+//! `Option<Result<T, String>>` per entry of `indices`, in `indices`
+//! order — `None` for a unit that never ran — so no caller rebuilds
+//! an ordered slot vector of its own.
 //!
 //! Design constraints, in order:
 //!
@@ -9,14 +15,14 @@
 //!    deliver that: tasks are seeded by *index* (the drivers'
 //!    prefix-stable SplitMix64 seeding), each task runs against a
 //!    [`Telemetry::fork`]ed registry that the caller absorbs in
-//!    ascending index order after the workers join (so
-//!    last-value gauges land exactly as a serial loop would leave
-//!    them), and the pool itself writes **nothing** into the metrics
-//!    registry — lifecycle is events ([`names::EXEC_POOL`]) and a
-//!    [`PoolStats`] return value only.
+//!    `indices` order after the workers join (so last-value gauges
+//!    land exactly as a serial loop would leave them), and the pool
+//!    itself writes **nothing** into the metrics registry — its
+//!    bookkeeping (workers, executed, steals, panics, chaos faults) is
+//!    carried by lifecycle events ([`names::EXEC_POOL`]) only.
 //! 2. **Containment.** Every task runs under [`contain`]; a panic
-//!    becomes a typed [`TaskOutcome::Failed`] handed to the driver,
-//!    never a dead study. Each task arms its own budget child token
+//!    becomes an `Err("panic: …")` outcome handed to the driver, never
+//!    a dead study. Each task arms its own budget child token
 //!    ([`CancelToken::child`]) and telemetry fork via the existing
 //!    RAII guards, so no state leaks between tasks sharing a worker.
 //!
@@ -37,7 +43,6 @@ use crate::budget::{active_token, CancelToken, Interruption};
 use crate::contain::contain;
 use crate::env::env_u64_or_warn;
 use remix_telemetry::{names, FieldValue, Telemetry};
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -203,16 +208,6 @@ impl PoolOptions {
     }
 }
 
-/// What one task is told about itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaskContext {
-    /// The task's stable study index (seeds its work).
-    pub index: usize,
-    /// The executing worker's id (also armed thread-locally, see
-    /// [`WorkerContext`]).
-    pub worker: usize,
-}
-
 /// What a task body reports back.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TaskResult<T> {
@@ -226,84 +221,18 @@ pub enum TaskResult<T> {
     Interrupted(Interruption),
 }
 
-/// Terminal, typed outcome of one task.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TaskOutcome<T> {
-    /// The task completed.
-    Done(T),
-    /// The task failed — a domain failure *or a contained panic* (the
-    /// trace then starts with `panic:`). The study goes on.
-    Failed(String),
-}
-
-/// Pool bookkeeping for operator reports; intentionally *not* metrics
-/// (the pool's registry footprint must be zero so serial and parallel
-/// snapshots stay byte-identical).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Workers that ran.
-    pub workers: usize,
-    /// Tasks executed (completions + panics + interrupted tasks).
-    pub executed: u64,
-    /// Tasks taken from another worker's deque.
-    pub steals: u64,
-    /// Tasks that panicked (contained).
-    pub panics: u64,
-    /// Chaos faults injected.
-    pub chaos_injected: u64,
-}
-
 /// What a pool run produced.
 #[derive(Debug)]
 pub struct PoolRun<T> {
-    /// `(index, outcome)` for every task that reached a terminal
-    /// outcome, sorted by index. Under an interruption this is the
-    /// completed subset — possibly non-contiguous; the caller's
+    /// One slot per entry of `indices`, in `indices` order: `Ok` for a
+    /// completed unit, `Err` for a domain failure *or a contained
+    /// panic* (the trace then starts with `panic:`), and `None` for a
+    /// unit that never ran. Under an interruption the `Some` slots are
+    /// the completed subset — possibly non-contiguous; the caller's
     /// checkpoint layer persists exactly this set.
-    pub outcomes: Vec<(usize, TaskOutcome<T>)>,
+    pub outcomes: Vec<Option<Result<T, String>>>,
     /// Why dispatch stopped early, when it did.
     pub interrupted: Option<Interruption>,
-    /// Run bookkeeping.
-    pub stats: PoolStats,
-}
-
-thread_local! {
-    static WORKER: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Pool-worker identity, armed thread-locally for the worker's
-/// lifetime so nested layers (events, diagnostics) can name the worker
-/// without threading an id through every signature.
-#[derive(Debug)]
-pub struct WorkerContext;
-
-impl WorkerContext {
-    /// Arms `worker` as this thread's pool identity until the guard
-    /// drops (nesting restores the previous identity, mirroring
-    /// `BudgetGuard`/`TelemetryGuard`).
-    #[must_use = "the worker identity disarms when the guard drops"]
-    pub fn arm(worker: usize) -> WorkerGuard {
-        let previous = WORKER.with(|w| w.replace(Some(worker)));
-        WorkerGuard { previous }
-    }
-
-    /// The worker id armed on this thread, if any.
-    pub fn current() -> Option<usize> {
-        WORKER.with(Cell::get)
-    }
-}
-
-/// Restores the previous worker identity (usually none) on drop.
-#[derive(Debug)]
-pub struct WorkerGuard {
-    previous: Option<usize>,
-}
-
-impl Drop for WorkerGuard {
-    fn drop(&mut self) {
-        let previous = self.previous;
-        WORKER.with(|w| w.set(previous));
-    }
 }
 
 fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -314,30 +243,34 @@ fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Emits one `remix.exec.pool` lifecycle event (no-op unless an
-/// observing sink is armed on this thread).
-fn pool_event(state: &'static str, mut fields: Vec<(&'static str, FieldValue)>) {
+/// observing sink is armed on this thread); `worker` names the pool
+/// worker emitting it, `None` on the caller's thread.
+fn pool_event(
+    worker: Option<usize>,
+    state: &'static str,
+    mut fields: Vec<(&'static str, FieldValue)>,
+) {
     if !remix_telemetry::is_observing() {
         return;
     }
     let mut all = vec![("state", FieldValue::from(state))];
-    if let Some(worker) = WorkerContext::current() {
+    if let Some(worker) = worker {
         all.push(("worker", FieldValue::from(worker)));
     }
     all.append(&mut fields);
     remix_telemetry::event(names::EXEC_POOL, all);
 }
 
-/// Runs `task` over `indices` on a work-stealing pool and reports each
-/// terminal outcome through `on_complete` (serialized — at most one
+/// Runs `task` on each of `indices` on a work-stealing pool and reports
+/// each terminal result through `on_complete` (serialized — at most one
 /// call at a time, from whichever worker finished the task; drivers
 /// save checkpoints there).
 ///
 /// The caller's armed budget token and telemetry context are captured
 /// before spawning: workers arm the telemetry as their base context,
 /// tasks run under child tokens of the budget, and per-task registry
-/// forks are absorbed back in ascending index order after the join —
-/// see the module docs for why that makes the run
-/// schedule-independent.
+/// forks are absorbed back in `indices` order after the join — see the
+/// module docs for why that makes the run schedule-independent.
 pub fn run_tasks<T, F, C>(
     indices: &[usize],
     opts: &PoolOptions,
@@ -346,8 +279,8 @@ pub fn run_tasks<T, F, C>(
 ) -> PoolRun<T>
 where
     T: Send,
-    F: Fn(&TaskContext) -> TaskResult<T> + Sync,
-    C: FnMut(usize, &TaskOutcome<T>) + Send,
+    F: Fn(usize) -> TaskResult<T> + Sync,
+    C: FnMut(usize, &Result<T, String>) + Send,
 {
     let workers = opts
         .parallelism
@@ -357,6 +290,7 @@ where
         .with_field("workers", workers)
         .with_field("tasks", indices.len());
     pool_event(
+        None,
         "started",
         vec![
             ("workers", FieldValue::from(workers)),
@@ -366,19 +300,22 @@ where
     let caller_token = active_token();
     let caller_telemetry = Telemetry::current();
 
-    // Per-worker deques, round-robin pre-distribution in index order so
-    // a single worker drains them exactly like the old serial loops.
-    // Nothing is pushed after this point.
+    // Per-worker deques of positions into `indices`, round-robin
+    // pre-distributed in order so a single worker drains them exactly
+    // like a serial loop. Nothing is pushed after this point.
     let deques: Vec<Mutex<VecDeque<usize>>> =
         (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (k, &index) in indices.iter().enumerate() {
-        lock_or_recover(&deques[k % workers]).push_back(index);
+    for position in 0..indices.len() {
+        lock_or_recover(&deques[position % workers]).push_back(position);
     }
 
     let stop = AtomicBool::new(false);
     let interrupted: Mutex<Option<Interruption>> = Mutex::new(None);
-    let outcomes: Mutex<Vec<(usize, TaskOutcome<T>)>> = Mutex::new(Vec::new());
-    let registries: Mutex<Vec<(usize, Telemetry)>> = Mutex::new(Vec::new());
+    // Each position's result and the registry fork it ran against (a
+    // panicked task's fork is dropped: only completed work may shape
+    // the study's snapshot).
+    type Slot<T> = Option<(Result<T, String>, Option<Telemetry>)>;
+    let slots: Mutex<Vec<Slot<T>>> = Mutex::new((0..indices.len()).map(|_| None).collect());
     let completer = Mutex::new(on_complete);
     let completions = AtomicU64::new(0);
     let executed = AtomicU64::new(0);
@@ -398,8 +335,7 @@ where
         for w in 0..workers {
             let deques = &deques;
             let stop = &stop;
-            let outcomes = &outcomes;
-            let registries = &registries;
+            let slots = &slots;
             let completer = &completer;
             let completions = &completions;
             let executed = &executed;
@@ -411,12 +347,11 @@ where
             let caller_telemetry = &caller_telemetry;
             let task = &task;
             s.spawn(move || {
-                let _id = WorkerContext::arm(w);
                 // Base context: driver callbacks (checkpoint saves) and
                 // pool events on this thread observe the caller's
                 // telemetry; per-task forks shadow it during the body.
                 let _base = caller_telemetry.as_ref().map(Telemetry::arm);
-                pool_event("worker_up", vec![]);
+                pool_event(Some(w), "worker_up", vec![]);
                 let steal = || -> Option<usize> {
                     for offset in 1..workers {
                         let victim = (w + offset) % workers;
@@ -430,6 +365,7 @@ where
                                     // audit: relaxed-ok: stat counter.
                                     chaos_injected.fetch_add(1, Ordering::Relaxed);
                                     pool_event(
+                                        Some(w),
                                         "chaos_steal_delay",
                                         vec![("ms", FieldValue::from(ms))],
                                     );
@@ -462,9 +398,10 @@ where
                     let own = lock_or_recover(&deques[w]).pop_front();
                     // Every deque was seen empty and none is refilled:
                     // this worker is done.
-                    let Some(index) = own.or_else(steal) else {
+                    let Some(position) = own.or_else(steal) else {
                         break;
                     };
+                    let index = indices[position];
 
                     let task_token = caller_token.as_ref().map(CancelToken::child);
                     let fork = caller_telemetry.as_ref().map(Telemetry::fork);
@@ -472,7 +409,11 @@ where
                     if chaos_panic {
                         // audit: relaxed-ok: stat counter.
                         chaos_injected.fetch_add(1, Ordering::Relaxed);
-                        pool_event("chaos_panic", vec![("index", FieldValue::from(index))]);
+                        pool_event(
+                            Some(w),
+                            "chaos_panic",
+                            vec![("index", FieldValue::from(index))],
+                        );
                     }
                     let result = {
                         let _budget = task_token.as_ref().map(CancelToken::arm);
@@ -482,53 +423,25 @@ where
                                 // audit: allow(AUD002): deterministic chaos injection — the pool's own panic containment is the system under test here.
                                 panic!("chaos: injected worker panic (task {index})");
                             }
-                            task(&TaskContext { index, worker: w })
+                            task(index)
                         })
                     };
                     // audit: relaxed-ok: stat counter.
                     executed.fetch_add(1, Ordering::Relaxed);
 
-                    let finish = |outcome: TaskOutcome<T>, registry: Option<Telemetry>| {
-                        if let Some(registry) = registry {
-                            lock_or_recover(registries).push((index, registry));
-                        }
-                        // audit: relaxed-ok: ordering against the
-                        // cancel_after comparison below is irrelevant;
-                        // the fetch_add's RMW atomicity alone makes the
-                        // completion count exact.
-                        let done = completions.fetch_add(1, Ordering::Relaxed) + 1;
-                        if opts.chaos.cancel_after == Some(done) {
-                            // Raise the stop flag *before* the completion
-                            // callback: the callback persists a checkpoint
-                            // (fsync — milliseconds), and cancelling only
-                            // afterwards would let other workers stream
-                            // completions far past the threshold.
-                            // audit: relaxed-ok: stat counter.
-                            chaos_injected.fetch_add(1, Ordering::Relaxed);
-                            pool_event("chaos_cancel", vec![("after", FieldValue::from(done))]);
-                            stop_study(Interruption::Cancelled);
-                        }
-                        {
-                            let mut callback = lock_or_recover(completer);
-                            callback(index, &outcome);
-                        }
-                        lock_or_recover(outcomes).push((index, outcome));
-                    };
-
-                    match result {
+                    let (outcome, fork) = match result {
                         Err(message) => {
                             // audit: relaxed-ok: stat counter.
                             panics.fetch_add(1, Ordering::Relaxed);
-                            pool_event("task_panicked", vec![("index", FieldValue::from(index))]);
-                            // The panicked task's partial metrics are
-                            // dropped with its fork: only completed
-                            // work may shape the study's snapshot.
-                            finish(TaskOutcome::Failed(format!("panic: {message}")), None);
+                            pool_event(
+                                Some(w),
+                                "task_panicked",
+                                vec![("index", FieldValue::from(index))],
+                            );
+                            (Err(format!("panic: {message}")), None)
                         }
-                        Ok(TaskResult::Done(value)) => finish(TaskOutcome::Done(value), fork),
-                        Ok(TaskResult::Failed(trace)) => {
-                            finish(TaskOutcome::Failed(trace), fork);
-                        }
+                        Ok(TaskResult::Done(value)) => (Ok(value), fork),
+                        Ok(TaskResult::Failed(trace)) => (Err(trace), fork),
                         Ok(TaskResult::Interrupted(why)) => {
                             // Study-level interruption (deadline,
                             // cancellation, exhausted shared allowance):
@@ -538,42 +451,67 @@ where
                             stop_study(why);
                             break;
                         }
+                    };
+                    // audit: relaxed-ok: ordering against the
+                    // cancel_after comparison below is irrelevant; the
+                    // fetch_add's RMW atomicity alone makes the
+                    // completion count exact.
+                    let done = completions.fetch_add(1, Ordering::Relaxed) + 1;
+                    if opts.chaos.cancel_after == Some(done) {
+                        // Raise the stop flag *before* the completion
+                        // callback: the callback persists a checkpoint
+                        // (fsync — milliseconds), and cancelling only
+                        // afterwards would let other workers stream
+                        // completions far past the threshold.
+                        // audit: relaxed-ok: stat counter.
+                        chaos_injected.fetch_add(1, Ordering::Relaxed);
+                        pool_event(
+                            Some(w),
+                            "chaos_cancel",
+                            vec![("after", FieldValue::from(done))],
+                        );
+                        stop_study(Interruption::Cancelled);
                     }
+                    {
+                        let mut callback = lock_or_recover(completer);
+                        callback(index, &outcome);
+                    }
+                    lock_or_recover(slots)[position] = Some((outcome, fork));
                 }
             });
         }
     });
 
-    // Deterministic ordered merge: ascending index replays the serial
+    // Deterministic ordered merge: `indices` order replays the serial
     // gauge history no matter which workers ran what.
-    let mut forks = registries
+    let outcomes: Vec<Option<Result<T, String>>> = slots
         .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    forks.sort_by_key(|&(index, _)| index);
-    if let Some(telemetry) = &caller_telemetry {
-        for (_, fork) in &forks {
-            telemetry.registry().absorb(fork.registry());
-        }
-    }
-    let mut outcomes = outcomes
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    outcomes.sort_by_key(|&(index, _)| index);
-    let stats = PoolStats {
-        workers,
-        executed: executed.into_inner(),
-        steals: steals.into_inner(),
-        panics: panics.into_inner(),
-        chaos_injected: chaos_injected.into_inner(),
-    };
+        .unwrap_or_else(PoisonError::into_inner)
+        .into_iter()
+        .map(|slot| {
+            slot.map(|(outcome, fork)| {
+                if let (Some(telemetry), Some(fork)) = (&caller_telemetry, fork) {
+                    telemetry.registry().absorb(fork.registry());
+                }
+                outcome
+            })
+        })
+        .collect();
     pool_event(
+        None,
         "finished",
         vec![
-            ("completed", FieldValue::from(outcomes.len())),
-            ("executed", FieldValue::from(stats.executed)),
-            ("steals", FieldValue::from(stats.steals)),
-            ("panics", FieldValue::from(stats.panics)),
-            ("chaos_injected", FieldValue::from(stats.chaos_injected)),
+            (
+                "completed",
+                FieldValue::from(outcomes.iter().flatten().count()),
+            ),
+            ("executed", FieldValue::from(executed.into_inner())),
+            ("steals", FieldValue::from(steals.into_inner())),
+            ("panics", FieldValue::from(panics.into_inner())),
+            (
+                "chaos_injected",
+                FieldValue::from(chaos_injected.into_inner()),
+            ),
         ],
     );
     PoolRun {
@@ -581,7 +519,6 @@ where
         interrupted: interrupted
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner),
-        stats,
     }
 }
 
@@ -591,6 +528,9 @@ mod tests {
     use crate::budget::RunBudget;
     use remix_telemetry::MemorySink;
     use std::sync::atomic::AtomicU32;
+    use std::sync::Arc;
+
+    type Fields = Vec<(&'static str, FieldValue)>;
 
     fn indices(n: usize) -> Vec<usize> {
         (0..n).collect()
@@ -600,56 +540,110 @@ mod tests {
         run_tasks(
             &indices(n),
             opts,
-            |ctx| TaskResult::Done(ctx.index * ctx.index),
+            |index| TaskResult::Done(index * index),
             |_, _| {},
         )
+    }
+
+    /// Runs `body` under a telemetry context with a [`MemorySink`] and
+    /// returns its result with the fields of every `remix.exec.pool`
+    /// event, in delivery order.
+    fn observed<R>(body: impl FnOnce() -> R) -> (R, Vec<Fields>) {
+        let sink = Arc::new(MemorySink::new());
+        let telemetry = Telemetry::with_sink(sink.clone());
+        let result = {
+            let _g = telemetry.arm();
+            body()
+        };
+        let events = sink
+            .events()
+            .into_iter()
+            .filter(|e| e.name == names::EXEC_POOL)
+            .map(|e| e.fields)
+            .collect();
+        (result, events)
+    }
+
+    fn field(fields: &Fields, key: &str) -> Option<u64> {
+        fields
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| match v {
+                FieldValue::U64(n) => *n,
+                other => panic!("field {key} is not a count: {other:?}"),
+            })
+    }
+
+    /// The events whose `state` field is `state`.
+    fn with_state<'a>(events: &'a [Fields], state: &str) -> Vec<&'a Fields> {
+        events
+            .iter()
+            .filter(|f| f.first() == Some(&("state", FieldValue::from(state))))
+            .collect()
+    }
+
+    /// The single `finished` event's `key` count.
+    fn finished(events: &[Fields], key: &str) -> Option<u64> {
+        match with_state(events, "finished").as_slice() {
+            [fields] => field(fields, key),
+            other => panic!("expected one finished event, got {other:?}"),
+        }
+    }
+
+    fn completed<T>(run: &PoolRun<T>) -> usize {
+        run.outcomes.iter().flatten().count()
     }
 
     #[test]
     fn serial_and_parallel_outcomes_match() {
         let serial = run_squares(&PoolOptions::default(), 16);
-        let parallel = run_squares(&PoolOptions::with_parallelism(Parallelism::Workers(4)), 16);
-        assert_eq!(serial.outcomes.len(), 16);
+        let (parallel, events) =
+            observed(|| run_squares(&PoolOptions::with_parallelism(Parallelism::Workers(4)), 16));
+        assert_eq!(completed(&serial), 16);
         assert!(serial.interrupted.is_none());
-        let values = |run: &PoolRun<usize>| -> Vec<(usize, usize)> {
+        let values = |run: &PoolRun<usize>| -> Vec<usize> {
             run.outcomes
                 .iter()
-                .map(|(i, o)| match o {
-                    TaskOutcome::Done(v) => (*i, *v),
+                .map(|o| match o {
+                    Some(Ok(v)) => *v,
                     other => panic!("expected done, got {other:?}"),
                 })
                 .collect()
         };
         assert_eq!(values(&serial), values(&parallel));
-        assert_eq!(parallel.stats.workers, 4);
-        assert_eq!(parallel.stats.executed, 16);
+        assert_eq!(field(with_state(&events, "started")[0], "workers"), Some(4));
+        assert_eq!(finished(&events, "executed"), Some(16));
     }
 
     #[test]
     fn worker_count_clamps_to_task_count() {
-        let run = run_squares(&PoolOptions::with_parallelism(Parallelism::Workers(64)), 3);
-        assert_eq!(run.stats.workers, 3);
-        assert_eq!(run.outcomes.len(), 3);
+        let (run, events) =
+            observed(|| run_squares(&PoolOptions::with_parallelism(Parallelism::Workers(64)), 3));
+        assert_eq!(field(with_state(&events, "started")[0], "workers"), Some(3));
+        assert_eq!(with_state(&events, "worker_up").len(), 3);
+        assert_eq!(completed(&run), 3);
     }
 
     #[test]
     fn panics_become_typed_failures_not_dead_studies() {
-        let run = run_tasks(
-            &indices(8),
-            &PoolOptions::with_parallelism(Parallelism::Workers(3)),
-            |ctx| {
-                if ctx.index == 3 {
-                    panic!("sample exploded");
-                }
-                TaskResult::Done(ctx.index)
-            },
-            |_, _| {},
-        );
+        let (run, events) = observed(|| {
+            run_tasks(
+                &indices(8),
+                &PoolOptions::with_parallelism(Parallelism::Workers(3)),
+                |index| {
+                    if index == 3 {
+                        panic!("sample exploded");
+                    }
+                    TaskResult::Done(index)
+                },
+                |_, _| {},
+            )
+        });
         assert!(run.interrupted.is_none());
-        assert_eq!(run.outcomes.len(), 8);
-        assert_eq!(run.stats.panics, 1);
-        match &run.outcomes[3].1 {
-            TaskOutcome::Failed(trace) => {
+        assert_eq!(completed(&run), 8);
+        assert_eq!(finished(&events, "panics"), Some(1));
+        match &run.outcomes[3] {
+            Some(Err(trace)) => {
                 assert!(trace.starts_with("panic:"), "{trace}");
                 assert!(trace.contains("sample exploded"));
             }
@@ -664,20 +658,13 @@ mod tests {
             chaos: PoolChaos::parse("panic:5").expect("spec"),
         };
         for workers in [1, 4] {
-            let run = run_tasks(
-                &indices(10),
-                &opts(workers),
-                |ctx| TaskResult::Done(ctx.index),
-                |_, _| {},
-            );
-            let failed: Vec<usize> = run
-                .outcomes
-                .iter()
-                .filter(|(_, o)| !matches!(o, TaskOutcome::Done(_)))
-                .map(|(i, _)| *i)
+            let (run, events) =
+                observed(|| run_tasks(&indices(10), &opts(workers), TaskResult::Done, |_, _| {}));
+            let failed: Vec<usize> = (0..10)
+                .filter(|&i| !matches!(run.outcomes[i], Some(Ok(_))))
                 .collect();
             assert_eq!(failed, vec![4, 9], "workers={workers}");
-            assert_eq!(run.stats.chaos_injected, 2);
+            assert_eq!(finished(&events, "chaos_injected"), Some(2));
         }
     }
 
@@ -686,7 +673,8 @@ mod tests {
         let token = RunBudget::unlimited().with_deadline(Duration::ZERO).token();
         let _g = token.arm();
         let run = run_squares(&PoolOptions::with_parallelism(Parallelism::Workers(2)), 6);
-        assert!(run.outcomes.is_empty());
+        assert_eq!(run.outcomes.len(), 6);
+        assert_eq!(completed(&run), 0);
         assert!(matches!(
             run.interrupted,
             Some(Interruption::DeadlineExpired { .. })
@@ -700,7 +688,7 @@ mod tests {
         let run = run_tasks(
             &indices(8),
             &PoolOptions::default(),
-            |ctx| {
+            |index| {
                 // Each task charges 3 "iterations" against the study
                 // allowance through its child token.
                 for _ in 0..3 {
@@ -708,7 +696,7 @@ mod tests {
                         return TaskResult::Interrupted(why);
                     }
                 }
-                TaskResult::Done(ctx.index)
+                TaskResult::Done(index)
             },
             |_, _| {},
         );
@@ -716,8 +704,8 @@ mod tests {
             run.interrupted,
             Some(Interruption::NewtonIterations { limit: 10 })
         ));
-        assert!(run.outcomes.len() < 8);
-        assert!(!run.outcomes.is_empty());
+        assert!(completed(&run) < 8);
+        assert!(completed(&run) > 0);
     }
 
     #[test]
@@ -728,28 +716,77 @@ mod tests {
                 parallelism: Parallelism::Workers(3),
                 chaos: PoolChaos::parse("cancel:4").expect("spec"),
             },
-            |ctx| TaskResult::Done(ctx.index),
+            TaskResult::Done,
             |_, _| {},
         );
         assert_eq!(run.interrupted, Some(Interruption::Cancelled));
         // In-flight tasks may still finish after the stop flag rises,
         // but at least the chaos threshold completed and not the whole
         // study.
-        assert!(run.outcomes.len() >= 4);
-        assert!(run.outcomes.len() < 10);
+        assert!(completed(&run) >= 4);
+        assert!(completed(&run) < 10);
+    }
+
+    #[test]
+    fn outcomes_align_with_unsorted_sparse_indices() {
+        let order = [7, 2, 9, 4];
+        let run = run_tasks(
+            &order,
+            &PoolOptions::with_parallelism(Parallelism::Workers(3)),
+            |index| TaskResult::Done(index * 10),
+            |_, _| {},
+        );
+        let values: Vec<Option<usize>> = run
+            .outcomes
+            .iter()
+            .map(|o| o.as_ref().map(|r| *r.as_ref().expect("done")))
+            .collect();
+        assert_eq!(values, vec![Some(70), Some(20), Some(90), Some(40)]);
+
+        // One worker drains in `indices` order, so a cancel after two
+        // completions leaves exactly the last two positions unrun.
+        let cancel = |workers| PoolOptions {
+            parallelism: Parallelism::Workers(workers),
+            chaos: PoolChaos::parse("cancel:2").expect("spec"),
+        };
+        for workers in [1, 2] {
+            let seen = Mutex::new(Vec::new());
+            let run = run_tasks(&order, &cancel(workers), TaskResult::Done, |index, _| {
+                lock_or_recover(&seen).push(index);
+            });
+            assert_eq!(run.interrupted, Some(Interruption::Cancelled));
+            let mut seen = seen.into_inner().unwrap_or_else(PoisonError::into_inner);
+            seen.sort_unstable();
+            let mut ran: Vec<usize> = order
+                .iter()
+                .zip(&run.outcomes)
+                .filter_map(|(&index, o)| {
+                    o.as_ref().map(|r| {
+                        assert_eq!(r, &Ok(index));
+                        index
+                    })
+                })
+                .collect();
+            ran.sort_unstable();
+            assert_eq!(seen, ran, "workers={workers}");
+            if workers == 1 {
+                assert_eq!(ran, vec![2, 7]);
+                assert!(run.outcomes[2..].iter().all(Option::is_none));
+            }
+        }
     }
 
     #[test]
     fn telemetry_merges_identically_for_any_worker_count() {
         let snapshot_for = |workers: usize| {
-            let telemetry = Telemetry::with_sink(std::sync::Arc::new(MemorySink::new()));
+            let telemetry = Telemetry::with_sink(Arc::new(MemorySink::new()));
             let _g = telemetry.arm();
             let _ = run_tasks(
                 &indices(12),
                 &PoolOptions::with_parallelism(Parallelism::Workers(workers)),
-                |ctx| {
+                |index| {
                     remix_telemetry::counter_add("remix.test.pool.tasks", 1);
-                    remix_telemetry::gauge_set("remix.test.pool.last_index", ctx.index as f64);
+                    remix_telemetry::gauge_set("remix.test.pool.last_index", index as f64);
                     TaskResult::Done(())
                 },
                 |_, _| {},
@@ -771,10 +808,10 @@ mod tests {
         let _ = run_tasks(
             &indices(9),
             &PoolOptions::with_parallelism(Parallelism::Workers(3)),
-            |ctx| TaskResult::Done(ctx.index),
+            TaskResult::Done,
             |index, outcome| {
                 calls.fetch_add(1, Ordering::Relaxed);
-                assert!(matches!(outcome, TaskOutcome::Done(_)));
+                assert_eq!(outcome, &Ok(index));
                 lock_or_recover(&seen).push(index);
             },
         );
@@ -785,19 +822,45 @@ mod tests {
     }
 
     #[test]
-    fn worker_identity_is_armed_during_tasks() {
-        let run = run_tasks(
-            &indices(4),
-            &PoolOptions::with_parallelism(Parallelism::Workers(2)),
-            |ctx| {
-                let armed = WorkerContext::current();
-                assert_eq!(armed, Some(ctx.worker));
-                TaskResult::Done(())
-            },
-            |_, _| {},
-        );
-        assert_eq!(run.outcomes.len(), 4);
-        assert_eq!(WorkerContext::current(), None);
+    fn worker_side_events_name_their_worker() {
+        let workers = 2;
+        let (run, events) = observed(|| {
+            run_tasks(
+                &indices(4),
+                &PoolOptions {
+                    parallelism: Parallelism::Workers(workers),
+                    chaos: PoolChaos::parse("panic:2").expect("spec"),
+                },
+                TaskResult::Done,
+                |_, _| {},
+            )
+        });
+        assert_eq!(completed(&run), 4);
+        // The caller-side lifecycle carries no worker id.
+        for state in ["started", "finished"] {
+            let [fields] = with_state(&events, state)[..] else {
+                panic!("expected one {state} event");
+            };
+            assert_eq!(field(fields, "worker"), None, "{state}");
+        }
+        // Each worker announces itself once, under its own id.
+        let mut up: Vec<u64> = with_state(&events, "worker_up")
+            .into_iter()
+            .map(|f| field(f, "worker").expect("worker field"))
+            .collect();
+        up.sort_unstable();
+        assert_eq!(up, vec![0, 1]);
+        // Events raised by a task carry the id of the worker that ran
+        // it, in second position, before their own fields.
+        for state in ["chaos_panic", "task_panicked"] {
+            let raised = with_state(&events, state);
+            assert_eq!(raised.len(), 2, "{state}");
+            for fields in raised {
+                assert_eq!(fields[1].0, "worker", "{state}");
+                assert!(field(fields, "worker").is_some_and(|w| w < workers as u64));
+                assert!(field(fields, "index").is_some_and(|i| i == 1 || i == 3));
+            }
+        }
     }
 
     #[test]
@@ -844,20 +907,20 @@ mod tests {
                     parallelism: Parallelism::Workers(3),
                     chaos: PoolChaos::parse("steal:1:1").expect("spec"),
                 },
-                |ctx| {
+                |index| {
                     // Uneven task durations drain the deques at
                     // different rates, forcing overlapping steals.
-                    if ctx.index % 2 == 0 {
+                    if index % 2 == 0 {
                         std::thread::sleep(Duration::from_millis(1));
                     }
-                    TaskResult::Done(ctx.index)
+                    TaskResult::Done(index)
                 },
                 |_, _| {},
             );
-            let _ = tx.send((run.outcomes.len(), run.stats.steals));
+            let _ = tx.send(completed(&run));
         });
         match rx.recv_timeout(Duration::from_secs(60)) {
-            Ok((completed, _steals)) => assert_eq!(completed, 48),
+            Ok(completed) => assert_eq!(completed, 48),
             Err(_) => panic!("pool deadlocked while stealing under delay chaos"),
         }
     }
@@ -866,19 +929,25 @@ mod tests {
     fn steals_happen_and_results_stay_sorted() {
         // One worker's deque gets a slow task first; the other drains
         // the rest through steals. Regardless, outcomes come back in
-        // index order.
+        // `indices` order.
         let run = run_tasks(
             &indices(10),
             &PoolOptions::with_parallelism(Parallelism::Workers(2)),
-            |ctx| {
-                if ctx.index == 0 {
+            |index| {
+                if index == 0 {
                     std::thread::sleep(Duration::from_millis(20));
                 }
-                TaskResult::Done(ctx.index)
+                TaskResult::Done(index)
             },
             |_, _| {},
         );
-        let order: Vec<usize> = run.outcomes.iter().map(|(i, _)| *i).collect();
-        assert_eq!(order, indices(10));
+        let order: Vec<Option<Result<usize, String>>> = run.outcomes;
+        assert_eq!(
+            order,
+            indices(10)
+                .into_iter()
+                .map(|i| Some(Ok(i)))
+                .collect::<Vec<_>>()
+        );
     }
 }

@@ -6,8 +6,9 @@
 //! human judgement. Circuit fixes rewrite the in-memory netlist (a
 //! ground-tie resistor for a floating subnet, a gmin shunt for a
 //! structurally singular block, a rename for a duplicate instance);
-//! plan fixes rewrite a [`SimPlan`] (snap an FFT record coherent, refine
-//! a timestep, widen a band).
+//! plan fixes carry the replacement values for a
+//! [`SimPlan`](crate::plan::SimPlan) (snap an FFT record coherent,
+//! refine a timestep, widen a band) and are reported, not applied.
 //!
 //! [`fix_circuit`] drives the loop clippy users know as
 //! `cargo clippy --fix`: lint, apply every attached fix once, re-lint,
@@ -17,7 +18,6 @@
 
 use crate::config::LintConfig;
 use crate::diag::{Diagnostic, LintReport};
-use crate::plan::SimPlan;
 use remix_circuit::{Circuit, ElementId};
 use remix_telemetry::json_str;
 
@@ -232,46 +232,6 @@ impl Fix {
                     changed |= circuit.rename_element(ElementId::from_index(idx), &fresh);
                 }
                 changed
-            }
-            _ => false,
-        }
-    }
-
-    /// Applies a plan-side fix to `plan`. Returns `false` for
-    /// circuit-side fixes.
-    pub fn apply_to_plan(&self, plan: &mut SimPlan) -> bool {
-        match self {
-            Fix::SetTimestep { seconds } => {
-                plan.timestep = Some(*seconds);
-                true
-            }
-            Fix::SnapCoherent {
-                sample_rate,
-                fft_len,
-            } => {
-                plan.sample_rate = Some(*sample_rate);
-                plan.fft_len = Some(*fft_len);
-                true
-            }
-            Fix::RaiseHarmonics { harmonics } => {
-                plan.pss_harmonics = Some(*harmonics);
-                true
-            }
-            Fix::WidenNoiseBand { min_hz, max_hz } => {
-                plan.noise_band = Some((*min_hz, *max_hz));
-                true
-            }
-            Fix::WidenSweep { min_hz, max_hz } => {
-                plan.sweep_band = Some((*min_hz, *max_hz));
-                true
-            }
-            Fix::ExtendDuration { seconds } => {
-                plan.duration = Some(*seconds);
-                true
-            }
-            Fix::DeclareEventLog { path } => {
-                plan.event_log = Some(path.clone());
-                true
             }
             _ => false,
         }

@@ -60,7 +60,7 @@ mod span;
 pub use json::{json_str, parse_json, JsonError, JsonValue};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricEntry, MetricValue, MetricsRegistry,
-    MetricsSnapshot, SpanRollup, DEFAULT_DURATION_BUCKETS_MS, DEFAULT_RESIDUAL_BUCKETS,
+    MetricsSnapshot, SpanRollup, DEFAULT_RESIDUAL_BUCKETS,
 };
 pub use record::{BenchRecord, RecordError, BENCH_RECORD_SCHEMA_VERSION};
 pub use sink::{Event, EventKind, FieldValue, JsonLinesSink, MemorySink, NoopSink, Sink};

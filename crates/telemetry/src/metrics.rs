@@ -12,10 +12,6 @@ use std::time::Duration;
 /// 1e-12 to 1e2, values above the last bound land in the overflow.
 pub const DEFAULT_RESIDUAL_BUCKETS: [f64; 8] = [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2];
 
-/// Default histogram buckets for durations in milliseconds.
-pub const DEFAULT_DURATION_BUCKETS_MS: [f64; 8] =
-    [0.01, 0.1, 1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0];
-
 fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // Metric maps hold plain data; a panic mid-insert cannot leave them
     // logically torn, so recover instead of cascading the poison.

@@ -16,8 +16,7 @@
 //! | `medradio` | DC supply power (µW) — the sub-50 µW headline |
 //!
 //! Failure isolation follows the `remix-core` contract: a sample that
-//! fails to converge is a [`StudyOutcome::Failed`] record, never a dead
-//! study.
+//! fails to converge is an `Err` record, never a dead study.
 
 use crate::error::TopoError;
 use crate::medradio::MedRadioParams;
@@ -30,7 +29,7 @@ use remix_analysis::{
     Partial,
 };
 use remix_circuit::{Circuit, Element};
-use remix_exec::{run_tasks, PoolOptions, TaskOutcome, TaskResult};
+use remix_exec::{run_tasks, PoolOptions, TaskResult};
 
 /// One topology family plus its parameters — the unit every study
 /// driver operates on.
@@ -206,24 +205,9 @@ pub fn standard_corners() -> Vec<Corner> {
     ]
 }
 
-/// Outcome of one study sample.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StudyOutcome {
-    /// The sample solved; the family metric value.
-    Ok(f64),
-    /// The sample failed; the rendered reason.
-    Failed(String),
-}
-
-impl StudyOutcome {
-    /// The metric value when the sample solved.
-    pub fn value(&self) -> Option<f64> {
-        match self {
-            StudyOutcome::Ok(v) => Some(*v),
-            StudyOutcome::Failed(_) => None,
-        }
-    }
-}
+/// Outcome of one study sample: the family metric value, or the
+/// rendered reason the sample failed.
+pub type StudyOutcome = Result<f64, String>;
 
 /// A completed family study with per-sample outcomes.
 #[derive(Debug, Clone, PartialEq)]
@@ -240,10 +224,7 @@ pub struct TopoStudy {
 impl TopoStudy {
     /// Number of solved samples.
     pub fn n_ok(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|(_, o)| matches!(o, StudyOutcome::Ok(_)))
-            .count()
+        self.outcomes.iter().filter(|(_, o)| o.is_ok()).count()
     }
 
     /// Fraction of samples that solved (1.0 for an empty study).
@@ -260,7 +241,7 @@ impl TopoStudy {
         let mut out: Vec<f64> = self
             .outcomes
             .iter()
-            .filter_map(|(_, o)| o.value())
+            .filter_map(|(_, o)| o.as_ref().ok().copied())
             .collect();
         out.sort_by(f64::total_cmp);
         out
@@ -329,13 +310,6 @@ fn apply_corner(circuit: &mut Circuit, corner: &Corner) {
     }
 }
 
-fn pool_outcome(outcome: &TaskOutcome<StudyOutcome>) -> StudyOutcome {
-    match outcome {
-        TaskOutcome::Done(s) => s.clone(),
-        TaskOutcome::Failed(trace) => StudyOutcome::Failed(trace.clone()),
-    }
-}
-
 fn run_study<F>(
     family: &Family,
     labels: Vec<String>,
@@ -350,41 +324,34 @@ where
     let run = run_tasks(
         &todo,
         pool,
-        |ctx| {
+        |index| {
             let _span = remix_telemetry::span(remix_telemetry::names::TOPO_STUDY_SAMPLE)
-                .with_field("index", ctx.index);
-            match sample(ctx.index) {
-                Ok(v) => TaskResult::Done(StudyOutcome::Ok(v)),
+                .with_field("index", index);
+            match sample(index) {
+                Ok(v) => TaskResult::Done(v),
                 Err(e) => match e.interruption() {
                     Some(intr) => TaskResult::Interrupted(intr),
-                    None => TaskResult::Done(StudyOutcome::Failed(e.to_string())),
+                    None => TaskResult::Failed(e.to_string()),
                 },
             }
         },
         |_, outcome| {
             remix_telemetry::counter_add(
-                match pool_outcome(outcome) {
-                    StudyOutcome::Ok(_) => remix_telemetry::names::TOPO_STUDY_SAMPLES_OK,
-                    StudyOutcome::Failed(_) => remix_telemetry::names::TOPO_STUDY_SAMPLES_FAILED,
+                match outcome {
+                    Ok(_) => remix_telemetry::names::TOPO_STUDY_SAMPLES_OK,
+                    Err(_) => remix_telemetry::names::TOPO_STUDY_SAMPLES_FAILED,
                 },
                 1,
             );
         },
     );
-    let mut slots: Vec<Option<StudyOutcome>> = vec![None; labels.len()];
-    for (i, outcome) in &run.outcomes {
-        slots[*i] = Some(pool_outcome(outcome));
-    }
     let outcomes = labels
         .into_iter()
-        .zip(slots)
-        .map(|(label, slot)| {
-            (
-                label,
-                slot.unwrap_or_else(|| {
-                    StudyOutcome::Failed("interrupted before the sample ran".into())
-                }),
-            )
+        .zip(run.outcomes)
+        .map(|(label, outcome)| {
+            let outcome =
+                outcome.unwrap_or_else(|| Err("interrupted before the sample ran".into()));
+            (label, outcome)
         })
         .collect();
     Ok(TopoStudy {
@@ -497,7 +464,7 @@ mod tests {
         let by_name: std::collections::HashMap<&str, f64> = study
             .outcomes
             .iter()
-            .filter_map(|(n, o)| o.value().map(|v| (n.as_str(), v)))
+            .filter_map(|(n, o)| o.as_ref().ok().map(|v| (n.as_str(), *v)))
             .collect();
         // Fast silicon (higher β, lower Vt) burns more; slow burns less.
         assert!(by_name["ff"] > by_name["tt"]);

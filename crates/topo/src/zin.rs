@@ -19,14 +19,14 @@
 //!
 //! Each LO point runs as its own task on the work-stealing pool behind
 //! the [`Parallelism`](remix_exec::Parallelism) knob; a point that
-//! fails to converge is recorded as [`ZinOutcome::Failed`] and the
-//! sweep continues — one stubborn point never costs the curve.
+//! fails to converge is recorded as an `Err` outcome and the sweep
+//! continues — one stubborn point never costs the curve.
 
 use crate::error::TopoError;
 use crate::mixer_first::{LoMode, MixerFirstParams};
 use crate::FAMILY_MIXER_FIRST;
 use remix_analysis::{tran_plan, transient, TranOptions};
-use remix_exec::{run_tasks, PoolOptions, TaskOutcome, TaskResult};
+use remix_exec::{run_tasks, PoolOptions, TaskResult};
 use remix_numerics::Complex;
 
 /// Configuration of the LO sweep.
@@ -101,25 +101,10 @@ impl ZinConfig {
     }
 }
 
-/// Outcome of one LO point.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ZinOutcome {
-    /// The point solved: complex input impedance at the probe frequency.
-    Ok(Complex),
-    /// The point failed (lint rejection, no convergence, pool
-    /// casualty); the sweep continued without it.
-    Failed(String),
-}
-
-impl ZinOutcome {
-    /// Impedance magnitude when the point solved.
-    pub fn magnitude(&self) -> Option<f64> {
-        match self {
-            ZinOutcome::Ok(z) => Some(z.abs()),
-            ZinOutcome::Failed(_) => None,
-        }
-    }
-}
+/// Outcome of one LO point: the complex input impedance at the probe
+/// frequency, or why the point failed (lint rejection, no convergence,
+/// pool casualty) while the sweep continued without it.
+pub type ZinOutcome = Result<Complex, String>;
 
 /// A completed LO sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,17 +118,14 @@ pub struct ZinSweep {
 impl ZinSweep {
     /// Number of solved points.
     pub fn n_ok(&self) -> usize {
-        self.points
-            .iter()
-            .filter(|(_, o)| matches!(o, ZinOutcome::Ok(_)))
-            .count()
+        self.points.iter().filter(|(_, o)| o.is_ok()).count()
     }
 
     /// `(f_lo, |Z_in|)` of the solved points.
     pub fn magnitudes(&self) -> Vec<(f64, f64)> {
         self.points
             .iter()
-            .filter_map(|(f, o)| o.magnitude().map(|m| (*f, m)))
+            .filter_map(|(f, o)| o.as_ref().ok().map(|z| (*f, z.abs())))
             .collect()
     }
 
@@ -228,7 +210,7 @@ fn zin_point(params: &MixerFirstParams, cfg: &ZinConfig, f_lo: f64) -> Result<Co
 ///
 /// Points run concurrently behind `pool`'s
 /// [`Parallelism`](remix_exec::Parallelism) knob; per-point failures
-/// are isolated as [`ZinOutcome::Failed`].
+/// are isolated as `Err` outcomes.
 ///
 /// # Errors
 ///
@@ -249,32 +231,20 @@ pub fn input_impedance_vs_lo(
     let run = run_tasks(
         &todo,
         pool,
-        |ctx| {
-            let f_lo = bins[ctx.index] as f64 * cfg.f_grid;
+        |index| {
+            let f_lo = bins[index] as f64 * cfg.f_grid;
             let _span = remix_telemetry::span(remix_telemetry::names::TOPO_ZIN_POINT)
                 .with_field("f_lo", f_lo);
-            TaskResult::Done(zin_point(params, cfg, f_lo))
+            zin_point(params, cfg, f_lo).map_or_else(TaskResult::Failed, TaskResult::Done)
         },
         |_, _| {},
     );
-    let mut slots: Vec<Option<ZinOutcome>> = vec![None; bins.len()];
-    for (i, outcome) in &run.outcomes {
-        slots[*i] = Some(match outcome {
-            TaskOutcome::Done(Ok(z)) => ZinOutcome::Ok(*z),
-            TaskOutcome::Done(Err(msg)) => ZinOutcome::Failed(msg.clone()),
-            TaskOutcome::Failed(trace) => ZinOutcome::Failed(trace.clone()),
-        });
-    }
     let points = bins
         .iter()
-        .zip(slots)
-        .map(|(&b, slot)| {
-            (
-                b as f64 * cfg.f_grid,
-                slot.unwrap_or_else(|| {
-                    ZinOutcome::Failed("interrupted before the point ran".into())
-                }),
-            )
+        .zip(run.outcomes)
+        .map(|(&b, outcome)| {
+            let outcome = outcome.unwrap_or_else(|| Err("interrupted before the point ran".into()));
+            (b as f64 * cfg.f_grid, outcome)
         })
         .collect();
     Ok(ZinSweep { f_rf, points })

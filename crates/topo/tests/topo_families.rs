@@ -6,6 +6,8 @@
 //!   SPICE emission is a fixpoint through the linted importer;
 //! * the N-path physics claim — `|Z_in|` peaks where the LO lands on
 //!   the probe;
+//! * interrupted studies — a unit the pool never ran is a typed
+//!   "interrupted" failure at its own position;
 //! * the serve lane — emitted family decks are accepted end-to-end by
 //!   the batch service over a real socket;
 //! * fixture sync — the committed `tests/decks/topo_*.cir` exemplars
@@ -16,10 +18,11 @@
 
 use proptest::prelude::*;
 use remix_circuit::to_spice;
+use remix_exec::{Parallelism, PoolChaos, PoolOptions, RunBudget};
 use remix_lint::{import_spice, lint, LintConfig, RuleId};
 use remix_topo::{
-    input_impedance_vs_lo, Family, MedRadioParams, MixerFirstParams, SingleBalancedParams,
-    ZinConfig,
+    input_impedance_vs_lo, mc_study, Family, MedRadioParams, MixerFirstParams,
+    SingleBalancedParams, TopoMismatch, ZinConfig,
 };
 
 /// The full per-family contract one parameter point must satisfy.
@@ -141,8 +144,7 @@ proptest! {
 fn npath_bandpass_peaks_at_the_lo() {
     let params = MixerFirstParams::default();
     let cfg = ZinConfig::centered(1e6, 10, 2); // LO 8–12 MHz, probe 10 MHz
-    let sweep =
-        input_impedance_vs_lo(&params, &cfg, &remix_exec::PoolOptions::default()).expect("sweep");
+    let sweep = input_impedance_vs_lo(&params, &cfg, &PoolOptions::default()).expect("sweep");
     assert_eq!(sweep.n_ok(), 5, "{}", sweep.summary_line());
     let (f_peak, z_peak) = sweep.peak().expect("solved points");
     assert!(
@@ -159,6 +161,59 @@ fn npath_bandpass_peaks_at_the_lo() {
             );
         }
     }
+}
+
+/// One worker that stops the study after `completions` units, so the
+/// units that never run are exactly the last ones.
+fn cancel_after(completions: u64) -> PoolOptions {
+    PoolOptions {
+        parallelism: Parallelism::Serial,
+        chaos: PoolChaos::parse(&format!("cancel:{completions}")).expect("spec"),
+    }
+}
+
+#[test]
+fn interrupted_studies_mark_the_units_that_never_ran() {
+    const SAMPLE: &str = "interrupted before the sample ran";
+    const POINT: &str = "interrupted before the point ran";
+    let family = Family::MedRadio(MedRadioParams::default());
+    let mm = TopoMismatch {
+        n_runs: 4,
+        ..TopoMismatch::default()
+    };
+    let study = mc_study(&family, &mm, &cancel_after(2)).expect("study");
+    let labels: Vec<&str> = study.outcomes.iter().map(|(l, _)| l.as_str()).collect();
+    assert_eq!(labels, ["mc0", "mc1", "mc2", "mc3"]);
+    assert!(study.outcomes[..2].iter().all(|(_, o)| o.is_ok()));
+    for (_, outcome) in &study.outcomes[2..] {
+        assert_eq!(outcome.as_ref().map_err(String::as_str), Err(SAMPLE));
+    }
+    assert_eq!(study.n_ok(), 2);
+
+    let params = MixerFirstParams::default();
+    let cfg = ZinConfig::centered(1e6, 10, 1); // LO 9–11 MHz
+    let sweep = input_impedance_vs_lo(&params, &cfg, &cancel_after(1)).expect("sweep");
+    assert_eq!(sweep.points.len(), 3);
+    assert!(sweep.points[0].1.is_ok(), "{:?}", sweep.points[0]);
+    for (_, outcome) in &sweep.points[1..] {
+        assert_eq!(outcome.as_ref().map_err(String::as_str), Err(POINT));
+    }
+
+    // An expired study deadline runs nothing at all.
+    let token = RunBudget::unlimited()
+        .with_deadline(std::time::Duration::ZERO)
+        .token();
+    let _armed = token.arm();
+    let study = mc_study(&family, &mm, &PoolOptions::default()).expect("study");
+    assert!(study
+        .outcomes
+        .iter()
+        .all(|(_, o)| o.as_ref().map_err(String::as_str) == Err(SAMPLE)));
+    let sweep = input_impedance_vs_lo(&params, &cfg, &PoolOptions::default()).expect("sweep");
+    assert!(sweep
+        .points
+        .iter()
+        .all(|(_, o)| o.as_ref().map_err(String::as_str) == Err(POINT)));
 }
 
 #[test]
