@@ -125,9 +125,6 @@ impl AnalysisError {
         error: FactorError,
     ) -> Self {
         use crate::convergence::{AttemptOutcome, StageAttempt, TraceStage};
-        if let FactorError::Budget(i) = error {
-            return AnalysisError::interrupted_at(analysis, TraceStage::AcPoint { f }, i, 0, 0);
-        }
         let mut attempt = StageAttempt::new(TraceStage::AcPoint { f });
         attempt.iterations = 1;
         attempt.outcome = match error {

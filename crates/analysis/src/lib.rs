@@ -69,7 +69,7 @@ pub use op::{dc_operating_point, dc_operating_point_dense, OpOptions, OperatingP
 pub use partial::{Interrupted, Partial};
 pub use plan::{fastest_stimulus, noise_plan, pss_plan, sweep_plan, tran_plan};
 pub use power::{supply_power, PowerReport};
-pub use pss::{periodic_steady_state, PeriodicSteadyState, PssDegrade, PssOptions};
+pub use pss::{periodic_steady_state, PeriodicSteadyState, PssOptions};
 pub use report::{bias_warnings, device_table, node_table};
 pub use tran::{transient, transient_partial, TranOptions, TranResult};
 pub use trannoise::{noise_transient, NoiseTranConfig};

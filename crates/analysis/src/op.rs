@@ -389,7 +389,6 @@ impl StageRun {
 fn factor_outcome(e: &FactorError) -> AttemptOutcome {
     match e {
         FactorError::Singular { step } => AttemptOutcome::Singular { step: *step },
-        FactorError::Budget(i) => AttemptOutcome::Interrupted(*i),
         _ => AttemptOutcome::NotFinite,
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Every analysis entry point describes the run it is about to perform
 //! as a [`SimPlan`] — the neutral description type `remix-lint` judges
-//! with its `SIM001`–`SIM006` rules — and refuses to run when the plan
+//! with its `SIM` rules — and refuses to run when the plan
 //! has deny-level findings, exactly as [`dc_operating_point`] refuses a
 //! circuit with deny-level ERC findings. The engines declare only what
 //! they actually know (timestep, duration, the fastest stimulus in the

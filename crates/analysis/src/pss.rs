@@ -17,33 +17,6 @@ use crate::error::{AnalysisError, PartialProgress};
 use crate::tran::{transient, TranOptions, TranResult};
 use remix_circuit::{Circuit, ElementId};
 
-/// Graceful-degradation ladder for budgeted PSS runs.
-///
-/// Budget counters are monotonic — once a timestep allowance is spent,
-/// every further charge fails — so degradation must happen *before* the
-/// budget trips. When enabled and a
-/// [`RunBudget`](remix_exec::RunBudget) with a timestep limit is armed
-/// on this thread, the engine halves `steps_per_period` (halving the
-/// number of resolvable harmonics each rung) until the worst-case
-/// relaxation search fits the remaining allowance, stopping at
-/// `min_steps_per_period`. If even the floor cannot fit, the run
-/// proceeds at the floor and reports
-/// [`AnalysisError::BudgetExceeded`] when the budget trips.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PssDegrade {
-    /// Smallest steps-per-period the ladder may fall to (fewer steps
-    /// resolve fewer harmonics; below ~8 a switching waveform is mush).
-    pub min_steps_per_period: usize,
-}
-
-impl Default for PssDegrade {
-    fn default() -> Self {
-        PssDegrade {
-            min_steps_per_period: 8,
-        }
-    }
-}
-
 /// Options for the PSS search.
 #[derive(Debug, Clone)]
 pub struct PssOptions {
@@ -56,9 +29,6 @@ pub struct PssOptions {
     /// Convergence: max node-voltage change between consecutive period
     /// boundaries (V).
     pub v_tol: f64,
-    /// Opt-in reduced-harmonic degradation under timestep budgets.
-    /// `None` (the default) never alters the requested resolution.
-    pub degrade: Option<PssDegrade>,
 }
 
 impl PssOptions {
@@ -70,25 +40,7 @@ impl PssOptions {
             steps_per_period: 64,
             max_periods: 200,
             v_tol: 1e-5,
-            degrade: None,
         }
-    }
-}
-
-/// Worst-case timestep cost of the relaxation search at a given
-/// resolution: the sum of each growing chunk's full re-integration (the
-/// search restarts from t = 0 with a longer horizon every round).
-fn relaxation_step_cost(steps_per_period: usize, max_periods: usize) -> u64 {
-    let mut chunk = 4usize;
-    let mut total = 0usize;
-    let mut steps = 0u64;
-    loop {
-        total += chunk;
-        if total > max_periods {
-            return steps;
-        }
-        steps += (total as u64) * (steps_per_period as u64);
-        chunk = (chunk * 2).min(32);
     }
 }
 
@@ -101,10 +53,6 @@ pub struct PeriodicSteadyState {
     pub periods_used: usize,
     /// Final boundary-to-boundary change (V).
     pub residual: f64,
-    /// Steps per period actually integrated. Smaller than the requested
-    /// `steps_per_period` when the [`PssDegrade`] ladder reduced the
-    /// resolution to fit a timestep budget.
-    pub steps_per_period_used: usize,
 }
 
 impl PeriodicSteadyState {
@@ -133,9 +81,7 @@ impl PeriodicSteadyState {
 /// elsewhere in the netlist). Otherwise propagates transient errors;
 /// returns [`AnalysisError::NoConvergence`] when `max_periods` is
 /// exhausted, and [`AnalysisError::BudgetExceeded`] when a
-/// [`RunBudget`](remix_exec::RunBudget) armed on this thread runs out
-/// (enable [`PssOptions::degrade`] to let the engine shed harmonics and
-/// fit a timestep budget instead of tripping).
+/// [`RunBudget`](remix_exec::RunBudget) armed on this thread runs out.
 pub fn periodic_steady_state(
     circuit: &Circuit,
     opts: &PssOptions,
@@ -145,21 +91,7 @@ pub fn periodic_steady_state(
         .with_field("analysis", "pss")
         .with_field("elements", circuit.element_count())
         .with_field("steps_per_period", opts.steps_per_period);
-    // Reduced-harmonic degradation: shed resolution up front so the
-    // whole search fits the remaining timestep allowance (counters are
-    // monotonic — there is no retrying after a trip).
-    let mut steps_per_period = opts.steps_per_period;
-    if let (Some(d), Some(token)) = (opts.degrade, remix_exec::active_token()) {
-        if let Some(remaining) = token.timesteps_remaining() {
-            let floor = d.min_steps_per_period.max(2);
-            while steps_per_period > floor
-                && relaxation_step_cost(steps_per_period, opts.max_periods) > remaining
-            {
-                steps_per_period = (steps_per_period / 2).max(floor);
-            }
-        }
-    }
-    let h = opts.period / steps_per_period as f64;
+    let h = opts.period / opts.steps_per_period as f64;
     // Integrate in growing chunks, checking the boundary samples: run
     // `chunk` periods at a time (one long transient keeps the companion
     // history continuous and the code simple — the engine's cost is per
@@ -206,7 +138,7 @@ pub fn periodic_steady_state(
             }
             Err(e) => return Err(e),
         };
-        let n_per = steps_per_period;
+        let n_per = opts.steps_per_period;
         let len = res.len();
         if len < 2 * n_per {
             return Err(AnalysisError::NoConvergence {
@@ -246,7 +178,6 @@ pub fn periodic_steady_state(
                 waveforms,
                 periods_used: total,
                 residual,
-                steps_per_period_used: steps_per_period,
             });
         }
         chunk = (chunk * 2).min(32);
@@ -332,7 +263,7 @@ mod tests {
         assert!((i_avg + 0.5e-3).abs() < 0.02e-3, "avg current {i_avg:.4e}");
     }
 
-    fn fast_rc_under_sine(period: f64) -> (Circuit, remix_circuit::Node) {
+    fn fast_rc_under_sine(period: f64) -> Circuit {
         let mut c = Circuit::new();
         let vin = c.node("in");
         let out = c.node("out");
@@ -350,32 +281,13 @@ mod tests {
         );
         c.add_resistor("r", vin, out, 1e3);
         c.add_capacitor("c", out, Circuit::gnd(), 10e-12); // τ = 10 ns ≪ period
-        (c, out)
-    }
-
-    #[test]
-    fn degrade_ladder_sheds_harmonics_to_fit_timestep_budget() {
-        let period = 1e-6;
-        let (c, out) = fast_rc_under_sine(period);
-        let mut opts = PssOptions::new(period);
-        opts.degrade = Some(PssDegrade::default());
-        // 64 steps/period needs ~27k steps worst-case; 4000 admits only
-        // the 8-step rung of the ladder.
-        let token = remix_exec::RunBudget::unlimited()
-            .with_timesteps(4000)
-            .token();
-        let _g = token.arm();
-        let pss = periodic_steady_state(&c, &opts).unwrap();
-        assert_eq!(pss.steps_per_period_used, 8, "reduced-harmonic rung");
-        assert!(pss.residual < 1e-5);
-        let avg = average(&pss.waveforms.voltage_waveform(out));
-        assert!((avg - 0.5).abs() < 0.02, "avg {avg}");
+        c
     }
 
     #[test]
     fn without_degrade_budget_trip_carries_pss_context() {
         let period = 1e-6;
-        let (c, _) = fast_rc_under_sine(period);
+        let c = fast_rc_under_sine(period);
         let opts = PssOptions::new(period);
         let token = remix_exec::RunBudget::unlimited()
             .with_timesteps(10)
@@ -389,16 +301,6 @@ mod tests {
             }
             other => panic!("expected BudgetExceeded, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn degrade_is_inert_without_a_budget() {
-        let period = 1e-6;
-        let (c, _) = fast_rc_under_sine(period);
-        let mut opts = PssOptions::new(period);
-        opts.degrade = Some(PssDegrade::default());
-        let pss = periodic_steady_state(&c, &opts).unwrap();
-        assert_eq!(pss.steps_per_period_used, opts.steps_per_period);
     }
 
     #[test]

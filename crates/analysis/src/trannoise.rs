@@ -5,10 +5,10 @@
 //! harmonics. Commercial tools use PSS+PNOISE; the substitute built here
 //! (see DESIGN.md) injects sampled noise currents — one white generator
 //! per resistor and MOSFET channel, with per-sample variance matched to
-//! the device PSD at the operating point, plus optional 1/f paths — and
-//! lets the ordinary transient engine propagate them through the switching
-//! circuit. The output PSD (Welch) then *includes* folded noise exactly
-//! like a lab spectrum analyzer measurement would.
+//! the device PSD at the operating point — and lets the ordinary
+//! transient engine propagate them through the switching circuit. The
+//! output PSD (Welch) then *includes* folded noise exactly like a lab
+//! spectrum analyzer measurement would.
 //!
 //! Device noise magnitudes are frozen at the DC operating point (the
 //! time-varying modulation of each generator is second-order for the
@@ -22,17 +22,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use remix_circuit::consts::ROOM_TEMP;
 use remix_circuit::{Circuit, Element, Waveform};
-use remix_dsp::signal::{FlickerNoise, WhiteNoise};
+use remix_dsp::signal::WhiteNoise;
 
 /// Configuration for a Monte-Carlo noise transient.
 #[derive(Debug, Clone)]
 pub struct NoiseTranConfig {
     /// RNG seed (deterministic runs for reproducibility).
     pub seed: u64,
-    /// Include 1/f generators (slower: long sample paths).
-    pub include_flicker: bool,
-    /// Lowest flicker frequency synthesized (Hz).
-    pub flicker_f_min: f64,
     /// Scale factor on every noise amplitude (1.0 = physical). Setting
     /// this above 1 raises noise above the transient engine's numerical
     /// floor; the measured PSD is then divided by the square at
@@ -44,8 +40,6 @@ impl Default for NoiseTranConfig {
     fn default() -> Self {
         NoiseTranConfig {
             seed: 0x5EED,
-            include_flicker: false,
-            flicker_f_min: 1e3,
             amplitude_boost: 1.0,
         }
     }
@@ -97,19 +91,16 @@ pub fn noise_transient(
     let mut source_count = 0usize;
 
     for (idx, e) in circuit.elements().iter().enumerate() {
-        let (a, b, white_psd, flicker_k) = match e {
+        let (a, b, white_psd) = match e {
             Element::Resistor { a, b, r, .. } => {
                 let psd = 4.0 * remix_circuit::consts::BOLTZMANN * ROOM_TEMP / r;
-                (*a, *b, psd, 0.0)
+                (*a, *b, psd)
             }
             Element::Mos { dev, .. } => {
                 let Some(ev) = &op.mos_evals[idx] else {
                     continue;
                 };
-                let psd = dev.thermal_noise_psd(ev, ROOM_TEMP);
-                let k =
-                    dev.model.kf * ev.id.abs().powf(dev.model.af) / (dev.model.cox * dev.w * dev.l);
-                (dev.d, dev.s, psd, k)
+                (dev.d, dev.s, dev.thermal_noise_psd(ev, ROOM_TEMP))
             }
             _ => continue,
         };
@@ -129,22 +120,6 @@ pub fn noise_transient(
                 })
                 .collect();
             noisy.add_isource(&format!("noise_w{source_count}"), a, b, Waveform::Pwl(pts));
-            source_count += 1;
-        }
-        if config.include_flicker && flicker_k > 0.0 {
-            let mut gen = FlickerNoise::new(
-                flicker_k * config.amplitude_boost * config.amplitude_boost,
-                config.flicker_f_min,
-                fs,
-                StdRng::seed_from_u64(rand::Rng::gen(&mut rng)),
-            );
-            let pts: Vec<(f64, f64)> = (0..n_samples)
-                .map(|k| {
-                    let v = if k == 0 { 0.0 } else { gen.next_sample() };
-                    (k as f64 * opts.h, v)
-                })
-                .collect();
-            noisy.add_isource(&format!("noise_f{source_count}"), a, b, Waveform::Pwl(pts));
             source_count += 1;
         }
     }

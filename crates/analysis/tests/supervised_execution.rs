@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use remix_analysis::{
     ac_sweep, dc_operating_point, dc_sweep, dc_sweep_partial, noise_transient, output_noise,
     periodic_steady_state, transient, transient_partial, AnalysisError, NoiseTranConfig, OpOptions,
-    PssOptions, TranOptions,
+    PssOptions, TraceStage, TranOptions,
 };
 use remix_circuit::{Circuit, MosModel, Waveform};
 use remix_exec::{Interruption, RunBudget};
@@ -178,6 +178,63 @@ fn pre_cancelled_token_is_budget_exceeded_in_every_entry_point() {
         assert_interrupted(run(), entry, |i| i == Interruption::Cancelled);
         drop(guard);
     }
+}
+
+/// Runs `sweep` under a zero deadline and then under a cancelled token:
+/// each must end the sweep at its first point, before any
+/// factorization, with the point's trace stage and no points completed.
+fn assert_stops_at_first_point(
+    entry: &str,
+    first: f64,
+    points: usize,
+    sweep: impl Fn() -> Result<(), AnalysisError>,
+) {
+    let deadline = RunBudget::unlimited().with_deadline(Duration::ZERO).token();
+    let cancelled = RunBudget::unlimited().token();
+    cancelled.cancel();
+    for (token, expected) in [
+        (deadline, Interruption::DeadlineExpired { budget_ms: 0 }),
+        (cancelled, Interruption::Cancelled),
+    ] {
+        let guard = token.arm();
+        let result = sweep();
+        drop(guard);
+        match result {
+            Err(AnalysisError::BudgetExceeded {
+                interruption,
+                trace,
+                partial,
+            }) => {
+                assert_eq!(interruption, expected, "{entry}");
+                assert_eq!(trace.attempts.len(), 1, "{entry}");
+                assert_eq!(
+                    trace.attempts[0].stage,
+                    TraceStage::AcPoint { f: first },
+                    "{entry}"
+                );
+                assert_eq!(partial.completed, 0, "{entry}");
+                assert_eq!(partial.total, points, "{entry}");
+            }
+            other => panic!("{entry}: expected BudgetExceeded, got {other:?}"),
+        }
+    }
+}
+
+/// The AC-type sweeps check the budget before each frequency point;
+/// that is the only budget check they make. The operating point is
+/// solved unbudgeted, so only the sweep runs under the token.
+#[test]
+fn ac_type_sweeps_check_the_budget_before_every_point() {
+    let c = amp();
+    let d = c.find_node("d").unwrap();
+    let op = dc_operating_point(&c, &OpOptions::default()).unwrap();
+    let freqs = [1e6, 1e9];
+    assert_stops_at_first_point("ac", freqs[0], freqs.len(), || {
+        ac_sweep(&c, &op, &freqs).map(|_| ())
+    });
+    assert_stops_at_first_point("acnoise", freqs[0], freqs.len(), || {
+        output_noise(&c, &op, d, Circuit::gnd(), &freqs).map(|_| ())
+    });
 }
 
 #[test]

@@ -20,13 +20,16 @@
 //! its own file's test module is dead.
 //!
 //! The check is by name, not by resolved path, so it errs toward
-//! keeping: an item shares its liveness with every same-named item, and
-//! a type is named by its own `impl` blocks. Four token contexts are
-//! not references: the name an item declares, a lifetime (`'static`),
-//! the paths of a `use` statement (a re-export is not a user, unless it
-//! renames the item with `as`), and prose in comments. The rule code
-//! keeps its original `PUB_FN` spelling so existing markers and
-//! configurations stay valid.
+//! keeping: an item shares its liveness with every same-named item.
+//! Five token contexts are not references: the name an item declares,
+//! the self type of an item-level `impl` header (`impl Type {` or
+//! `impl Trait for Type {` — a type's own impl blocks do not use it,
+//! though the trait and any generic arguments are named), a lifetime
+//! (`'static`), the paths of a `use` statement (a re-export is not a
+//! user, unless it renames the item with `as`), and prose in comments.
+//! An `impl Trait` type in argument or return position names its trait.
+//! The rule code keeps its original `PUB_FN` spelling so existing
+//! markers and configurations stay valid.
 //!
 //! Every file is tokenized once into identifier sets; the rule then
 //! answers each candidate with set lookups.
@@ -77,6 +80,17 @@ fn tokens(code: &str) -> impl Iterator<Item = Token<'_>> {
     })
 }
 
+/// An item-level `impl` header being read, up to its `{` or `where`.
+#[derive(Default)]
+struct ImplHeader<'a> {
+    /// Angle-bracket depth: generic parameters and arguments (depth > 0)
+    /// name their types as usual.
+    depth: usize,
+    /// The depth-0 path identifiers since `impl` or `for`: a trait's
+    /// path once a `for` follows it, else the self type's.
+    path: Vec<&'a str>,
+}
+
 /// Statement-level state carried across lines while tokenizing.
 #[derive(Default)]
 struct Walker<'a> {
@@ -92,11 +106,24 @@ struct Walker<'a> {
     last_use_ident: Option<&'a str>,
     /// The previous token was a `'`: an identifier now is a lifetime.
     after_quote: bool,
+    /// The previous token was a `-`: a `>` now closes an `->` arrow,
+    /// not a generic list.
+    after_dash: bool,
+    /// The previous token leaves the walker inside an item or an
+    /// expression, where an `impl` can only be an `impl Trait` type.
+    /// Clear at the start of a file and after `{`, `}`, `;` and an
+    /// attribute's `]`.
+    mid_item: bool,
+    /// Inside an item-level `impl` header.
+    impl_header: Option<ImplHeader<'a>>,
 }
 
 /// What the walker makes of one identifier token.
 enum Seen<'a> {
     Reference(&'a str),
+    /// The trait path of an `impl Trait for Type` header, named once
+    /// its `for` shows it is a trait.
+    TraitPath(Vec<&'a str>),
     Declared {
         kind: &'static str,
         name: &'a str,
@@ -105,9 +132,50 @@ enum Seen<'a> {
     Nothing,
 }
 
+impl<'a> Seen<'a> {
+    /// The identifiers this token names.
+    fn references(&self) -> &[&'a str] {
+        match self {
+            Seen::Reference(name) => std::slice::from_ref(name),
+            Seen::TraitPath(names) => names,
+            _ => &[],
+        }
+    }
+}
+
 impl<'a> Walker<'a> {
     fn step(&mut self, token: Token<'a>) -> Seen<'a> {
         let after_quote = std::mem::replace(&mut self.after_quote, token == Token::Punct('\''));
+        let after_dash = std::mem::replace(&mut self.after_dash, token == Token::Punct('-'));
+        let mid_item = std::mem::replace(
+            &mut self.mid_item,
+            !matches!(token, Token::Punct('{' | '}' | ';' | ']')),
+        );
+        if let Some(header) = self.impl_header.as_mut() {
+            return match token {
+                _ if after_quote => Seen::Nothing,
+                Token::Punct('<') => {
+                    header.depth += 1;
+                    Seen::Nothing
+                }
+                Token::Punct('>') if !after_dash => {
+                    header.depth = header.depth.saturating_sub(1);
+                    Seen::Nothing
+                }
+                Token::Ident(ident) if header.depth > 0 => Seen::Reference(ident),
+                Token::Ident("for") => Seen::TraitPath(std::mem::take(&mut header.path)),
+                Token::Ident("where") | Token::Punct('{' | ';') => {
+                    // The self type's own header does not use it.
+                    self.impl_header = None;
+                    Seen::Nothing
+                }
+                Token::Ident(ident) => {
+                    header.path.push(ident);
+                    Seen::Nothing
+                }
+                Token::Punct(_) => Seen::Nothing,
+            };
+        }
         let Token::Ident(ident) = token else {
             self.declaring = None;
             self.pub_pending &= token == Token::Punct('"');
@@ -148,7 +216,16 @@ impl<'a> Walker<'a> {
                 self.pub_pending = true;
                 Seen::Nothing
             }
-            "unsafe" | "async" | "extern" => Seen::Nothing,
+            "impl" if !mid_item => {
+                self.impl_header = Some(ImplHeader::default());
+                Seen::Nothing
+            }
+            "unsafe" => {
+                // `unsafe impl` is still an item-level impl.
+                self.mid_item = mid_item;
+                Seen::Nothing
+            }
+            "async" | "extern" => Seen::Nothing,
             "use" => {
                 self.in_use = true;
                 self.pub_pending = false;
@@ -204,25 +281,25 @@ fn file_refs(file: &ScannedFile) -> FileRefs {
                 };
             } else if let Some(walker) = doctest.as_mut() {
                 for token in tokens(doc) {
-                    if let Seen::Reference(name) = walker.step(token) {
+                    for name in walker.step(token).references() {
                         refs.all.insert(name.to_string());
                     }
                 }
             }
             continue;
         }
-        let names = tokens(&line.masked).filter_map(|token| match code.step(token) {
-            Seen::Reference(name) => Some(name),
-            Seen::Declared { kind, name, public } => {
+        let mut names = Vec::new();
+        for token in tokens(&line.masked) {
+            let seen = code.step(token);
+            if let Seen::Declared { kind, name, public } = seen {
                 if public && !line.in_test {
                     refs.pub_items.push((kind, name.to_string(), index));
                 }
-                None
             }
-            Seen::Nothing => None,
-        });
+            names.extend_from_slice(seen.references());
+        }
         let format_names = line.strings.iter().flat_map(|text| format_args(text));
-        for name in names.chain(format_names) {
+        for name in names.into_iter().chain(format_names) {
             if !line.in_test {
                 refs.lib.insert(name.to_string());
             }
@@ -433,11 +510,16 @@ mod tests {
                 "`pub static LIMIT`",
             ]
         );
-        // An implementation names the trait and the type.
+        // An implementation names the trait, not the type it is for.
         let user = "impl x::Units for x::Probe {\n    fn ghz(&self) -> f64 { 1.0 }\n}\n";
         assert_eq!(
             flagged(&[(LIB, src)], &[("tests/units.rs", user)]),
-            vec![format!("{LIB}:5"), format!("{LIB}:6"), format!("{LIB}:7")]
+            vec![
+                format!("{LIB}:4"),
+                format!("{LIB}:5"),
+                format!("{LIB}:6"),
+                format!("{LIB}:7")
+            ]
         );
     }
 
@@ -478,6 +560,77 @@ mod tests {
                 .map(|m| m.split(" is never used").next().unwrap_or_default())
                 .collect::<Vec<_>>(),
             vec!["`pub fn raw`"]
+        );
+    }
+
+    /// The kinds and names of the AUD010 findings for `audited`.
+    fn dead(audited: &[(&str, &str)]) -> Vec<String> {
+        messages(audited)
+            .iter()
+            .map(|m| {
+                m.split(" is never used")
+                    .next()
+                    .unwrap_or_default()
+                    .to_string()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn item_level_impl_headers_do_not_use_their_self_type() {
+        let lib = "pub trait Units {}\npub struct Probe;\npub struct Band;\n";
+        let (units, probe, band) = (
+            "`pub trait Units`",
+            "`pub struct Probe`",
+            "`pub struct Band`",
+        );
+        for (header, expected) in [
+            // Inherent, plain and generic with a where clause.
+            (
+                "impl x::Probe {\n    fn f(&self) {}\n}\n",
+                vec![units, probe, band],
+            ),
+            (
+                "impl<T: Units> Probe<T>\nwhere\n    T: Copy,\n{\n}\n",
+                vec![probe, band],
+            ),
+            // Trait impls, plain, `unsafe`, after an attribute, and with
+            // an arrow inside the generic parameters.
+            ("impl Units for Probe {}\n", vec![probe, band]),
+            ("unsafe impl Units for Probe {}\n", vec![probe, band]),
+            ("#[cfg(test)]\nimpl Units for Probe {}\n", vec![probe, band]),
+            (
+                "impl<F: Fn() -> Band> Units for x::Probe<F> {}\n",
+                vec![probe],
+            ),
+            // A generic argument of the trait or the self type is a use.
+            ("impl From<Band> for Probe<Units> {}\n", vec![probe]),
+        ] {
+            let audited = [(LIB, lib), ("crates/x/src/imp.rs", header)];
+            assert_eq!(dead(&audited), expected, "{header}");
+        }
+    }
+
+    #[test]
+    fn impl_trait_types_name_their_trait() {
+        let lib = "pub trait StampSink<T> {}\npub struct Probe;\n";
+        for user in [
+            "fn stamp(sink: &mut impl x::StampSink<f64>) {}\n",
+            "fn sinks() -> impl StampSink<f64> {\n    loop {}\n}\n",
+            "fn pair(a: u8, sink: impl StampSink<u8>) {}\n",
+        ] {
+            assert_eq!(
+                dead(&[(LIB, lib), ("examples/s.rs", user)]),
+                vec!["`pub struct Probe`"],
+                "{user}"
+            );
+        }
+        // The walker leaves an impl header at its `{`: the block's body
+        // names types as usual.
+        let user = "impl Probe {\n    fn f(&self) -> Option<Probe> {\n        None\n    }\n}\n";
+        assert_eq!(
+            dead(&[(LIB, lib), ("examples/s.rs", user)]),
+            vec!["`pub trait StampSink`"]
         );
     }
 }

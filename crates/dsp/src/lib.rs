@@ -12,7 +12,7 @@
 //! * [`psd`] — periodogram and Welch PSD estimation;
 //! * [`tone`] — Goertzel single-bin readout and coherent-sampling plans
 //!   (every tone lands exactly on a bin, no leakage);
-//! * [`signal`] — tones, LO square waves, white and 1/f noise processes;
+//! * [`signal`] — tones, LO square waves, a white noise process;
 //! * [`units`] — dB and dBm conversions.
 //!
 //! # Examples

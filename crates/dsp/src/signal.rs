@@ -1,8 +1,8 @@
 //! Signal generators.
 //!
 //! Stimulus for the behavioral receiver chain and reference waveforms for
-//! simulator tests: single tones, LO square waves, and white and 1/f
-//! noise processes (Box–Muller over `rand`).
+//! simulator tests: single tones, LO square waves, and a white noise
+//! process (Box–Muller over `rand`).
 
 use rand::Rng;
 
@@ -70,15 +70,6 @@ impl<R: Rng> WhiteNoise<R> {
         }
     }
 
-    /// Creates a process directly from the per-sample standard deviation.
-    pub fn from_sigma(sigma: f64, rng: R) -> Self {
-        WhiteNoise {
-            sigma,
-            rng,
-            cached: None,
-        }
-    }
-
     /// Per-sample standard deviation.
     pub fn sigma(&self) -> f64 {
         self.sigma
@@ -95,64 +86,6 @@ impl<R: Rng> WhiteNoise<R> {
         let theta = 2.0 * std::f64::consts::PI * u2;
         self.cached = Some(self.sigma * r * theta.sin());
         self.sigma * r * theta.cos()
-    }
-}
-
-/// 1/f (flicker) noise generator: sums octave-spaced first-order filtered
-/// white sources (the standard Voss/McCartney-style synthesis, filtered
-/// variant). The output PSD follows `~1/f` between `f_min` and `fs/2`.
-#[derive(Debug)]
-pub struct FlickerNoise<R> {
-    white: WhiteNoise<R>,
-    states: Vec<f64>,
-    alphas: Vec<f64>,
-    gains: Vec<f64>,
-}
-
-impl<R: Rng> FlickerNoise<R> {
-    /// Creates a generator whose one-sided PSD approximates
-    /// `k_f / f` (V²/Hz) over `[f_min, fs/2]`.
-    pub fn new(k_f: f64, f_min: f64, fs: f64, rng: R) -> Self {
-        assert!(k_f >= 0.0 && f_min > 0.0 && fs > 2.0 * f_min);
-        // Octave-spaced pole frequencies.
-        let mut poles = Vec::new();
-        let mut f = f_min;
-        while f < fs / 2.0 {
-            poles.push(f);
-            f *= 2.0;
-        }
-        let n_oct = poles.len().max(1);
-        // Each first-order section contributes a plateau below its pole;
-        // equal weights give an approximate 1/f sum. Scale so that the PSD
-        // at geometric mid-band matches k_f/f.
-        let alphas: Vec<f64> = poles
-            .iter()
-            .map(|&fp| (-2.0 * std::f64::consts::PI * fp / fs).exp())
-            .collect();
-        // Per-section gain: section k has |H|² ≈ 1/(1-a)² DC gain; we weight
-        // by sqrt(f_pole) to synthesize the 1/f slope.
-        let gains: Vec<f64> = poles
-            .iter()
-            .zip(&alphas)
-            .map(|(&fp, &a)| (1.0 - a) * (k_f / fp).sqrt())
-            .collect();
-        FlickerNoise {
-            white: WhiteNoise::from_sigma((fs / 2.0f64).sqrt(), rng),
-            states: vec![0.0; n_oct],
-            alphas,
-            gains,
-        }
-    }
-
-    /// Next sample.
-    pub fn next_sample(&mut self) -> f64 {
-        let mut out = 0.0;
-        for i in 0..self.states.len() {
-            let w = self.white.next_sample();
-            self.states[i] = self.alphas[i] * self.states[i] + self.gains[i] * w;
-            out += self.states[i];
-        }
-        out
     }
 }
 
@@ -217,28 +150,9 @@ mod tests {
     }
 
     #[test]
-    fn flicker_noise_slope() {
-        use crate::psd::welch;
-        use crate::window::Window;
-        let fs = 1e5;
-        let kf = 1e-6;
-        let mut fl = FlickerNoise::new(kf, 1.0, fs, StdRng::seed_from_u64(3));
-        let n = 1 << 17;
-        let x: Vec<f64> = (0..n).map(|_| fl.next_sample()).collect();
-        let psd = welch(&x, fs, 4096, Window::Hann);
-        // Compare PSD at two decades: ratio should be ~10x (1/f).
-        let p100 = psd.at(100.0);
-        let p1000 = psd.at(1000.0);
-        let slope = (p100 / p1000).log10();
-        assert!(
-            (0.6..1.4).contains(&slope),
-            "slope exponent = {slope}, p100={p100:.3e} p1000={p1000:.3e}"
-        );
-    }
-
-    #[test]
     fn white_noise_independent_samples() {
-        let mut wn = WhiteNoise::from_sigma(1.0, StdRng::seed_from_u64(4));
+        // One-sided PSD 2 V²/Hz at fs = 1 Hz: unit per-sample sigma.
+        let mut wn = WhiteNoise::from_psd(2.0, 1.0, StdRng::seed_from_u64(4));
         let x: Vec<f64> = (0..50_000).map(|_| wn.next_sample()).collect();
         // Lag-1 autocorrelation near zero.
         let mean = remix_numerics::stats::mean(&x);

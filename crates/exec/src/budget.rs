@@ -10,9 +10,8 @@ use std::time::{Duration, Instant};
 /// specific is configured. Deliberately generous — about a minute of
 /// transient work on the circuits in this workspace — so it only trips
 /// runs that genuinely got away. Plan lints (`SIM007`) warn when a
-/// declared simulation plan implies more steps than this without a
-/// checkpoint interval, since an interruption would then discard
-/// everything.
+/// declared simulation plan implies more steps than this, since an
+/// interruption would then discard everything.
 pub const DEFAULT_TIMESTEP_BUDGET: u64 = 1_000_000;
 
 /// Why a budgeted run was interrupted.
@@ -39,14 +38,6 @@ pub enum Interruption {
         /// The timestep allowance that was exhausted.
         limit: u64,
     },
-    /// The system matrix is larger than the budget admits (memory
-    /// pre-flight check — refused before any factorization work).
-    MatrixDim {
-        /// Requested matrix dimension.
-        dim: usize,
-        /// Largest admitted dimension.
-        limit: usize,
-    },
 }
 
 impl fmt::Display for Interruption {
@@ -61,9 +52,6 @@ impl fmt::Display for Interruption {
             }
             Interruption::Timesteps { limit } => {
                 write!(f, "timestep budget exhausted ({limit} steps)")
-            }
-            Interruption::MatrixDim { dim, limit } => {
-                write!(f, "matrix dimension {dim} exceeds the budget limit {limit}")
             }
         }
     }
@@ -82,8 +70,6 @@ pub struct RunBudget {
     pub newton_iterations: Option<u64>,
     /// Cumulative timestep allowance across the whole run.
     pub timesteps: Option<u64>,
-    /// Largest admitted MNA matrix dimension (memory pre-flight).
-    pub max_matrix_dim: Option<usize>,
 }
 
 impl RunBudget {
@@ -121,7 +107,6 @@ impl RunBudget {
                 newton_limit: self.newton_iterations.unwrap_or(u64::MAX),
                 steps_used: AtomicU64::new(0),
                 steps_limit: self.timesteps.unwrap_or(u64::MAX),
-                max_matrix_dim: self.max_matrix_dim.unwrap_or(usize::MAX),
                 parent: None,
             }),
         }
@@ -137,7 +122,6 @@ struct Inner {
     newton_limit: u64,
     steps_used: AtomicU64,
     steps_limit: u64,
-    max_matrix_dim: usize,
     /// Budget this one is derived from (see [`CancelToken::child`]):
     /// charges propagate upward and the parent's cancellation/deadline
     /// are visible through the child, but never the reverse.
@@ -248,7 +232,6 @@ impl CancelToken {
                 newton_limit: u64::MAX,
                 steps_used: AtomicU64::new(0),
                 steps_limit: u64::MAX,
-                max_matrix_dim: self.inner.max_matrix_dim,
                 parent: Some(Arc::clone(&self.inner)),
             }),
         }
@@ -261,31 +244,10 @@ impl CancelToken {
         self.inner.newton_used.load(Ordering::Relaxed)
     }
 
-    /// Timesteps charged so far.
-    pub fn timesteps_spent(&self) -> u64 {
-        // audit: relaxed-ok: advisory progress read, as newton_spent.
-        self.inner.steps_used.load(Ordering::Relaxed)
-    }
-
-    /// Timesteps still chargeable before the budget trips, or `None`
-    /// when the budget has no timestep limit. Lets work planners (e.g.
-    /// the PSS degradation ladder) pick a resolution that fits instead
-    /// of tripping mid-run.
-    pub fn timesteps_remaining(&self) -> Option<u64> {
-        if self.inner.steps_limit == u64::MAX {
-            return None;
-        }
-        Some(
-            self.inner
-                .steps_limit
-                .saturating_sub(self.timesteps_spent()),
-        )
-    }
-
-    /// Cheap cancellation/deadline check for sweep-point and
-    /// factorization boundaries; charges nothing. Consults the whole
-    /// ancestry chain (an expired deadline anywhere takes precedence in
-    /// reporting the cause, then cancellation anywhere).
+    /// Cheap cancellation/deadline check for sweep-point boundaries;
+    /// charges nothing. Consults the whole ancestry chain (an expired
+    /// deadline anywhere takes precedence in reporting the cause, then
+    /// cancellation anywhere).
     pub fn checkpoint(&self) -> Result<(), Interruption> {
         if let Some(i) = self.inner.expired_in_chain() {
             return Err(i);
@@ -310,19 +272,6 @@ impl CancelToken {
     pub fn charge_timestep(&self) -> Result<(), Interruption> {
         self.checkpoint()?;
         self.inner.charge_timestep_account()
-    }
-
-    /// Pre-flight memory check: refuses matrices above the budgeted
-    /// dimension before any factorization work is spent on them.
-    pub fn check_matrix_dim(&self, dim: usize) -> Result<(), Interruption> {
-        self.checkpoint()?;
-        if dim > self.inner.max_matrix_dim {
-            return Err(Interruption::MatrixDim {
-                dim,
-                limit: self.inner.max_matrix_dim,
-            });
-        }
-        Ok(())
     }
 
     /// Arms this token on the current thread; the solver hooks charge
@@ -357,8 +306,8 @@ pub fn active_token() -> Option<CancelToken> {
     ACTIVE.with(|a| a.borrow().clone())
 }
 
-/// Hook: cancellation/deadline check at a sweep-point or factorization
-/// boundary. `Ok(())` when no budget is armed.
+/// Hook: cancellation/deadline check at a sweep-point boundary.
+/// `Ok(())` when no budget is armed.
 #[inline]
 pub fn checkpoint() -> Result<(), Interruption> {
     match active_token() {
@@ -387,16 +336,6 @@ pub fn charge_timestep() -> Result<(), Interruption> {
     }
 }
 
-/// Hook: pre-flight matrix-dimension check against the armed budget.
-/// `Ok(())` when no budget is armed.
-#[inline]
-pub fn check_matrix_dim(dim: usize) -> Result<(), Interruption> {
-    match active_token() {
-        Some(t) => t.check_matrix_dim(dim),
-        None => Ok(()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,7 +345,6 @@ mod tests {
         assert!(checkpoint().is_ok());
         assert!(charge_newton_iteration().is_ok());
         assert!(charge_timestep().is_ok());
-        assert!(check_matrix_dim(usize::MAX).is_ok());
         assert!(active_token().is_none());
     }
 
@@ -444,24 +382,6 @@ mod tests {
         );
         assert!(charge_newton_iteration().is_err());
         assert!(charge_timestep().is_err());
-        assert!(check_matrix_dim(1).is_err());
-    }
-
-    #[test]
-    fn matrix_dim_preflight() {
-        let token = RunBudget {
-            max_matrix_dim: Some(100),
-            ..RunBudget::unlimited()
-        }
-        .token();
-        assert!(token.check_matrix_dim(100).is_ok());
-        assert_eq!(
-            token.check_matrix_dim(101),
-            Err(Interruption::MatrixDim {
-                dim: 101,
-                limit: 100
-            })
-        );
     }
 
     #[test]
@@ -528,8 +448,6 @@ mod tests {
             child.charge_timestep(),
             Err(Interruption::Timesteps { limit: 2 })
         );
-        // Attempt-local accounting stays attempt-local.
-        assert_eq!(child.timesteps_spent(), 3);
     }
 
     #[test]
@@ -565,8 +483,5 @@ mod tests {
     fn display_is_informative() {
         let d = Interruption::DeadlineExpired { budget_ms: 250 };
         assert!(d.to_string().contains("250 ms"));
-        let m = Interruption::MatrixDim { dim: 12, limit: 8 };
-        assert!(m.to_string().contains("12"));
-        assert!(m.to_string().contains("8"));
     }
 }

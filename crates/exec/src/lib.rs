@@ -10,18 +10,17 @@
 //! the lever:
 //!
 //! * [`RunBudget`] — a declarative budget (wall-clock deadline, Newton
-//!   iterations, timesteps, matrix dimension) compiled into a
-//!   [`CancelToken`];
+//!   iterations, timesteps) compiled into a [`CancelToken`];
 //! * [`CancelToken`] — a cloneable, thread-safe token the solver hot
-//!   paths charge against at factor/iteration/timestep/sweep-point
+//!   paths charge against at Newton-iteration, timestep and sweep-point
 //!   boundaries. Tokens are armed per thread with an RAII
 //!   [`BudgetGuard`] (mirroring the fault-injection plumbing in
 //!   `remix-analysis`), so the solver crates call free hooks
-//!   ([`charge_newton_iteration`], [`charge_timestep`], [`checkpoint`],
-//!   [`check_matrix_dim`]) without threading a token through every
-//!   signature. The hooks are the only deadline enforcement: each one
-//!   reads the wall clock of the whole token chain before it charges,
-//!   so no watchdog thread is needed;
+//!   ([`charge_newton_iteration`], [`charge_timestep`], [`checkpoint`])
+//!   without threading a token through every signature. The hooks are
+//!   the only deadline enforcement: each one reads the wall clock of the
+//!   whole token chain before it charges, so no watchdog thread is
+//!   needed;
 //! * [`Interruption`] — the typed reason a budget tripped, carried
 //!   upward inside `AnalysisError::BudgetExceeded`;
 //! * [`contain`] — the one `catch_unwind` in the stack: runs a job body
@@ -52,8 +51,8 @@ mod pool;
 
 pub use admission::{AdmissionQueue, Shed};
 pub use budget::{
-    active_token, charge_newton_iteration, charge_timestep, check_matrix_dim, checkpoint,
-    BudgetGuard, CancelToken, Interruption, RunBudget, DEFAULT_TIMESTEP_BUDGET,
+    active_token, charge_newton_iteration, charge_timestep, checkpoint, BudgetGuard, CancelToken,
+    Interruption, RunBudget, DEFAULT_TIMESTEP_BUDGET,
 };
 pub use contain::contain;
 pub use env::{env_u64, env_u64_or_warn, warn_malformed, EnvValue};

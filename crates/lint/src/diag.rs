@@ -43,7 +43,8 @@ impl fmt::Display for Severity {
 ///
 /// The `ERCnnn_*` codes are part of the public interface: they appear in
 /// rendered diagnostics, JSON output, and [`LintConfig`] overrides, and
-/// existing codes are never renumbered.
+/// existing codes are never renumbered. A retired code (`SIM003`,
+/// `SIM006`) is never reused.
 ///
 /// [`LintConfig`]: crate::LintConfig
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,32 +108,25 @@ pub enum RuleId {
     /// `SIM002` — FFT readout tones off the coherent bin grid or beyond
     /// Nyquist: two-tone products leak or fold onto wrong bins.
     NoncoherentFft,
-    /// `SIM003` — PSS harmonic truncation below the intermod order being
-    /// measured: the product simply does not exist in the basis.
-    PssHarmonics,
     /// `SIM004` — noise analysis band fails to cover the declared IF /
     /// flicker-corner targets.
     NoiseBand,
     /// `SIM005` — an RF sweep that does not cover the declared RF band
     /// (band-edge numbers cannot be reproduced from the run).
     SweepRange,
-    /// `SIM006` — transient duration shorter than the slowest circuit
-    /// time constant: the record is dominated by settling.
-    TranDuration,
     /// `SIM007` — the plan's horizon/timestep imply more steps than the
-    /// default run budget admits and no checkpoint interval is declared:
-    /// an interrupted run would restart from zero.
+    /// default run budget admits: an interrupted run would restart from
+    /// zero, so the run should be split.
     UncheckpointedRun,
     /// `SIM008` — a long run (implied step count above a tenth of the
-    /// default timestep budget) with no event log declared and no
-    /// observing telemetry sink armed: if it stalls or dies there is
-    /// nothing to diagnose from.
+    /// default timestep budget) with no observing telemetry sink armed:
+    /// if it stalls or dies there is nothing to diagnose from.
     UnobservedLongRun,
 }
 
 impl RuleId {
     /// Every rule, in code order (`ERC` first, then `SIM`).
-    pub const ALL: [RuleId; 24] = [
+    pub const ALL: [RuleId; 22] = [
         RuleId::DanglingNode,
         RuleId::NoDcPath,
         RuleId::VsourceLoop,
@@ -151,10 +145,8 @@ impl RuleId {
         RuleId::ParamCycle,
         RuleId::TimestepVsLo,
         RuleId::NoncoherentFft,
-        RuleId::PssHarmonics,
         RuleId::NoiseBand,
         RuleId::SweepRange,
-        RuleId::TranDuration,
         RuleId::UncheckpointedRun,
         RuleId::UnobservedLongRun,
     ];
@@ -180,10 +172,8 @@ impl RuleId {
             RuleId::ParamCycle => "ERC016_PARAM_CYCLE",
             RuleId::TimestepVsLo => "SIM001_TIMESTEP_VS_LO",
             RuleId::NoncoherentFft => "SIM002_NONCOHERENT_FFT",
-            RuleId::PssHarmonics => "SIM003_PSS_HARMONICS",
             RuleId::NoiseBand => "SIM004_NOISE_BAND",
             RuleId::SweepRange => "SIM005_SWEEP_RANGE",
-            RuleId::TranDuration => "SIM006_TRAN_DURATION",
             RuleId::UncheckpointedRun => "SIM007_UNCHECKPOINTED_RUN",
             RuleId::UnobservedLongRun => "SIM008_UNOBSERVED_LONG_RUN",
         }
@@ -208,7 +198,6 @@ impl RuleId {
             | RuleId::ParamHygiene
             | RuleId::NoiseBand
             | RuleId::SweepRange
-            | RuleId::TranDuration
             | RuleId::UncheckpointedRun
             | RuleId::UnobservedLongRun => Severity::Warn,
             _ => Severity::Deny,
@@ -236,10 +225,8 @@ impl RuleId {
             RuleId::ParamCycle => "`.param` definitions form a dependency cycle",
             RuleId::TimestepVsLo => "transient timestep at/beyond the stimulus Nyquist limit",
             RuleId::NoncoherentFft => "FFT tones off the coherent bin grid or beyond Nyquist",
-            RuleId::PssHarmonics => "PSS harmonics truncated below the intermod order",
             RuleId::NoiseBand => "noise band misses the IF / flicker-corner targets",
             RuleId::SweepRange => "sweep does not cover the declared RF band",
-            RuleId::TranDuration => "transient shorter than the slowest time constant",
             RuleId::UncheckpointedRun => {
                 "step count above the default run budget with no checkpoint interval"
             }

@@ -69,11 +69,6 @@ pub enum Fix {
         /// New record length (samples, power of two).
         fft_len: usize,
     },
-    /// Raise the PSS harmonic count.
-    RaiseHarmonics {
-        /// New harmonic count.
-        harmonics: usize,
-    },
     /// Widen the noise analysis band.
     WidenNoiseBand {
         /// New band start (Hz).
@@ -87,17 +82,6 @@ pub enum Fix {
         min_hz: f64,
         /// New sweep stop (Hz).
         max_hz: f64,
-    },
-    /// Extend the transient duration.
-    ExtendDuration {
-        /// New duration (s).
-        seconds: f64,
-    },
-    /// Declare a JSON-lines event log so a long run leaves a
-    /// diagnosable trail.
-    DeclareEventLog {
-        /// Suggested log file path.
-        path: String,
     },
 }
 
@@ -123,20 +107,11 @@ impl Fix {
                 "snap the FFT record to fs = {sample_rate:.6e} Hz, N = {fft_len} \
                  (coherent bins)"
             ),
-            Fix::RaiseHarmonics { harmonics } => {
-                format!("retain at least {harmonics} PSS harmonics")
-            }
             Fix::WidenNoiseBand { min_hz, max_hz } => {
                 format!("widen the noise band to {min_hz:.3e}–{max_hz:.3e} Hz")
             }
             Fix::WidenSweep { min_hz, max_hz } => {
                 format!("widen the sweep to {min_hz:.3e}–{max_hz:.3e} Hz")
-            }
-            Fix::ExtendDuration { seconds } => {
-                format!("extend the transient to {seconds:.3e} s")
-            }
-            Fix::DeclareEventLog { path } => {
-                format!("declare the JSON-lines event log '{path}'")
             }
         }
     }
@@ -174,9 +149,6 @@ impl Fix {
                 "{{\"action\":\"snap_coherent\",\"sample_rate\":{},\"fft_len\":{fft_len}}}",
                 num(*sample_rate)
             ),
-            Fix::RaiseHarmonics { harmonics } => {
-                format!("{{\"action\":\"raise_harmonics\",\"harmonics\":{harmonics}}}")
-            }
             Fix::WidenNoiseBand { min_hz, max_hz } => format!(
                 "{{\"action\":\"widen_noise_band\",\"min_hz\":{},\"max_hz\":{}}}",
                 num(*min_hz),
@@ -186,14 +158,6 @@ impl Fix {
                 "{{\"action\":\"widen_sweep\",\"min_hz\":{},\"max_hz\":{}}}",
                 num(*min_hz),
                 num(*max_hz)
-            ),
-            Fix::ExtendDuration { seconds } => format!(
-                "{{\"action\":\"extend_duration\",\"seconds\":{}}}",
-                num(*seconds)
-            ),
-            Fix::DeclareEventLog { path } => format!(
-                "{{\"action\":\"declare_event_log\",\"path\":{}}}",
-                json_str(path)
             ),
         }
     }
@@ -441,7 +405,6 @@ mod tests {
             },
             Fix::RenameDuplicates { name: "r1".into() },
             Fix::SetTimestep { seconds: 1e-12 },
-            Fix::RaiseHarmonics { harmonics: 5 },
             Fix::WidenNoiseBand {
                 min_hz: 1e3,
                 max_hz: 1e7,
@@ -450,7 +413,6 @@ mod tests {
                 min_hz: 5e8,
                 max_hz: 5.5e9,
             },
-            Fix::ExtendDuration { seconds: 1e-6 },
         ] {
             let j = f.to_json();
             assert!(j.starts_with("{\"action\":\""), "{j}");

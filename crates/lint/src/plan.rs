@@ -1,4 +1,5 @@
-//! Simulation-plan lint: `SIM001`–`SIM008`.
+//! Simulation-plan lint: `SIM001`–`SIM008` (`SIM003` and `SIM006`
+//! are retired; their codes are not reused).
 //!
 //! A structurally sound netlist can still produce plausible-but-wrong
 //! numbers when the *analysis plan* is numerically unsound — a two-tone
@@ -80,24 +81,10 @@ pub struct SimPlan {
     /// Tones the FFT readout must resolve exactly (Hz) — fundamentals
     /// and intermod products.
     pub tones: Vec<f64>,
-    /// Harmonics retained by a PSS/harmonic-balance representation.
-    pub pss_harmonics: Option<usize>,
-    /// Highest intermod order the measurement reads (3 for IIP3).
-    pub intermod_order: Option<usize>,
     /// Noise analysis band (Hz, lo ≤ hi).
     pub noise_band: Option<(f64, f64)>,
     /// Frequency sweep span (Hz, lo ≤ hi).
     pub sweep_band: Option<(f64, f64)>,
-    /// Slowest circuit time constant the transient must out-run (s).
-    pub slowest_tau: Option<f64>,
-    /// Simulated time between checkpoint writes (s), when the driver
-    /// persists resumable state. Declaring one tells `SIM007` that an
-    /// interrupted run resumes instead of restarting from zero.
-    pub checkpoint_interval: Option<f64>,
-    /// Path of the JSON-lines event log the driver writes, when one is
-    /// declared. Declaring one tells `SIM008` that a stalled or killed
-    /// long run leaves a diagnosable trail.
-    pub event_log: Option<String>,
     /// Measurement intent the plan is judged against.
     pub targets: PlanTargets,
 }
@@ -280,27 +267,6 @@ pub fn lint_plan(plan: &SimPlan, config: &LintConfig) -> LintReport {
         }
     }
 
-    // SIM003: PSS harmonic truncation below the intermod order.
-    if let (Some(s), Some(h), Some(order)) = (
-        sev(RuleId::PssHarmonics),
-        plan.pss_harmonics,
-        plan.intermod_order,
-    ) {
-        if h < order {
-            emit(
-                RuleId::PssHarmonics,
-                s,
-                format!(
-                    "{h} PSS harmonics retained but the measurement reads order-{order} \
-                     intermod products: the product is absent from the basis"
-                ),
-                Some(Fix::RaiseHarmonics {
-                    harmonics: order + 2,
-                }),
-            );
-        }
-    }
-
     // SIM004: noise band vs IF / flicker-corner targets.
     if let (Some(s), Some((lo, hi))) = (sev(RuleId::NoiseBand), plan.noise_band) {
         let mut need_lo = lo;
@@ -359,36 +325,19 @@ pub fn lint_plan(plan: &SimPlan, config: &LintConfig) -> LintReport {
         }
     }
 
-    // SIM006: duration vs the slowest time constant.
-    if let (Some(s), Some(t), Some(tau)) =
-        (sev(RuleId::TranDuration), plan.duration, plan.slowest_tau)
-    {
-        if tau > 0.0 && t < tau {
-            emit(
-                RuleId::TranDuration,
-                s,
-                format!(
-                    "duration {t:.3e} s is shorter than the slowest time constant \
-                     {tau:.3e} s: the record is dominated by settling"
-                ),
-                Some(Fix::ExtendDuration { seconds: 5.0 * tau }),
-            );
-        }
-    }
-
     // SIM007: implied step count vs the default run budget.
     if let (Some(s), Some(h), Some(t)) =
         (sev(RuleId::UncheckpointedRun), plan.timestep, plan.duration)
     {
         let budget = remix_exec::DEFAULT_TIMESTEP_BUDGET as f64;
-        if h > 0.0 && t / h > budget && plan.checkpoint_interval.is_none() {
+        if h > 0.0 && t / h > budget {
             emit(
                 RuleId::UncheckpointedRun,
                 s,
                 format!(
                     "duration {t:.3e} s at timestep {h:.3e} s implies {:.3e} steps, above \
                      the default run budget of {budget:.0e}: an interrupted run restarts \
-                     from zero — declare a checkpoint interval or split the sweep",
+                     from zero — split the run into shorter ones",
                     t / h
                 ),
                 None,
@@ -396,55 +345,30 @@ pub fn lint_plan(plan: &SimPlan, config: &LintConfig) -> LintReport {
         }
     }
 
-    // SIM008: long run with no observability declared. A run a tenth the
-    // size of the default timestep budget is long enough that a stall or
-    // kill without an event log (and without an armed observing
-    // telemetry sink) leaves nothing to diagnose from.
+    // SIM008: long run with no observability. A run a tenth the size of
+    // the default timestep budget is long enough that a stall or kill
+    // without an armed observing telemetry sink leaves nothing to
+    // diagnose from.
     if let (Some(s), Some(h), Some(t)) =
         (sev(RuleId::UnobservedLongRun), plan.timestep, plan.duration)
     {
         let threshold = remix_exec::DEFAULT_TIMESTEP_BUDGET as f64 / 10.0;
-        if h > 0.0
-            && t / h > threshold
-            && plan.event_log.is_none()
-            && !remix_telemetry::is_observing()
-        {
-            let log = format!("{}.events.jsonl", slug(&plan.name));
+        if h > 0.0 && t / h > threshold && !remix_telemetry::is_observing() {
             emit(
                 RuleId::UnobservedLongRun,
                 s,
                 format!(
                     "duration {t:.3e} s at timestep {h:.3e} s implies {:.3e} steps with no \
-                     event log declared and no telemetry sink armed: if the run stalls or \
-                     dies there is nothing to diagnose from — declare a JSON-lines event \
-                     log or arm an observing sink",
+                     telemetry sink armed: if the run stalls or dies there is nothing to \
+                     diagnose from — arm an observing telemetry sink",
                     t / h
                 ),
-                Some(Fix::DeclareEventLog { path: log }),
+                None,
             );
         }
     }
 
     LintReport { diagnostics: out }
-}
-
-/// Filesystem-safe slug of a plan name for the suggested event-log path.
-fn slug(name: &str) -> String {
-    let s: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() {
-                c.to_ascii_lowercase()
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if s.is_empty() {
-        "plan".to_string()
-    } else {
-        s
-    }
 }
 
 fn join_hz(v: &[f64]) -> String {
@@ -468,6 +392,15 @@ mod tests {
         assert!(report.is_empty(), "{report}");
     }
 
+    /// A plan of exactly `n` steps: the timestep is 2⁻³⁰ s (≈ 0.93 ns), a
+    /// power of two, so duration / timestep is `n` with no rounding.
+    fn steps(name: &str, n: u64) -> SimPlan {
+        let h = (-30f64).exp2();
+        SimPlan::new(name)
+            .with_timestep(h)
+            .with_duration(n as f64 * h)
+    }
+
     #[test]
     fn sim007_step_count_vs_default_budget() {
         // 10 ms at 1 ns: 10⁷ steps, an order above the default budget.
@@ -479,21 +412,28 @@ mod tests {
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].severity, Severity::Warn);
         assert!(diags[0].fix.is_none());
-        assert!(diags[0].message.contains("checkpoint"));
-
-        // Declaring a checkpoint interval silences the rule: the run
-        // resumes instead of restarting.
-        let resumable = SimPlan {
-            checkpoint_interval: Some(1e-4),
-            ..runaway.clone()
-        };
-        assert_eq!(fired(&resumable, RuleId::UncheckpointedRun), 0);
+        assert!(
+            diags[0].message.contains("split the run"),
+            "{}",
+            diags[0].message
+        );
 
         // A plan inside the budget never fires.
         let short = SimPlan::new("short tran")
             .with_timestep(1e-9)
             .with_duration(1e-5);
         assert_eq!(fired(&short, RuleId::UncheckpointedRun), 0);
+
+        // The threshold is the default timestep budget itself.
+        let budget = remix_exec::DEFAULT_TIMESTEP_BUDGET;
+        assert_eq!(
+            fired(&steps("above", budget + 1), RuleId::UncheckpointedRun),
+            1
+        );
+        assert_eq!(
+            fired(&steps("below", budget - 1), RuleId::UncheckpointedRun),
+            0
+        );
     }
 
     #[test]
@@ -507,22 +447,14 @@ mod tests {
         let diags = report.by_rule(RuleId::UnobservedLongRun);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].severity, Severity::Warn);
-        let fix = diags[0].fix.clone().expect("machine-applicable fix");
-        assert_eq!(
-            fix,
-            Fix::DeclareEventLog {
-                path: "marathon_tran.events.jsonl".to_string()
-            }
+        assert!(diags[0].fix.is_none());
+        assert!(
+            diags[0].message.contains("arm an observing telemetry sink"),
+            "{}",
+            diags[0].message
         );
 
-        // Declaring an event log silences the rule.
-        let logged = SimPlan {
-            event_log: Some("run.events.jsonl".into()),
-            ..blind.clone()
-        };
-        assert_eq!(fired(&logged, RuleId::UnobservedLongRun), 0);
-
-        // As does arming an observing telemetry sink on this thread.
+        // Arming an observing telemetry sink on this thread silences it.
         let t = remix_telemetry::Telemetry::with_sink(std::sync::Arc::new(
             remix_telemetry::MemorySink::new(),
         ));
@@ -535,6 +467,17 @@ mod tests {
             .with_timestep(1e-9)
             .with_duration(1e-5);
         assert_eq!(fired(&short, RuleId::UnobservedLongRun), 0);
+
+        // The threshold is a tenth of the default timestep budget.
+        let tenth = remix_exec::DEFAULT_TIMESTEP_BUDGET / 10;
+        assert_eq!(
+            fired(&steps("above", tenth + 1), RuleId::UnobservedLongRun),
+            1
+        );
+        assert_eq!(
+            fired(&steps("below", tenth - 1), RuleId::UnobservedLongRun),
+            0
+        );
     }
 
     #[test]
@@ -594,21 +537,6 @@ mod tests {
     }
 
     #[test]
-    fn sim003_harmonic_truncation() {
-        let harmonics = |name: &str, n: usize| SimPlan {
-            pss_harmonics: Some(n),
-            intermod_order: Some(3),
-            ..SimPlan::new(name)
-        };
-        let bad = harmonics("pss", 2);
-        let report = lint_plan(&bad, &LintConfig::default());
-        let diags = report.by_rule(RuleId::PssHarmonics);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].severity, Severity::Deny);
-        assert_eq!(fired(&harmonics("ok", 8), RuleId::PssHarmonics), 0);
-    }
-
-    #[test]
     fn sim004_noise_band_targets() {
         let bad = SimPlan::new("noise")
             .with_noise_band(1e6, 2e6)
@@ -662,21 +590,6 @@ mod tests {
         let report = lint_plan(&bad, &LintConfig::default());
         assert_eq!(report.by_rule(RuleId::SweepRange).len(), 1);
         assert!(report.is_clean(), "warn level must not block");
-    }
-
-    #[test]
-    fn sim006_duration_vs_tau() {
-        let bad = SimPlan {
-            slowest_tau: Some(1e-6),
-            ..SimPlan::new("short").with_duration(1e-9)
-        };
-        let report = lint_plan(&bad, &LintConfig::default());
-        let diags = report.by_rule(RuleId::TranDuration);
-        assert_eq!(diags.len(), 1);
-        assert!(matches!(
-            diags[0].fix,
-            Some(Fix::ExtendDuration { seconds }) if seconds >= 4.99e-6
-        ));
     }
 
     #[test]

@@ -28,9 +28,6 @@ pub enum FactorError {
         /// Column count of the offending matrix.
         cols: usize,
     },
-    /// The run budget armed on this thread refused the factorization
-    /// (matrix too large, deadline passed, or run cancelled).
-    Budget(remix_exec::Interruption),
 }
 
 impl fmt::Display for FactorError {
@@ -43,7 +40,6 @@ impl fmt::Display for FactorError {
             FactorError::NotSquare { rows, cols } => {
                 write!(f, "matrix is not square ({rows}x{cols})")
             }
-            FactorError::Budget(i) => write!(f, "factorization refused by run budget: {i}"),
         }
     }
 }
@@ -89,7 +85,6 @@ impl<T: Scalar> LuFactor<T> {
     /// [`FactorError::Singular`] when a pivot underflows the scaled
     /// singularity threshold.
     pub fn factor(a: &DenseMatrix<T>) -> Result<Self, FactorError> {
-        remix_exec::check_matrix_dim(a.rows()).map_err(FactorError::Budget)?;
         if !a.is_square() {
             return Err(FactorError::NotSquare {
                 rows: a.rows(),

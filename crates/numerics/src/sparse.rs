@@ -485,10 +485,9 @@ const PIVOT_THRESHOLD: f64 = 1e-3;
 /// Magnitude below which an eliminated fill-in entry is dropped.
 const DROP_TOL: f64 = 0.0; // keep everything: exactness over speed
 
-/// The checks every factorization makes before it reads a value: the
-/// dimension budget, then squareness.
+/// The check every factorization makes before it reads a value:
+/// squareness.
 fn check_shape<T: Scalar>(a: &CsrMatrix<T>) -> Result<(), FactorError> {
-    remix_exec::check_matrix_dim(a.rows()).map_err(FactorError::Budget)?;
     if a.rows() != a.cols() {
         return Err(FactorError::NotSquare {
             rows: a.rows(),
@@ -611,9 +610,7 @@ impl<T: Scalar> SparseLu<T> {
     /// # Errors
     ///
     /// [`FactorError::NotSquare`] / [`FactorError::NotFinite`] /
-    /// [`FactorError::Singular`] as for the dense factorization, and
-    /// [`FactorError::Budget`] when the dimension exceeds an armed
-    /// [`RunBudget`](remix_exec::RunBudget).
+    /// [`FactorError::Singular`] as for the dense factorization.
     pub fn factor(a: &CsrMatrix<T>) -> Result<Self, FactorError> {
         let scale = check_input(a)?;
         let lu = Self::search(a, scale)?;
@@ -1489,11 +1486,6 @@ mod tests {
         };
         let mut wide = TripletMatrix::new(3, 4);
         wide.push(0, 3, 1.0);
-        let limited = remix_exec::RunBudget {
-            max_matrix_dim: Some(2),
-            ..remix_exec::RunBudget::unlimited()
-        }
-        .token();
         let mut lu = fresh.clone();
         let mut check = |bad: &CsrMatrix<f64>, expected: FactorError| {
             assert_eq!(SparseLu::factor(bad).err(), Some(expected.clone()));
@@ -1506,16 +1498,6 @@ mod tests {
         check(&poisoned(f64::NAN), FactorError::NotFinite);
         check(&poisoned(f64::NEG_INFINITY), FactorError::NotFinite);
         check(&wide.to_csr(), FactorError::NotSquare { rows: 3, cols: 4 });
-        {
-            let _armed = limited.arm();
-            let refused =
-                FactorError::Budget(remix_exec::Interruption::MatrixDim { dim: 3, limit: 2 });
-            assert_eq!(SparseLu::factor(&good).err(), Some(refused.clone()));
-            assert_eq!(lu.refactor(&good), Err(refused));
-        }
-        lu.refactor(&good).unwrap();
-        assert_eq!(bits(&lu), bits(&fresh));
-        assert_eq!(bits(&SparseLu::factor(&good).unwrap()), bits(&fresh));
     }
 
     #[test]

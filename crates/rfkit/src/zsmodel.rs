@@ -32,6 +32,7 @@ pub trait ImpedanceModel {
 
 /// Series R–C source network (the reproduction's coupling-cap + source).
 #[derive(Debug, Clone, Copy, PartialEq)]
+// audit: allow(AUD010): the source network Zs of eq. (1)/(2), an input to the eq. (1)/(2) evidence this module's tests evaluate (EXPERIMENTS.md).
 pub struct SeriesRc {
     /// Series resistance (Ω).
     pub r: f64,
@@ -52,6 +53,7 @@ impl ImpedanceModel for SeriesRc {
 /// TIA input impedance `RF/(1 + A(f))` with a single-pole op-amp gain
 /// `A(f) = A0/(1 + jf/f1)` — the closed form behind the paper's eq. (4).
 #[derive(Debug, Clone, Copy, PartialEq)]
+// audit: allow(AUD010): the TIA load ZL of eq. (1)/(2), an input to the eq. (1)/(2) evidence this module's tests evaluate (EXPERIMENTS.md).
 pub struct TiaInput {
     /// Feedback resistance (Ω).
     pub rf: f64,
