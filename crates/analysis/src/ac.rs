@@ -48,9 +48,8 @@ impl AcResult {
 ///
 /// # Errors
 ///
-/// [`AnalysisError::Lint`] when the implied sweep plan fails the `SIM`
-/// rules; [`AnalysisError::Singular`] if the complex system cannot be
-/// factored at some frequency; [`AnalysisError::BudgetExceeded`] if a
+/// [`AnalysisError::Singular`] if the complex system cannot be factored
+/// at some frequency; [`AnalysisError::BudgetExceeded`] if a
 /// [`RunBudget`](remix_exec::RunBudget) armed on this thread runs out
 /// between frequency points.
 pub fn ac_sweep(
@@ -58,7 +57,6 @@ pub fn ac_sweep(
     op: &OperatingPoint,
     freqs: &[f64],
 ) -> Result<AcResult, AnalysisError> {
-    crate::plan::gate(&crate::plan::sweep_plan("ac sweep", freqs))?;
     let layout = op.layout.clone();
     let dim = layout.dim();
     let _span = remix_telemetry::span(remix_telemetry::names::ANALYSIS_AC)

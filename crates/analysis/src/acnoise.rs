@@ -136,9 +136,8 @@ impl NoiseResult {
 ///
 /// # Errors
 ///
-/// [`AnalysisError::Lint`] when the implied noise plan fails the `SIM`
-/// rules; [`AnalysisError::Singular`] if the AC system cannot be
-/// factored; [`AnalysisError::BudgetExceeded`] if a
+/// [`AnalysisError::Singular`] if the AC system cannot be factored;
+/// [`AnalysisError::BudgetExceeded`] if a
 /// [`RunBudget`](remix_exec::RunBudget) armed on this thread runs out
 /// between frequency points.
 pub fn output_noise(
@@ -148,7 +147,6 @@ pub fn output_noise(
     out_n: Node,
     freqs: &[f64],
 ) -> Result<NoiseResult, AnalysisError> {
-    crate::plan::gate(&crate::plan::noise_plan("output noise", freqs))?;
     let _span = remix_telemetry::span(remix_telemetry::names::ANALYSIS_ACNOISE)
         .with_field("analysis", "acnoise")
         .with_field("dim", op.layout.dim())

@@ -47,7 +47,7 @@ pub mod error;
 pub mod fault;
 pub mod op;
 pub mod partial;
-pub mod plan;
+mod plan;
 pub mod power;
 pub mod pss;
 pub mod report;
@@ -67,7 +67,6 @@ pub use error::{AnalysisError, PartialProgress};
 pub use fault::{active_plan, FaultGuard, FaultKind, FaultPlan};
 pub use op::{dc_operating_point, dc_operating_point_dense, OpOptions, OperatingPoint};
 pub use partial::{Interrupted, Partial};
-pub use plan::{fastest_stimulus, noise_plan, pss_plan, sweep_plan, tran_plan};
 pub use power::{supply_power, PowerReport};
 pub use pss::{periodic_steady_state, PeriodicSteadyState, PssOptions};
 pub use report::{bias_warnings, device_table, node_table};

@@ -1,15 +1,19 @@
 //! Deriving and gating simulation plans.
 //!
-//! Every analysis entry point describes the run it is about to perform
-//! as a [`SimPlan`] — the neutral description type `remix-lint` judges
-//! with its `SIM` rules — and refuses to run when the plan
-//! has deny-level findings, exactly as [`dc_operating_point`] refuses a
-//! circuit with deny-level ERC findings. The engines declare only what
-//! they actually know (timestep, duration, the fastest stimulus in the
-//! netlist, the sweep grid); measurement intent such as the IF frequency
-//! or the paper's RF band is attached by the bench layer via
-//! [`remix_lint::PlanTargets`].
+//! The time-domain entry points — [`transient`], [`periodic_steady_state`]
+//! and [`noise_transient`] — describe the run they are about to perform
+//! as a [`SimPlan`], the neutral description type `remix-lint` judges
+//! with its `SIM` rules, and refuse to run when the plan has deny-level
+//! findings, exactly as [`dc_operating_point`] refuses a circuit with
+//! deny-level ERC findings. The engines declare only what they actually
+//! know (the timestep and the fastest stimulus in the netlist), so the
+//! one rule that can fire here is `SIM001` (a grid that aliases the LO).
+//! Measurement intent such as the IF frequency or the paper's RF band is
+//! attached by the bench layer via [`remix_lint::PlanTargets`].
 //!
+//! [`transient`]: crate::tran::transient
+//! [`periodic_steady_state`]: crate::pss::periodic_steady_state
+//! [`noise_transient`]: crate::trannoise::noise_transient
 //! [`dc_operating_point`]: crate::op::dc_operating_point
 
 use crate::error::AnalysisError;
@@ -21,7 +25,7 @@ use remix_lint::{lint_plan, LintConfig, SimPlan};
 /// Fastest periodic stimulus frequency (Hz) among the circuit's
 /// independent sources — the "LO" a transient grid must resolve.
 /// `None` when every source is DC or piecewise-linear.
-pub fn fastest_stimulus(circuit: &Circuit) -> Option<f64> {
+fn fastest_stimulus(circuit: &Circuit) -> Option<f64> {
     let mut fastest: Option<f64> = None;
     let mut consider = |f: f64| {
         if f.is_finite() && f > 0.0 {
@@ -51,10 +55,8 @@ pub fn fastest_stimulus(circuit: &Circuit) -> Option<f64> {
 }
 
 /// The plan a transient run over `circuit` with `opts` implies.
-pub fn tran_plan(circuit: &Circuit, opts: &TranOptions) -> SimPlan {
-    let mut plan = SimPlan::new("transient")
-        .with_timestep(opts.h)
-        .with_duration(opts.t_stop);
+pub(crate) fn tran_plan(circuit: &Circuit, opts: &TranOptions) -> SimPlan {
+    let mut plan = SimPlan::new("transient").with_timestep(opts.h);
     if let Some(f) = fastest_stimulus(circuit) {
         plan = plan.with_lo(f);
     }
@@ -63,11 +65,10 @@ pub fn tran_plan(circuit: &Circuit, opts: &TranOptions) -> SimPlan {
 
 /// The plan a periodic-steady-state run implies: the shooting grid must
 /// resolve the fundamental it is locking to.
-pub fn pss_plan(circuit: &Circuit, opts: &PssOptions) -> SimPlan {
+pub(crate) fn pss_plan(circuit: &Circuit, opts: &PssOptions) -> SimPlan {
     let h = opts.period / opts.steps_per_period as f64;
     let mut plan = SimPlan::new("periodic steady state")
         .with_timestep(h)
-        .with_duration(opts.period * opts.max_periods as f64)
         .with_lo(1.0 / opts.period);
     if let Some(f) = fastest_stimulus(circuit) {
         if f > 1.0 / opts.period {
@@ -77,32 +78,6 @@ pub fn pss_plan(circuit: &Circuit, opts: &PssOptions) -> SimPlan {
     plan
 }
 
-/// The plan a frequency sweep implies (AC gain, S-parameters).
-pub fn sweep_plan(name: &str, freqs: &[f64]) -> SimPlan {
-    let mut plan = SimPlan::new(name);
-    if let (Some(lo), Some(hi)) = (min_of(freqs), max_of(freqs)) {
-        plan = plan.with_sweep(lo, hi);
-    }
-    plan
-}
-
-/// The plan a noise analysis implies: the swept band is the noise band.
-pub fn noise_plan(name: &str, freqs: &[f64]) -> SimPlan {
-    let mut plan = SimPlan::new(name);
-    if let (Some(lo), Some(hi)) = (min_of(freqs), max_of(freqs)) {
-        plan = plan.with_noise_band(lo, hi);
-    }
-    plan
-}
-
-fn min_of(v: &[f64]) -> Option<f64> {
-    v.iter().copied().reduce(f64::min)
-}
-
-fn max_of(v: &[f64]) -> Option<f64> {
-    v.iter().copied().reduce(f64::max)
-}
-
 /// Lints `plan` under the default configuration and refuses deny-level
 /// findings.
 ///
@@ -110,7 +85,7 @@ fn max_of(v: &[f64]) -> Option<f64> {
 ///
 /// [`AnalysisError::Lint`] carrying the full plan report when any
 /// deny-level `SIM` rule fires.
-pub fn gate(plan: &SimPlan) -> Result<(), AnalysisError> {
+pub(crate) fn gate(plan: &SimPlan) -> Result<(), AnalysisError> {
     let report = lint_plan(plan, &LintConfig::default());
     if !report.is_clean() {
         return Err(AnalysisError::Lint(report));
@@ -187,12 +162,47 @@ mod tests {
     }
 
     #[test]
-    fn sweep_and_noise_plans_capture_their_grids() {
-        let p = sweep_plan("ac", &[1e6, 1e9, 5e9]);
-        assert_eq!(p.sweep_band, Some((1e6, 5e9)));
-        let p = noise_plan("noise", &[1e3, 1e8]);
-        assert_eq!(p.noise_band, Some((1e3, 1e8)));
-        // Engine-derived plans carry no targets, so nothing fires.
-        assert!(gate(&p).is_ok());
+    fn time_domain_entry_points_refuse_an_aliasing_grid() {
+        let c = lo_circuit(2.4e9);
+        let only_sim001 = |err: Option<AnalysisError>| {
+            let Some(AnalysisError::Lint(report)) = err else {
+                panic!("expected a lint error, got {err:?}");
+            };
+            assert_eq!(report.diagnostics.len(), 1, "{report}");
+            assert_eq!(report.by_rule(RuleId::TimestepVsLo).len(), 1);
+        };
+        // A zero deadline trips the first budget hook, so a lint error
+        // shows the plan was refused before any solver work.
+        let token = remix_exec::RunBudget::unlimited()
+            .with_deadline(std::time::Duration::ZERO)
+            .token();
+        let _guard = token.arm();
+        // 1 ns step against a 2.4 GHz LO: 0.42 samples per period.
+        let opts = TranOptions::new(100e-9, 1e-9);
+        only_sim001(crate::tran::transient(&c, &opts).err());
+        only_sim001(
+            crate::trannoise::noise_transient(&c, &opts, &crate::NoiseTranConfig::default()).err(),
+        );
+        // One shooting step per LO period: one sample per period.
+        let mut pss = PssOptions::new(1.0 / 2.4e9);
+        pss.steps_per_period = 1;
+        only_sim001(crate::pss::periodic_steady_state(&c, &pss).err());
+    }
+
+    #[test]
+    fn frequency_domain_entry_points_run_on_any_grid() {
+        let mut c = lo_circuit(2.4e9);
+        let vin = c.node("vin");
+        let out = c.node("out");
+        c.add_resistor("r1", vin, out, 1e3);
+        c.add_resistor("r2", out, Circuit::gnd(), 1e3);
+        let op = crate::op::dc_operating_point(&c, &crate::OpOptions::default()).unwrap();
+        let grids: [&[f64]; 4] = [&[], &[5e6], &[5.5e9, 1e-3, 1e12], &[1e3, 1e3]];
+        for freqs in grids {
+            let ac = crate::ac::ac_sweep(&c, &op, freqs).unwrap();
+            assert_eq!(ac.freqs, freqs);
+            let noise = crate::acnoise::output_noise(&c, &op, out, Circuit::gnd(), freqs).unwrap();
+            assert_eq!(noise.total.len(), freqs.len());
+        }
     }
 }

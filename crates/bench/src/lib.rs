@@ -12,8 +12,10 @@
 //! | `switch_r` | Fig. 5 — transmission-gate / switch resistance curves |
 //! | `spot_transient` | transistor-level validation spot checks |
 //!
-//! Criterion benches (`cargo bench`) measure the substrate's performance
-//! on the workloads behind those artifacts.
+//! Each binary writes a perf record (`BENCH_*.json`), all but `serve_load`
+//! through [`run_bin`]. The simulator's speed benchmark is the separate
+//! `perfbench` package at the repository root, not a target of this
+//! crate.
 
 use remix_core::{eval::MixerEvaluator, MixerConfig};
 use remix_exec::{contain, RunBudget};

@@ -70,11 +70,6 @@ impl<R: Rng> WhiteNoise<R> {
         }
     }
 
-    /// Per-sample standard deviation.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
     /// Next sample.
     pub fn next_sample(&mut self) -> f64 {
         if let Some(v) = self.cached.take() {

@@ -6,14 +6,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The timestep allowance a budgeted sweep assumes when nothing more
-/// specific is configured. Deliberately generous — about a minute of
-/// transient work on the circuits in this workspace — so it only trips
-/// runs that genuinely got away. Plan lints (`SIM007`) warn when a
-/// declared simulation plan implies more steps than this, since an
-/// interruption would then discard everything.
-pub const DEFAULT_TIMESTEP_BUDGET: u64 = 1_000_000;
-
 /// Why a budgeted run was interrupted.
 ///
 /// Carried upward inside `AnalysisError::BudgetExceeded` and inside

@@ -10,7 +10,8 @@
 //! the lever:
 //!
 //! * [`RunBudget`] — a declarative budget (wall-clock deadline, Newton
-//!   iterations, timesteps) compiled into a [`CancelToken`];
+//!   iterations, timesteps) compiled into a [`CancelToken`]. No limit
+//!   has a default: a run is bounded only by what its caller declares;
 //! * [`CancelToken`] — a cloneable, thread-safe token the solver hot
 //!   paths charge against at Newton-iteration, timestep and sweep-point
 //!   boundaries. Tokens are armed per thread with an RAII
@@ -52,7 +53,7 @@ mod pool;
 pub use admission::{AdmissionQueue, Shed};
 pub use budget::{
     active_token, charge_newton_iteration, charge_timestep, checkpoint, BudgetGuard, CancelToken,
-    Interruption, RunBudget, DEFAULT_TIMESTEP_BUDGET,
+    Interruption, RunBudget,
 };
 pub use contain::contain;
 pub use env::{env_u64, env_u64_or_warn, warn_malformed, EnvValue};

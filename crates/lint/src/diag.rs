@@ -44,7 +44,7 @@ impl fmt::Display for Severity {
 /// The `ERCnnn_*` codes are part of the public interface: they appear in
 /// rendered diagnostics, JSON output, and [`LintConfig`] overrides, and
 /// existing codes are never renumbered. A retired code (`SIM003`,
-/// `SIM006`) is never reused.
+/// `SIM006`, `SIM007`, `SIM008`) is never reused.
 ///
 /// [`LintConfig`]: crate::LintConfig
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -114,19 +114,11 @@ pub enum RuleId {
     /// `SIM005` — an RF sweep that does not cover the declared RF band
     /// (band-edge numbers cannot be reproduced from the run).
     SweepRange,
-    /// `SIM007` — the plan's horizon/timestep imply more steps than the
-    /// default run budget admits: an interrupted run would restart from
-    /// zero, so the run should be split.
-    UncheckpointedRun,
-    /// `SIM008` — a long run (implied step count above a tenth of the
-    /// default timestep budget) with no observing telemetry sink armed:
-    /// if it stalls or dies there is nothing to diagnose from.
-    UnobservedLongRun,
 }
 
 impl RuleId {
     /// Every rule, in code order (`ERC` first, then `SIM`).
-    pub const ALL: [RuleId; 22] = [
+    pub const ALL: [RuleId; 20] = [
         RuleId::DanglingNode,
         RuleId::NoDcPath,
         RuleId::VsourceLoop,
@@ -147,8 +139,6 @@ impl RuleId {
         RuleId::NoncoherentFft,
         RuleId::NoiseBand,
         RuleId::SweepRange,
-        RuleId::UncheckpointedRun,
-        RuleId::UnobservedLongRun,
     ];
 
     /// The stable textual code (`ERC001_DANGLING_NODE`, …).
@@ -174,8 +164,6 @@ impl RuleId {
             RuleId::NoncoherentFft => "SIM002_NONCOHERENT_FFT",
             RuleId::NoiseBand => "SIM004_NOISE_BAND",
             RuleId::SweepRange => "SIM005_SWEEP_RANGE",
-            RuleId::UncheckpointedRun => "SIM007_UNCHECKPOINTED_RUN",
-            RuleId::UnobservedLongRun => "SIM008_UNOBSERVED_LONG_RUN",
         }
     }
 
@@ -197,9 +185,7 @@ impl RuleId {
             | RuleId::IllScaled
             | RuleId::ParamHygiene
             | RuleId::NoiseBand
-            | RuleId::SweepRange
-            | RuleId::UncheckpointedRun
-            | RuleId::UnobservedLongRun => Severity::Warn,
+            | RuleId::SweepRange => Severity::Warn,
             _ => Severity::Deny,
         }
     }
@@ -227,12 +213,6 @@ impl RuleId {
             RuleId::NoncoherentFft => "FFT tones off the coherent bin grid or beyond Nyquist",
             RuleId::NoiseBand => "noise band misses the IF / flicker-corner targets",
             RuleId::SweepRange => "sweep does not cover the declared RF band",
-            RuleId::UncheckpointedRun => {
-                "step count above the default run budget with no checkpoint interval"
-            }
-            RuleId::UnobservedLongRun => {
-                "long run with no event log declared and no telemetry sink armed"
-            }
         }
     }
 }

@@ -39,11 +39,10 @@
 //! Beyond the shape-based heuristics, the [`rank`](crate::diag::RuleId::StructuralSingular)
 //! pass proves structural MNA singularity exactly (`ERC012`) via maximum
 //! matching on the incidence bipartite graph, the [`plan`] module lints
-//! *simulation plans* (`SIM001`–`SIM008`: aliasing timesteps,
-//! non-coherent FFT readouts, mis-scoped noise bands and sweeps,
-//! marathon and unobserved runs), and the [`fix`] module applies
-//! machine-applicable repairs to a fixpoint — the engine behind
-//! `remix-bench lint --fix`.
+//! *simulation plans* (`SIM001`–`SIM005`: aliasing timesteps,
+//! non-coherent FFT readouts, mis-scoped noise bands and sweeps), and
+//! the [`fix`] module applies machine-applicable repairs to a fixpoint
+//! — the engine behind `remix-bench lint --fix`.
 //!
 //! The rule catalog lives in [`RuleId`]; `DESIGN.md` at the repository
 //! root carries the same table with rationale.

@@ -1,5 +1,6 @@
-//! Simulation-plan lint: `SIM001`–`SIM008` (`SIM003` and `SIM006`
-//! are retired; their codes are not reused).
+//! Simulation-plan lint: `SIM001`, `SIM002`, `SIM004` and `SIM005`
+//! (`SIM003` and `SIM006`–`SIM008` are retired; their codes are not
+//! reused).
 //!
 //! A structurally sound netlist can still produce plausible-but-wrong
 //! numbers when the *analysis plan* is numerically unsound — a two-tone
@@ -44,17 +45,6 @@ impl PlanTargets {
             rf_band: Some((0.5e9, 5.5e9)),
         }
     }
-
-    /// Targets for the MedRadio front-end family (`remix-topo`):
-    /// 401–406 MHz RF band, ~1 MHz IF. No flicker-corner claim — the
-    /// family's studies measure power, not noise.
-    pub fn medradio() -> Self {
-        PlanTargets {
-            if_freq: Some(1e6),
-            flicker_corner: None,
-            rf_band: Some((401e6, 406e6)),
-        }
-    }
 }
 
 /// Engine-independent description of one analysis run.
@@ -69,8 +59,6 @@ pub struct SimPlan {
     pub name: String,
     /// Transient/PSS timestep (s).
     pub timestep: Option<f64>,
-    /// Total simulated duration (s).
-    pub duration: Option<f64>,
     /// Fastest periodic stimulus the run must resolve (Hz) — the LO for
     /// mixer runs, or the highest source frequency generally.
     pub lo_freq: Option<f64>,
@@ -101,12 +89,6 @@ impl SimPlan {
     /// Sets the timestep (s).
     pub fn with_timestep(mut self, h: f64) -> Self {
         self.timestep = Some(h);
-        self
-    }
-
-    /// Sets the duration (s).
-    pub fn with_duration(mut self, t: f64) -> Self {
-        self.duration = Some(t);
         self
     }
 
@@ -325,49 +307,6 @@ pub fn lint_plan(plan: &SimPlan, config: &LintConfig) -> LintReport {
         }
     }
 
-    // SIM007: implied step count vs the default run budget.
-    if let (Some(s), Some(h), Some(t)) =
-        (sev(RuleId::UncheckpointedRun), plan.timestep, plan.duration)
-    {
-        let budget = remix_exec::DEFAULT_TIMESTEP_BUDGET as f64;
-        if h > 0.0 && t / h > budget {
-            emit(
-                RuleId::UncheckpointedRun,
-                s,
-                format!(
-                    "duration {t:.3e} s at timestep {h:.3e} s implies {:.3e} steps, above \
-                     the default run budget of {budget:.0e}: an interrupted run restarts \
-                     from zero — split the run into shorter ones",
-                    t / h
-                ),
-                None,
-            );
-        }
-    }
-
-    // SIM008: long run with no observability. A run a tenth the size of
-    // the default timestep budget is long enough that a stall or kill
-    // without an armed observing telemetry sink leaves nothing to
-    // diagnose from.
-    if let (Some(s), Some(h), Some(t)) =
-        (sev(RuleId::UnobservedLongRun), plan.timestep, plan.duration)
-    {
-        let threshold = remix_exec::DEFAULT_TIMESTEP_BUDGET as f64 / 10.0;
-        if h > 0.0 && t / h > threshold && !remix_telemetry::is_observing() {
-            emit(
-                RuleId::UnobservedLongRun,
-                s,
-                format!(
-                    "duration {t:.3e} s at timestep {h:.3e} s implies {:.3e} steps with no \
-                     telemetry sink armed: if the run stalls or dies there is nothing to \
-                     diagnose from — arm an observing telemetry sink",
-                    t / h
-                ),
-                None,
-            );
-        }
-    }
-
     LintReport { diagnostics: out }
 }
 
@@ -390,94 +329,6 @@ mod tests {
     fn empty_plan_is_clean() {
         let report = lint_plan(&SimPlan::new("nothing declared"), &LintConfig::default());
         assert!(report.is_empty(), "{report}");
-    }
-
-    /// A plan of exactly `n` steps: the timestep is 2⁻³⁰ s (≈ 0.93 ns), a
-    /// power of two, so duration / timestep is `n` with no rounding.
-    fn steps(name: &str, n: u64) -> SimPlan {
-        let h = (-30f64).exp2();
-        SimPlan::new(name)
-            .with_timestep(h)
-            .with_duration(n as f64 * h)
-    }
-
-    #[test]
-    fn sim007_step_count_vs_default_budget() {
-        // 10 ms at 1 ns: 10⁷ steps, an order above the default budget.
-        let runaway = SimPlan::new("marathon tran")
-            .with_timestep(1e-9)
-            .with_duration(10e-3);
-        let report = lint_plan(&runaway, &LintConfig::default());
-        let diags = report.by_rule(RuleId::UncheckpointedRun);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].severity, Severity::Warn);
-        assert!(diags[0].fix.is_none());
-        assert!(
-            diags[0].message.contains("split the run"),
-            "{}",
-            diags[0].message
-        );
-
-        // A plan inside the budget never fires.
-        let short = SimPlan::new("short tran")
-            .with_timestep(1e-9)
-            .with_duration(1e-5);
-        assert_eq!(fired(&short, RuleId::UncheckpointedRun), 0);
-
-        // The threshold is the default timestep budget itself.
-        let budget = remix_exec::DEFAULT_TIMESTEP_BUDGET;
-        assert_eq!(
-            fired(&steps("above", budget + 1), RuleId::UncheckpointedRun),
-            1
-        );
-        assert_eq!(
-            fired(&steps("below", budget - 1), RuleId::UncheckpointedRun),
-            0
-        );
-    }
-
-    #[test]
-    fn sim008_long_run_without_observability() {
-        // 1 ms at 1 ns: 10⁶ steps, an order above a tenth of the default
-        // budget — long enough that a silent death is undiagnosable.
-        let blind = SimPlan::new("marathon tran")
-            .with_timestep(1e-9)
-            .with_duration(1e-3);
-        let report = lint_plan(&blind, &LintConfig::default());
-        let diags = report.by_rule(RuleId::UnobservedLongRun);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].severity, Severity::Warn);
-        assert!(diags[0].fix.is_none());
-        assert!(
-            diags[0].message.contains("arm an observing telemetry sink"),
-            "{}",
-            diags[0].message
-        );
-
-        // Arming an observing telemetry sink on this thread silences it.
-        let t = remix_telemetry::Telemetry::with_sink(std::sync::Arc::new(
-            remix_telemetry::MemorySink::new(),
-        ));
-        let _g = t.arm();
-        assert_eq!(fired(&blind, RuleId::UnobservedLongRun), 0);
-        drop(_g);
-
-        // A short plan never fires.
-        let short = SimPlan::new("short tran")
-            .with_timestep(1e-9)
-            .with_duration(1e-5);
-        assert_eq!(fired(&short, RuleId::UnobservedLongRun), 0);
-
-        // The threshold is a tenth of the default timestep budget.
-        let tenth = remix_exec::DEFAULT_TIMESTEP_BUDGET / 10;
-        assert_eq!(
-            fired(&steps("above", tenth + 1), RuleId::UnobservedLongRun),
-            1
-        );
-        assert_eq!(
-            fired(&steps("below", tenth - 1), RuleId::UnobservedLongRun),
-            0
-        );
     }
 
     #[test]
@@ -558,22 +409,6 @@ mod tests {
             ),
             0
         );
-    }
-
-    #[test]
-    fn medradio_targets_judge_band_coverage() {
-        // A sweep across the full MedRadio band satisfies SIM005…
-        let ok = SimPlan::new("medradio_band")
-            .with_sweep(400e6, 410e6)
-            .with_targets(PlanTargets::medradio());
-        assert_eq!(fired(&ok, RuleId::SweepRange), 0);
-        // …while one that stops short of 406 MHz is flagged.
-        let bad = SimPlan::new("medradio_narrow")
-            .with_sweep(401e6, 403e6)
-            .with_targets(PlanTargets::medradio());
-        assert_eq!(fired(&bad, RuleId::SweepRange), 1);
-        // The preset makes no flicker-corner claim.
-        assert_eq!(PlanTargets::medradio().flicker_corner, None);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use remix_analysis::{
     dc_operating_point, dc_sweep_partial, transient_partial, AnalysisError, OpOptions, TranOptions,
 };
 use remix_exec::{contain, env_u64_or_warn, AdmissionQueue, RunBudget};
-use remix_lint::{lint_deck, lint_plan, LintConfig, LintReport, SimPlan};
+use remix_lint::{lint_deck, LintConfig, LintReport};
 use remix_telemetry::names;
 use remix_telemetry::{FieldValue, MemorySink, MetricValue, Telemetry};
 use std::io::Write;
@@ -679,25 +679,12 @@ fn execute(job: &JobRequest) -> ExecOutcome {
             }
         }
     };
-    let config = LintConfig::default();
-    let report = lint_deck(&deck, &config);
+    let report = lint_deck(&deck, &LintConfig::default());
     if report.deny_count() > 0 {
         return ExecOutcome::Failed {
             code: "lint_deny",
             message: lint_deny_summary(&report),
         };
-    }
-    if let JobKind::Tran { t_stop, dt } = job.kind {
-        let plan = SimPlan::new(&job.id)
-            .with_timestep(dt)
-            .with_duration(t_stop);
-        let plan_report = lint_plan(&plan, &config);
-        if plan_report.deny_count() > 0 {
-            return ExecOutcome::Failed {
-                code: "lint_deny",
-                message: lint_deny_summary(&plan_report),
-            };
-        }
     }
     let circuit = &deck.circuit;
     let result = match &job.kind {

@@ -83,6 +83,32 @@ fn lint_denied_deck_is_refused_with_typed_code() {
 }
 
 #[test]
+fn aliasing_tran_job_is_refused_by_the_analysis_plan_gate() {
+    let server = boot(ServeConfig::default());
+    let mut c = client(&server);
+    // A 1 ns step against a 2.4 GHz source: 0.42 samples per period.
+    // The deck itself lints clean; the transient's own plan gate refuses.
+    let lo = "* lo\nv1 in 0 SIN(0 0.6 2.4G)\nr2 in out 1k\nr3 out 0 1k\n.end\n";
+    let request = job(
+        "tran-alias",
+        JobKind::Tran {
+            t_stop: 100e-9,
+            dt: 1e-9,
+        },
+        lo,
+    );
+    let response = c.submit(&request).expect("submit");
+    assert_eq!(response.status, Status::Error, "raw: {}", response.raw);
+    assert_eq!(response.code.as_deref(), Some("lint_deny"));
+    assert!(
+        response.raw.contains("SIM001_TIMESTEP_VS_LO"),
+        "raw: {}",
+        response.raw
+    );
+    server.shutdown();
+}
+
+#[test]
 fn unparseable_deck_is_refused_with_typed_code() {
     let server = boot(ServeConfig::default());
     let mut c = client(&server);

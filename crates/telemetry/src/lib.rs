@@ -182,8 +182,8 @@ pub fn is_armed() -> bool {
 
 /// `true` when the armed context's sink actually records events —
 /// i.e. the run is *observed* rather than running against the no-op
-/// default. Plan lints (`SIM008`) use this to warn about long runs
-/// nobody is watching.
+/// default. The pool and the env reader use it to skip building events
+/// nobody records.
 pub fn is_observing() -> bool {
     with_active(|t| t.sink.is_observing()).unwrap_or(false)
 }
