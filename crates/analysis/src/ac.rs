@@ -4,8 +4,10 @@
 //! MNA system over a frequency sweep. AC excitation comes from the
 //! `ac_mag`/`ac_phase` fields of independent sources.
 
+use crate::convergence::TraceStage;
 use crate::error::AnalysisError;
 use crate::op::OperatingPoint;
+use crate::partial::Interrupted;
 use crate::stamp::AcAssembler;
 use remix_circuit::{Circuit, ElementId, MnaLayout, Node};
 use remix_numerics::{Complex, SparseSolver};
@@ -69,13 +71,8 @@ pub fn ac_sweep(
     let mut solutions = Vec::with_capacity(freqs.len());
     for &f in freqs {
         if let Err(i) = remix_exec::checkpoint() {
-            return Err(AnalysisError::interrupted_at(
-                "ac sweep",
-                crate::convergence::TraceStage::AcPoint { f },
-                i,
-                solutions.len(),
-                freqs.len(),
-            ));
+            let i = Interrupted::at("ac sweep", TraceStage::AcPoint { f }, i);
+            return Err(i.into_error("ac sweep", solutions.len(), freqs.len()));
         }
         let omega = 2.0 * std::f64::consts::PI * f;
         let a = asm.assemble(

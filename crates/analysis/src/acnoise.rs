@@ -12,8 +12,10 @@
 //! transient-noise path in [`crate::trannoise`] and the analytic LTV
 //! cascade in `remix-rfkit` (see DESIGN.md).
 
+use crate::convergence::TraceStage;
 use crate::error::AnalysisError;
 use crate::op::OperatingPoint;
+use crate::partial::Interrupted;
 use crate::stamp::AcAssembler;
 use remix_circuit::consts::{BOLTZMANN, ROOM_TEMP};
 use remix_circuit::{stamp_current, Circuit, Element, Node};
@@ -168,13 +170,8 @@ pub fn output_noise(
 
     for (fi, &f) in freqs.iter().enumerate() {
         if let Err(i) = remix_exec::checkpoint() {
-            return Err(AnalysisError::interrupted_at(
-                "ac noise",
-                crate::convergence::TraceStage::AcPoint { f },
-                i,
-                fi,
-                freqs.len(),
-            ));
+            let i = Interrupted::at("ac noise", TraceStage::AcPoint { f }, i);
+            return Err(i.into_error("ac noise", fi, freqs.len()));
         }
         let omega = 2.0 * std::f64::consts::PI * f;
         let a = asm.assemble(

@@ -9,7 +9,7 @@
 //! sweep instead of one per point.
 
 use crate::convergence::{StageKind, TraceStage};
-use crate::error::{AnalysisError, PartialProgress};
+use crate::error::AnalysisError;
 use crate::op::{dc_operating_point, LinearSolverKind, OpOptions, OpSession, OperatingPoint, Seed};
 use crate::partial::{Interrupted, Partial};
 use remix_circuit::{Circuit, Element, ElementId, Node, Waveform};
@@ -64,26 +64,6 @@ fn set_source(work: &mut Circuit, id: ElementId, v: f64) {
     }
 }
 
-/// Splits one point's outcome: a budget interruption comes back as the
-/// inner `Err`, so the caller can keep the points completed before it;
-/// any other failure is the outer `Err`.
-fn split_interruption(
-    solved: Result<OperatingPoint, AnalysisError>,
-) -> Result<Result<OperatingPoint, Interrupted>, AnalysisError> {
-    match solved {
-        Ok(op) => Ok(Ok(op)),
-        Err(AnalysisError::BudgetExceeded {
-            interruption,
-            trace,
-            ..
-        }) => Ok(Err(Interrupted {
-            interruption,
-            trace,
-        })),
-        Err(e) => Err(e),
-    }
-}
-
 /// The serial sweep: solves each value in order in one session,
 /// stopping early on a budget interruption and returning the completed
 /// prefix with the interruption record.
@@ -96,7 +76,7 @@ fn dc_sweep_inner(
     source_name: &str,
     values: &[f64],
     opts: &OpOptions,
-) -> Result<(DcSweepResult, Option<Interrupted>), AnalysisError> {
+) -> Result<Partial<DcSweepResult>, AnalysisError> {
     let id = sweep_source(circuit, source_name)?;
     let _span = sweep_span(circuit, values.len());
     let mut work = circuit.clone();
@@ -129,7 +109,7 @@ fn dc_sweep_inner(
         } else {
             dc_operating_point(&work, opts)
         };
-        match split_interruption(solved)? {
+        match Interrupted::split(solved)? {
             Ok(op) => points.push(op),
             Err(i) => {
                 interrupted = Some(i);
@@ -137,14 +117,13 @@ fn dc_sweep_inner(
             }
         }
     }
-    let completed = points.len();
-    Ok((
-        DcSweepResult {
-            values: values[..completed].to_vec(),
+    Ok(Partial {
+        value: DcSweepResult {
+            values: values[..points.len()].to_vec(),
             points,
         },
-        interrupted,
-    ))
+        interruption: interrupted,
+    })
 }
 
 /// Sweeps the DC value of the named voltage source.
@@ -164,20 +143,9 @@ pub fn dc_sweep(
     values: &[f64],
     opts: &OpOptions,
 ) -> Result<DcSweepResult, AnalysisError> {
-    let total = values.len();
-    let (res, interrupted) = dc_sweep_inner(circuit, source_name, values, opts)?;
-    match interrupted {
-        None => Ok(res),
-        Some(i) => Err(AnalysisError::BudgetExceeded {
-            interruption: i.interruption,
-            trace: i.trace,
-            partial: PartialProgress {
-                analysis: "dc sweep".into(),
-                completed: res.points.len(),
-                total,
-            },
-        }),
-    }
+    let res = dc_sweep_inner(circuit, source_name, values, opts)?;
+    let completed = res.value.points.len();
+    res.strict("dc sweep", completed, values.len())
 }
 
 /// Sweeps the DC value of the named voltage source, degrading
@@ -195,11 +163,7 @@ pub fn dc_sweep_partial(
     values: &[f64],
     opts: &OpOptions,
 ) -> Result<Partial<DcSweepResult>, AnalysisError> {
-    let (res, interrupted) = dc_sweep_inner(circuit, source_name, values, opts)?;
-    Ok(match interrupted {
-        None => Partial::complete(res),
-        Some(i) => Partial::interrupted(res, i),
-    })
+    dc_sweep_inner(circuit, source_name, values, opts)
 }
 
 #[cfg(test)]

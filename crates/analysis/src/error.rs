@@ -140,32 +140,6 @@ impl AnalysisError {
         }
     }
 
-    /// Wraps a budget interruption observed mid-analysis: records a
-    /// single-attempt trace naming the interrupted stage, so even a
-    /// zero-deadline run returns a non-empty explanation.
-    pub(crate) fn interrupted_at(
-        analysis: &str,
-        stage: crate::convergence::TraceStage,
-        interruption: remix_exec::Interruption,
-        completed: usize,
-        total: usize,
-    ) -> Self {
-        use crate::convergence::{AttemptOutcome, StageAttempt};
-        let mut attempt = StageAttempt::new(stage);
-        attempt.outcome = AttemptOutcome::Interrupted(interruption);
-        let mut trace = ConvergenceTrace::new(analysis);
-        trace.push(attempt);
-        AnalysisError::BudgetExceeded {
-            interruption,
-            trace,
-            partial: PartialProgress {
-                analysis: analysis.into(),
-                completed,
-                total,
-            },
-        }
-    }
-
     /// The budget interruption behind this error, when it is a
     /// [`AnalysisError::BudgetExceeded`].
     pub fn interruption(&self) -> Option<remix_exec::Interruption> {
@@ -362,13 +336,12 @@ mod tests {
 
     #[test]
     fn budget_exceeded_carries_nonempty_trace_and_progress() {
-        let e = AnalysisError::interrupted_at(
+        let e = crate::partial::Interrupted::at(
             "dc sweep",
             TraceStage::Dc(StageKind::Direct),
             remix_exec::Interruption::DeadlineExpired { budget_ms: 0 },
-            3,
-            11,
-        );
+        )
+        .into_error("dc sweep", 3, 11);
         assert_eq!(
             e.interruption(),
             Some(remix_exec::Interruption::DeadlineExpired { budget_ms: 0 })

@@ -33,7 +33,8 @@ use crate::convergence::{
     AttemptOutcome, ConvergencePolicy, ConvergenceTrace, StageAttempt, StageKind, TraceStage,
     ILL_CONDITION_RCOND,
 };
-use crate::error::{AnalysisError, PartialProgress};
+use crate::error::AnalysisError;
+use crate::partial::Interrupted;
 use crate::stamp::{assemble_real, stamp_diag_load, RealAssembler, RealMode};
 use remix_circuit::{Circuit, Element, ElementId, MnaLayout, MosCaps, MosEval, Node};
 use remix_numerics::{CsrMatrix, FactorError, LuFactor, SparseLu, SparseSolver, TripletMatrix};
@@ -582,16 +583,12 @@ impl<'o> OpSession<'o> {
                 if ferr.is_some() {
                     last_factor_error = ferr;
                 }
-                if let Some(i) = interrupted {
-                    return Err(AnalysisError::BudgetExceeded {
-                        interruption: i,
+                if let Some(interruption) = interrupted {
+                    let i = Interrupted {
+                        interruption,
                         trace,
-                        partial: PartialProgress {
-                            analysis: "dc operating point".into(),
-                            completed: 0,
-                            total: 0,
-                        },
-                    });
+                    };
+                    return Err(i.into_error("dc operating point", 0, 0));
                 }
                 if ok {
                     converged = true;

@@ -10,9 +10,10 @@
 //! [`Interrupted`] record (which budget tripped, plus the
 //! [`ConvergenceTrace`] of the attempt it tripped in) instead of
 //! converting the interruption into a hard
-//! [`AnalysisError::BudgetExceeded`](crate::error::AnalysisError::BudgetExceeded).
+//! [`AnalysisError::BudgetExceeded`].
 
 use crate::convergence::ConvergenceTrace;
+use crate::error::{AnalysisError, PartialProgress};
 
 /// Why (and where) an analysis was interrupted.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,6 +43,45 @@ impl Interrupted {
         Interrupted {
             interruption,
             trace,
+        }
+    }
+
+    /// This interruption as [`AnalysisError::BudgetExceeded`], with
+    /// `completed` of `total` units of `analysis` done.
+    pub(crate) fn into_error(
+        self,
+        analysis: &str,
+        completed: usize,
+        total: usize,
+    ) -> AnalysisError {
+        AnalysisError::BudgetExceeded {
+            interruption: self.interruption,
+            trace: self.trace,
+            partial: PartialProgress {
+                analysis: analysis.into(),
+                completed,
+                total,
+            },
+        }
+    }
+
+    /// Splits an outcome: a budget interruption comes back as the inner
+    /// `Err`, so the caller can keep the work done before it; any other
+    /// failure is the outer `Err`.
+    pub(crate) fn split<T>(
+        outcome: Result<T, AnalysisError>,
+    ) -> Result<Result<T, Interrupted>, AnalysisError> {
+        match outcome {
+            Ok(value) => Ok(Ok(value)),
+            Err(AnalysisError::BudgetExceeded {
+                interruption,
+                trace,
+                ..
+            }) => Ok(Err(Interrupted {
+                interruption,
+                trace,
+            })),
+            Err(e) => Err(e),
         }
     }
 }
@@ -80,6 +120,20 @@ impl<T> Partial<T> {
     /// `true` when the run finished without interruption.
     pub fn is_complete(&self) -> bool {
         self.interruption.is_none()
+    }
+
+    /// The value when the run finished, else its interruption as an
+    /// error with `completed` of `total` units of `analysis` done.
+    pub(crate) fn strict(
+        self,
+        analysis: &str,
+        completed: usize,
+        total: usize,
+    ) -> Result<T, AnalysisError> {
+        match self.interruption {
+            None => Ok(self.value),
+            Some(i) => Err(i.into_error(analysis, completed, total)),
+        }
     }
 
     /// Maps the carried value, preserving the interruption record.

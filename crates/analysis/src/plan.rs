@@ -1,17 +1,20 @@
 //! Deriving and gating simulation plans.
 //!
-//! The time-domain entry points — [`transient`], [`periodic_steady_state`]
-//! and [`noise_transient`] — describe the run they are about to perform
-//! as a [`SimPlan`], the neutral description type `remix-lint` judges
-//! with its `SIM` rules, and refuse to run when the plan has deny-level
-//! findings, exactly as [`dc_operating_point`] refuses a circuit with
-//! deny-level ERC findings. The engines declare only what they actually
+//! The time-domain entry points — [`transient`], [`transient_partial`],
+//! [`periodic_steady_state`] and [`noise_transient`] — describe the run
+//! they are about to perform as a [`SimPlan`], the neutral description
+//! type `remix-lint` judges with its `SIM` rules, and refuse to run when
+//! the plan has deny-level findings, exactly as [`dc_operating_point`]
+//! refuses a circuit with deny-level ERC findings. Each gates once, at
+//! entry, before any solver work; the transient driver they share does
+//! not gate again. The engines declare only what they actually
 //! know (the timestep and the fastest stimulus in the netlist), so the
 //! one rule that can fire here is `SIM001` (a grid that aliases the LO).
 //! Measurement intent such as the IF frequency or the paper's RF band is
 //! attached by the bench layer via [`remix_lint::PlanTargets`].
 //!
 //! [`transient`]: crate::tran::transient
+//! [`transient_partial`]: crate::tran::transient_partial
 //! [`periodic_steady_state`]: crate::pss::periodic_steady_state
 //! [`noise_transient`]: crate::trannoise::noise_transient
 //! [`dc_operating_point`]: crate::op::dc_operating_point

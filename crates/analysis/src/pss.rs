@@ -2,20 +2,26 @@
 //!
 //! For a dissipative circuit under periodic drive (an LO-pumped mixer),
 //! the transient converges to the periodic orbit geometrically with the
-//! circuit's damping. This engine integrates period by period and
-//! declares steady state when the solution at the period boundary stops
-//! moving — the robust (if not the fastest) way to get the *periodic*
-//! operating point that DC analysis cannot see (at the LO midpoint all
-//! four switches of a quad are off; averages over the cycle are what a
-//! supply ammeter reads).
+//! circuit's damping. This engine runs one transient integration on and
+//! on, and declares steady state when the solution stops moving from one
+//! period to the next — the robust (if not the fastest) way to get the
+//! *periodic* operating point that DC analysis cannot see (at the LO
+//! midpoint all four switches of a quad are off; averages over the cycle
+//! are what a supply ammeter reads).
 //!
-//! Shooting-Newton PSS converges in fewer periods but needs a state-
-//! transition Jacobian; the relaxation approach reuses the plain
-//! transient engine unchanged and is exact at convergence.
+//! The integration is the transient engine's own `Integrator`: one DC
+//! operating point, one layout and one Newton workspace, continued
+//! through every chunk, so a PSS of `P` periods costs `P` periods of
+//! timesteps. Shooting-Newton PSS converges in fewer periods but needs a
+//! state-transition Jacobian; relaxation needs nothing beyond the plain
+//! integrator and is exact at convergence.
 
-use crate::error::{AnalysisError, PartialProgress};
-use crate::tran::{transient, TranOptions, TranResult};
+use crate::convergence::{AttemptOutcome, ConvergenceTrace, StageAttempt, TraceStage};
+use crate::error::AnalysisError;
+use crate::partial::Interrupted;
+use crate::tran::{Integrator, TranResult, DEFAULT_V_TOL};
 use remix_circuit::{Circuit, ElementId};
+use std::collections::VecDeque;
 
 /// Options for the PSS search.
 #[derive(Debug, Clone)]
@@ -60,13 +66,7 @@ impl PeriodicSteadyState {
     pub fn average_branch_current(&self, id: ElementId) -> f64 {
         let n = self.waveforms.len();
         (0..n)
-            .map(|i| {
-                self.waveforms
-                    .solutions
-                    .get(i)
-                    .map(|_| self.waveforms.branch_current_at(i, id))
-                    .unwrap_or(0.0)
-            })
+            .map(|i| self.waveforms.branch_current_at(i, id))
             .sum::<f64>()
             / n as f64
     }
@@ -91,14 +91,26 @@ pub fn periodic_steady_state(
         .with_field("analysis", "pss")
         .with_field("elements", circuit.element_count())
         .with_field("steps_per_period", opts.steps_per_period);
-    let h = opts.period / opts.steps_per_period as f64;
-    // Integrate in growing chunks, checking the boundary samples: run
-    // `chunk` periods at a time (one long transient keeps the companion
-    // history continuous and the code simple — the engine's cost is per
-    // step either way).
+    let n_per = opts.steps_per_period;
+    let h = opts.period / n_per as f64;
+    let mut trace = ConvergenceTrace::new("periodic steady state");
+    // A budget trip re-contextualizes: the boundary attempts made so
+    // far, then the interrupted attempt(s).
+    let over_budget = |mut trace: ConvergenceTrace, i: Interrupted, completed| {
+        trace.attempts.extend(i.trace.attempts);
+        Interrupted { trace, ..i }.into_error("periodic steady state", completed, opts.max_periods)
+    };
+    let mut integ = match Interrupted::split(Integrator::init(circuit, h, DEFAULT_V_TOL))? {
+        Ok(integ) => integ,
+        Err(i) => return Err(over_budget(trace, i, 0)),
+    };
+    // The last two periods of samples, for the boundary check.
+    let mut window: VecDeque<(f64, Vec<f64>)> = VecDeque::with_capacity(2 * n_per);
+    // Integrate on in growing chunks of periods, checking the residual
+    // after each: a check costs a pass over two periods of samples, a
+    // chunk costs its periods of timesteps.
     let mut chunk = 4usize;
     let mut total = 0usize;
-    let mut trace = crate::convergence::ConvergenceTrace::new("periodic steady state");
     loop {
         total += chunk;
         if total > opts.max_periods {
@@ -111,71 +123,34 @@ pub fn periodic_steady_state(
                 trace,
             });
         }
-        let t_stop = total as f64 * opts.period;
-        let mut topts = TranOptions::new(t_stop, h);
-        // Keep only the last two periods for the boundary check.
-        topts.record_start = t_stop - 2.0 * opts.period;
-        let res = match transient(circuit, &topts) {
-            Ok(res) => res,
-            Err(AnalysisError::BudgetExceeded {
-                interruption,
-                trace: inner,
-                ..
-            }) => {
-                // Re-contextualize: the boundary attempts made so far,
-                // then the interrupted transient attempt(s).
-                trace.analysis = "periodic steady state".into();
-                trace.attempts.extend(inner.attempts);
-                return Err(AnalysisError::BudgetExceeded {
-                    interruption,
-                    trace,
-                    partial: PartialProgress {
-                        analysis: "periodic steady state".into(),
-                        completed: total - chunk,
-                        total: opts.max_periods,
-                    },
-                });
+        let interrupted = integ.run_to(total * n_per, |t, x| {
+            if window.len() == 2 * n_per {
+                window.pop_front();
             }
-            Err(e) => return Err(e),
-        };
-        let n_per = opts.steps_per_period;
-        let len = res.len();
-        if len < 2 * n_per {
-            return Err(AnalysisError::NoConvergence {
-                context: "periodic steady state (record too short)".into(),
-                iterations: total,
-                trace,
-            });
+            window.push_back((t, x.to_vec()));
+        })?;
+        if let Some(i) = interrupted {
+            return Err(over_budget(trace, i, total - chunk));
         }
-        // Max node-voltage difference one period apart, sampled at the
-        // recorded grid (compare the last period against the previous).
-        let mut residual = 0.0f64;
-        for i in 0..n_per {
-            let a = &res.solutions[len - n_per + i];
-            let b = &res.solutions[len - 2 * n_per + i];
-            for (x, y) in a.iter().zip(b.iter()) {
-                residual = residual.max((x - y).abs());
-            }
-        }
-        let mut attempt =
-            crate::convergence::StageAttempt::new(crate::convergence::TraceStage::PssBoundary {
-                periods: total,
-            });
+        // Max node-voltage difference one period apart, sampled on the
+        // grid (the last period against the one before).
+        let residual = (0..n_per)
+            .flat_map(|i| window[n_per + i].1.iter().zip(&window[i].1))
+            .fold(0.0f64, |r, (x, y)| r.max((x - y).abs()));
+        let mut attempt = StageAttempt::new(TraceStage::PssBoundary { periods: total });
         attempt.iterations = chunk;
         attempt.final_max_dv = residual;
         attempt.outcome = if residual < opts.v_tol {
-            crate::convergence::AttemptOutcome::Converged
+            AttemptOutcome::Converged
         } else {
-            crate::convergence::AttemptOutcome::ResidualAbove { residual }
+            AttemptOutcome::ResidualAbove { residual }
         };
         trace.push(attempt);
         if residual < opts.v_tol {
-            // Slice out the final period as the PSS waveforms.
-            let times: Vec<f64> = res.times[len - n_per..].to_vec();
-            let solutions: Vec<Vec<f64>> = res.solutions[len - n_per..].to_vec();
-            let waveforms = res.with_window(times, solutions);
+            // The final period is the PSS waveforms.
+            let (times, solutions) = window.drain(n_per..).unzip();
             return Ok(PeriodicSteadyState {
-                waveforms,
+                waveforms: integ.into_result(times, solutions),
                 periods_used: total,
                 residual,
             });

@@ -11,9 +11,15 @@
 //! RF measurement flows sample mixers coherently (see
 //! `remix_dsp::tone::CoherentPlan`); a fixed step that divides the sample
 //! interval exactly keeps tones on their bins.
+//!
+//! One `Integrator` runs every time-domain analysis: [`transient`],
+//! [`transient_partial`], [`noise_transient`](crate::noise_transient)
+//! and [`periodic_steady_state`](crate::periodic_steady_state), which
+//! carries one integration on from chunk to chunk. Each of those entry
+//! points lints its plan once, at entry; the shared driver lints nothing.
 
 use crate::convergence::{ConvergenceTrace, StageAttempt, TraceStage};
-use crate::error::{AnalysisError, PartialProgress};
+use crate::error::AnalysisError;
 use crate::op::{
     dc_operating_point, structural_diagnosis, LinearSolverKind, NewtonSystem, OpOptions,
     OperatingPoint, Seed, StageRun,
@@ -32,6 +38,8 @@ const STEP_DV_MAX: f64 = 0.5;
 /// Deepest halving of a step that fails to converge: a sub-step of
 /// `h / 2^MAX_HALVINGS` that still fails ends the run.
 const MAX_HALVINGS: i32 = 20;
+/// Default node-voltage convergence tolerance of a step's Newton (V).
+pub(crate) const DEFAULT_V_TOL: f64 = 1e-7;
 
 /// Options controlling a transient run. Steady stepping is trapezoidal
 /// after one backward-Euler first step; the initial condition is the
@@ -57,7 +65,7 @@ impl TranOptions {
         TranOptions {
             t_stop,
             h,
-            v_tol: 1e-7,
+            v_tol: DEFAULT_V_TOL,
             record_start: 0.0,
         }
     }
@@ -98,16 +106,6 @@ impl TranResult {
         self.layout.branch_current(&self.solutions[idx], id)
     }
 
-    /// Rebuilds a result containing only the given window (used by the
-    /// periodic-steady-state engine to slice out one period).
-    pub fn with_window(&self, times: Vec<f64>, solutions: Vec<Vec<f64>>) -> TranResult {
-        TranResult {
-            layout: self.layout.clone(),
-            times,
-            solutions,
-        }
-    }
-
     /// Number of stored points.
     pub fn len(&self) -> usize {
         self.times.len()
@@ -119,23 +117,37 @@ impl TranResult {
     }
 }
 
-/// Internal per-run integrator state.
-struct Integrator<'a> {
+/// One time-domain integration on a uniform grid of step `h`: the
+/// operating point it starts from, the element states and one Newton
+/// workspace, carried from one [`Integrator::run_to`] call to the next.
+/// Grid step `k` ends at `(k + 1)·h`; step 0 is backward Euler and every
+/// later one trapezoidal, however the run is split into calls.
+pub(crate) struct Integrator<'a> {
     circuit: &'a Circuit,
     layout: MnaLayout,
     states: Vec<ElementState>,
     mos_caps: Vec<Option<remix_circuit::MosCaps>>,
     x: Vec<f64>,
-    opts: &'a TranOptions,
+    /// Base step (s) and each step's Newton tolerance (V).
+    h: f64,
+    v_tol: f64,
+    /// Grid steps completed so far.
+    steps: usize,
     /// The run's Newton workspace, reused by every step.
     sys: NewtonSystem,
 }
 
 impl<'a> Integrator<'a> {
-    fn init(circuit: &'a Circuit, opts: &'a TranOptions) -> Result<Self, AnalysisError> {
-        let op: OperatingPoint = dc_operating_point(circuit, &OpOptions::default())?;
-        let layout = op.layout.clone();
-        let x = op.solution.clone();
+    /// Solves the operating point under [`OpOptions::default`] and sets
+    /// the dynamic states from it, at grid point 0.
+    pub(crate) fn init(circuit: &'a Circuit, h: f64, v_tol: f64) -> Result<Self, AnalysisError> {
+        assert!(h > 0.0, "bad transient step");
+        let OperatingPoint {
+            layout,
+            solution: x,
+            mos_caps,
+            ..
+        } = dc_operating_point(circuit, &OpOptions::default())?;
         // Initialize dynamic states from the OP.
         let mut states = Vec::with_capacity(circuit.element_count());
         for (idx, e) in circuit.elements().iter().enumerate() {
@@ -150,7 +162,7 @@ impl<'a> Integrator<'a> {
                     v: layout.voltage(&x, *a) - layout.voltage(&x, *b),
                 }),
                 Element::Mos { dev, .. } => {
-                    let caps = op.mos_caps[idx].unwrap_or_default();
+                    let caps = mos_caps[idx].unwrap_or_default();
                     let branches = mos_cap_branches(dev.d, dev.g, dev.s, dev.b, &caps);
                     let mut sts = [CapState::default(); 5];
                     for (k, (a, b, _)) in branches.iter().enumerate() {
@@ -167,10 +179,57 @@ impl<'a> Integrator<'a> {
             sys: NewtonSystem::new(&layout, LinearSolverKind::Sparse, Seed::Absent),
             layout,
             states,
-            mos_caps: op.mos_caps,
+            mos_caps,
             x,
-            opts,
+            h,
+            v_tol,
+            steps: 0,
         })
+    }
+
+    /// Integrates on from the last grid point reached through grid step
+    /// `to - 1`, handing each new point's time and solution to `record`
+    /// once its step has fully converged. Returns the budget interruption
+    /// that stopped it early, if one did; an interrupted integrator is not
+    /// run on, since a halved step may stand half done.
+    pub(crate) fn run_to(
+        &mut self,
+        to: usize,
+        mut record: impl FnMut(f64, &[f64]),
+    ) -> Result<Option<Interrupted>, AnalysisError> {
+        while self.steps < to {
+            let k = self.steps;
+            let t0 = k as f64 * self.h;
+            if let Err(i) = remix_exec::charge_timestep() {
+                return Ok(Some(Interrupted::at(
+                    "transient",
+                    TraceStage::TranStep { t: t0, h: self.h },
+                    i,
+                )));
+            }
+            // First grid step uses BE to damp the turn-on transient of the
+            // companion history (standard SPICE practice).
+            let method = if k == 0 {
+                IntegrationMethod::BackwardEuler
+            } else {
+                IntegrationMethod::Trapezoidal
+            };
+            if let Err(i) = Interrupted::split(self.advance(t0, self.h, method))? {
+                return Ok(Some(i));
+            }
+            self.steps = k + 1;
+            record((k + 1) as f64 * self.h, &self.x);
+        }
+        Ok(None)
+    }
+
+    /// Wraps recorded points as a result over this run's unknowns.
+    pub(crate) fn into_result(self, times: Vec<f64>, solutions: Vec<Vec<f64>>) -> TranResult {
+        TranResult {
+            layout: self.layout,
+            times,
+            solutions,
+        }
     }
 
     /// Solves one implicit step of size `h` ending at time `t`.
@@ -194,7 +253,7 @@ impl<'a> Integrator<'a> {
             &mode,
             &mut x,
             attempt,
-            self.opts.v_tol,
+            self.v_tol,
             MAX_NEWTON,
             f64::INFINITY,
             None,
@@ -258,7 +317,7 @@ impl<'a> Integrator<'a> {
         // underflow so the error explains *why* the halving cascade
         // never found an acceptable step.
         let mut last_trace = ConvergenceTrace::new("transient step");
-        let h_floor = self.opts.h / 2f64.powi(MAX_HALVINGS);
+        let h_floor = self.h / 2f64.powi(MAX_HALVINGS);
         while let Some((t0, h, meth)) = pending.pop() {
             depth_guard += 1;
             if depth_guard > 4096 {
@@ -295,15 +354,11 @@ fn step_failure(circuit: &Circuit, t: f64, run: StageRun) -> AnalysisError {
     let mut trace = ConvergenceTrace::new("transient step");
     trace.push(run.attempt);
     match (interrupted, run.factor_error) {
-        (Some(interruption), _) => AnalysisError::BudgetExceeded {
+        (Some(interruption), _) => Interrupted {
             interruption,
             trace,
-            partial: PartialProgress {
-                analysis: "transient".into(),
-                completed: 0,
-                total: 0,
-            },
-        },
+        }
+        .into_error("transient", 0, 0),
         (None, Some(error)) => AnalysisError::Singular {
             error,
             diagnosis: structural_diagnosis(circuit),
@@ -317,18 +372,21 @@ fn step_failure(circuit: &Circuit, t: f64, run: StageRun) -> AnalysisError {
     }
 }
 
-/// Shared transient driver: integrates the full grid, stopping early on
-/// a budget interruption. Returns the recorded prefix (always
+/// Grid steps in a run of `opts`.
+fn grid_steps(opts: &TranOptions) -> usize {
+    (opts.t_stop / opts.h).round() as usize
+}
+
+/// Shared transient driver, ungated: integrates the full grid, stopping
+/// early on a budget interruption. Returns the recorded points (always
 /// internally consistent — points land only after their step fully
-/// converged), the interruption if one occurred, and the planned step
-/// count.
+/// converged) and the number of grid points the run reached.
 fn transient_inner(
     circuit: &Circuit,
     opts: &TranOptions,
-) -> Result<(TranResult, Option<Interrupted>, usize), AnalysisError> {
-    crate::plan::gate(&crate::plan::tran_plan(circuit, opts))?;
-    let mut integ = Integrator::init(circuit, opts)?;
-    let n_steps = (opts.t_stop / opts.h).round() as usize;
+) -> Result<(Partial<TranResult>, usize), AnalysisError> {
+    let mut integ = Integrator::init(circuit, opts.h, opts.v_tol)?;
+    let n_steps = grid_steps(opts);
     let _span = remix_telemetry::span(remix_telemetry::names::ANALYSIS_TRAN)
         .with_field("analysis", "tran")
         .with_field("elements", circuit.element_count())
@@ -339,54 +397,27 @@ fn transient_inner(
         times.push(0.0);
         solutions.push(integ.x.clone());
     }
-    let mut interrupted = None;
-    for k in 0..n_steps {
-        let t0 = k as f64 * opts.h;
-        if let Err(i) = remix_exec::charge_timestep() {
-            interrupted = Some(Interrupted::at(
-                "transient",
-                TraceStage::TranStep { t: t0, h: opts.h },
-                i,
-            ));
-            break;
+    let interrupted = integ.run_to(n_steps, |t, x| {
+        if t >= opts.record_start {
+            times.push(t);
+            solutions.push(x.to_vec());
         }
-        // First grid step uses BE to damp the turn-on transient of the
-        // companion history (standard SPICE practice).
-        let method = if k == 0 {
-            IntegrationMethod::BackwardEuler
-        } else {
-            IntegrationMethod::Trapezoidal
-        };
-        match integ.advance(t0, opts.h, method) {
-            Ok(()) => {}
-            Err(AnalysisError::BudgetExceeded {
-                interruption,
-                trace,
-                ..
-            }) => {
-                interrupted = Some(Interrupted {
-                    interruption,
-                    trace,
-                });
-                break;
-            }
-            Err(e) => return Err(e),
-        }
-        let t1 = (k + 1) as f64 * opts.h;
-        if t1 >= opts.record_start {
-            times.push(t1);
-            solutions.push(integ.x.clone());
-        }
-    }
-    Ok((
-        TranResult {
-            layout: integ.layout,
-            times,
-            solutions,
-        },
-        interrupted,
-        n_steps,
-    ))
+    })?;
+    let reached = integ.steps + 1;
+    let res = Partial {
+        value: integ.into_result(times, solutions),
+        interruption: interrupted,
+    };
+    Ok((res, reached))
+}
+
+/// [`transient`] on a netlist whose plan the caller has gated.
+pub(crate) fn transient_ungated(
+    circuit: &Circuit,
+    opts: &TranOptions,
+) -> Result<TranResult, AnalysisError> {
+    let (res, reached) = transient_inner(circuit, opts)?;
+    res.strict("transient", reached, grid_steps(opts) + 1)
 }
 
 /// Runs a transient simulation.
@@ -400,22 +431,11 @@ fn transient_inner(
 /// sub-division down to femtosecond steps), step-size underflow, and
 /// [`AnalysisError::BudgetExceeded`] when a
 /// [`RunBudget`](remix_exec::RunBudget) armed on this thread runs out
-/// mid-run (use [`transient_partial`] to keep the completed prefix
-/// instead).
+/// mid-run, counting the grid points reached (use [`transient_partial`]
+/// to keep the recorded prefix instead).
 pub fn transient(circuit: &Circuit, opts: &TranOptions) -> Result<TranResult, AnalysisError> {
-    let (res, interrupted, n_steps) = transient_inner(circuit, opts)?;
-    match interrupted {
-        None => Ok(res),
-        Some(i) => Err(AnalysisError::BudgetExceeded {
-            interruption: i.interruption,
-            trace: i.trace,
-            partial: PartialProgress {
-                analysis: "transient".into(),
-                completed: res.len(),
-                total: n_steps + 1,
-            },
-        }),
-    }
+    crate::plan::gate(&crate::plan::tran_plan(circuit, opts))?;
+    transient_ungated(circuit, opts)
 }
 
 /// Runs a transient simulation, degrading gracefully under a budget:
@@ -433,11 +453,8 @@ pub fn transient_partial(
     circuit: &Circuit,
     opts: &TranOptions,
 ) -> Result<Partial<TranResult>, AnalysisError> {
-    let (res, interrupted, _) = transient_inner(circuit, opts)?;
-    Ok(match interrupted {
-        None => Partial::complete(res),
-        Some(i) => Partial::interrupted(res, i),
-    })
+    crate::plan::gate(&crate::plan::tran_plan(circuit, opts))?;
+    Ok(transient_inner(circuit, opts)?.0)
 }
 
 #[cfg(test)]
@@ -682,6 +699,28 @@ mod tests {
                 assert!(!trace.is_empty());
                 assert_eq!(partial.analysis, "transient");
                 assert_eq!(partial.completed, 4);
+                assert_eq!(partial.total, 101);
+            }
+            other => panic!("expected BudgetExceeded, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn strict_transient_counts_grid_points_reached_not_recorded() {
+        // Recording starts halfway; the budget trips at the 76th step, so
+        // the run reached grid points 0..=75 but recorded only the half
+        // past record_start.
+        let (c, _) = rc_fixture();
+        let mut opts = TranOptions::new(1e-6, 1e-8);
+        opts.record_start = 0.5e-6;
+        let token = remix_exec::RunBudget::unlimited()
+            .with_timesteps(75)
+            .token();
+        let _guard = token.arm();
+        match transient(&c, &opts) {
+            Err(AnalysisError::BudgetExceeded { partial, .. }) => {
+                assert_eq!(partial.analysis, "transient");
+                assert_eq!(partial.completed, 76);
                 assert_eq!(partial.total, 101);
             }
             other => panic!("expected BudgetExceeded, got {other:?}"),

@@ -15,9 +15,11 @@
 //! figures reproduced here; the analytic LTV cascade in `remix-rfkit`
 //! cross-checks the result).
 
+use crate::convergence::TraceStage;
 use crate::error::AnalysisError;
 use crate::op::{dc_operating_point, OpOptions};
-use crate::tran::{transient, TranOptions, TranResult};
+use crate::partial::Interrupted;
+use crate::tran::{transient_ungated, TranOptions, TranResult};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use remix_circuit::consts::ROOM_TEMP;
@@ -78,13 +80,9 @@ pub fn noise_transient(
     // Boundary check before committing to the (potentially megasample)
     // noise-path synthesis below.
     if let Err(i) = remix_exec::checkpoint() {
-        return Err(AnalysisError::interrupted_at(
-            "noise transient",
-            crate::convergence::TraceStage::TranStep { t: 0.0, h: opts.h },
-            i,
-            0,
-            0,
-        ));
+        let stage = TraceStage::TranStep { t: 0.0, h: opts.h };
+        let i = Interrupted::at("noise transient", stage, i);
+        return Err(i.into_error("noise transient", 0, 0));
     }
 
     let mut noisy = circuit.clone();
@@ -124,7 +122,9 @@ pub fn noise_transient(
         }
     }
 
-    transient(&noisy, opts)
+    // PWL sources add no stimulus frequency, so the noisy copy implies
+    // the plan already gated above.
+    transient_ungated(&noisy, opts)
 }
 
 #[cfg(test)]

@@ -87,6 +87,42 @@ pub fn warn_malformed(var: &str, raw: &str, fallback: Option<u64>) {
     eprintln!("warning: {var}={raw:?} does not parse as u64; falling back to {fallback_text}");
 }
 
+/// Splits a chaos spec — comma-separated clauses `name:<n>[:<n>]` —
+/// into each clause's fault name and periods, `grammar` giving each known
+/// name with its number of periods. Both chaos grammars, the pool's
+/// [`PoolChaos`](crate::PoolChaos) and the server's, are read through it.
+///
+/// # Errors
+///
+/// A message prefixed by `what` ("chaos", "pool chaos") naming the first
+/// clause that is unknown or whose period is missing, not an integer, or 0.
+pub fn chaos_clauses<'a>(
+    spec: &str,
+    what: &str,
+    grammar: &[(&'a str, usize)],
+) -> Result<Vec<(&'a str, [u64; 2])>, String> {
+    let mut clauses = Vec::new();
+    for clause in spec.split(',').filter(|c| !c.trim().is_empty()) {
+        let parts: Vec<&str> = clause.trim().split(':').collect();
+        let Some(&(name, count)) = grammar.iter().find(|(name, _)| *name == parts[0]) else {
+            return Err(format!("unknown {what} clause '{clause}'"));
+        };
+        let mut periods = [0; 2];
+        for (idx, period) in periods.iter_mut().enumerate().take(count) {
+            *period = parts
+                .get(idx + 1)
+                .ok_or_else(|| format!("{what} clause '{clause}': missing period"))?
+                .parse()
+                .map_err(|_| format!("{what} clause '{clause}': period must be an integer"))?;
+            if *period == 0 {
+                return Err(format!("{what} clause '{clause}': period must be >= 1"));
+            }
+        }
+        clauses.push((name, periods));
+    }
+    Ok(clauses)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

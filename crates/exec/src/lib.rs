@@ -56,7 +56,7 @@ pub use budget::{
     Interruption, RunBudget,
 };
 pub use contain::contain;
-pub use env::{env_u64, env_u64_or_warn, warn_malformed, EnvValue};
+pub use env::{chaos_clauses, env_u64, env_u64_or_warn, warn_malformed, EnvValue};
 pub use persist::atomic_write;
 pub use pool::{
     run_tasks, Parallelism, PoolChaos, PoolOptions, PoolRun, TaskResult, ENV_POOL_CHAOS,

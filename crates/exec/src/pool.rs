@@ -41,7 +41,7 @@
 
 use crate::budget::{active_token, CancelToken, Interruption};
 use crate::contain::contain;
-use crate::env::env_u64_or_warn;
+use crate::env::{chaos_clauses, env_u64_or_warn};
 use remix_telemetry::{names, FieldValue, Telemetry};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -124,26 +124,12 @@ impl PoolChaos {
     /// A human-readable message naming the malformed clause.
     pub fn parse(spec: &str) -> Result<PoolChaos, String> {
         let mut config = PoolChaos::default();
-        for clause in spec.split(',').filter(|c| !c.trim().is_empty()) {
-            let parts: Vec<&str> = clause.trim().split(':').collect();
-            let period = |idx: usize| -> Result<u64, String> {
-                let n: u64 = parts
-                    .get(idx)
-                    .ok_or_else(|| format!("pool chaos clause '{clause}': missing period"))?
-                    .parse()
-                    .map_err(|_| {
-                        format!("pool chaos clause '{clause}': period must be an integer")
-                    })?;
-                if n == 0 {
-                    return Err(format!("pool chaos clause '{clause}': period must be >= 1"));
-                }
-                Ok(n)
-            };
-            match parts.first().copied() {
-                Some("panic") => config.panic_task_every = Some(period(1)?),
-                Some("cancel") => config.cancel_after = Some(period(1)?),
-                Some("steal") => config.steal_delay_every = Some((period(1)?, period(2)?)),
-                _ => return Err(format!("unknown pool chaos clause '{clause}'")),
+        let grammar = [("panic", 1), ("cancel", 1), ("steal", 2)];
+        for (name, [n, ms]) in chaos_clauses(spec, "pool chaos", &grammar)? {
+            match name {
+                "panic" => config.panic_task_every = Some(n),
+                "cancel" => config.cancel_after = Some(n),
+                _ => config.steal_delay_every = Some((n, ms)),
             }
         }
         Ok(config)

@@ -39,25 +39,13 @@ impl ChaosConfig {
     /// A human-readable message naming the malformed clause.
     pub fn parse(spec: &str) -> Result<ChaosConfig, String> {
         let mut config = ChaosConfig::default();
-        for clause in spec.split(',').filter(|c| !c.trim().is_empty()) {
-            let parts: Vec<&str> = clause.trim().split(':').collect();
-            let period = |idx: usize| -> Result<u64, String> {
-                let n: u64 = parts
-                    .get(idx)
-                    .ok_or_else(|| format!("chaos clause '{clause}': missing period"))?
-                    .parse()
-                    .map_err(|_| format!("chaos clause '{clause}': period must be an integer"))?;
-                if n == 0 {
-                    return Err(format!("chaos clause '{clause}': period must be >= 1"));
-                }
-                Ok(n)
-            };
-            match parts.first().copied() {
-                Some("drop") => config.drop_conn_every = Some(period(1)?),
-                Some("torn") => config.tear_frame_every = Some(period(1)?),
-                Some("panic") => config.panic_job_every = Some(period(1)?),
-                Some("delay") => config.delay_read_every = Some((period(1)?, period(2)?)),
-                _ => return Err(format!("unknown chaos clause '{clause}'")),
+        let grammar = [("drop", 1), ("torn", 1), ("panic", 1), ("delay", 2)];
+        for (name, [n, ms]) in remix_exec::chaos_clauses(spec, "chaos", &grammar)? {
+            match name {
+                "drop" => config.drop_conn_every = Some(n),
+                "torn" => config.tear_frame_every = Some(n),
+                "panic" => config.panic_job_every = Some(n),
+                _ => config.delay_read_every = Some((n, ms)),
             }
         }
         Ok(config)
