@@ -8,10 +8,8 @@
 //! refuses a circuit with deny-level ERC findings. Each gates once, at
 //! entry, before any solver work; the transient driver they share does
 //! not gate again. The engines declare only what they actually
-//! know (the timestep and the fastest stimulus in the netlist), so the
-//! one rule that can fire here is `SIM001` (a grid that aliases the LO).
-//! Measurement intent such as the IF frequency or the paper's RF band is
-//! attached by the bench layer via [`remix_lint::PlanTargets`].
+//! know (the timestep and the fastest stimulus in the netlist), and the
+//! one `SIM` rule is `SIM001` (a grid that aliases the LO).
 //!
 //! [`transient`]: crate::tran::transient
 //! [`transient_partial`]: crate::tran::transient_partial

@@ -138,16 +138,33 @@ pub(crate) struct Integrator<'a> {
 }
 
 impl<'a> Integrator<'a> {
-    /// Solves the operating point under [`OpOptions::default`] and sets
-    /// the dynamic states from it, at grid point 0.
+    /// Solves the operating point under [`OpOptions::default`] and starts
+    /// from it, at grid point 0.
     pub(crate) fn init(circuit: &'a Circuit, h: f64, v_tol: f64) -> Result<Self, AnalysisError> {
-        assert!(h > 0.0, "bad transient step");
         let OperatingPoint {
             layout,
-            solution: x,
+            solution,
             mos_caps,
             ..
         } = dc_operating_point(circuit, &OpOptions::default())?;
+        Ok(Self::from_solution(
+            circuit, layout, solution, mos_caps, h, v_tol,
+        ))
+    }
+
+    /// Starts from an operating point already solved, at grid point 0:
+    /// `x` over `layout`'s unknowns, and `mos_caps` holding one entry per
+    /// element of `circuit` (`None` for all but MOS devices). Sets the
+    /// dynamic states from it.
+    pub(crate) fn from_solution(
+        circuit: &'a Circuit,
+        layout: MnaLayout,
+        x: Vec<f64>,
+        mos_caps: Vec<Option<remix_circuit::MosCaps>>,
+        h: f64,
+        v_tol: f64,
+    ) -> Self {
+        assert!(h > 0.0, "bad transient step");
         // Initialize dynamic states from the OP.
         let mut states = Vec::with_capacity(circuit.element_count());
         for (idx, e) in circuit.elements().iter().enumerate() {
@@ -174,7 +191,7 @@ impl<'a> Integrator<'a> {
             };
             states.push(st);
         }
-        Ok(Integrator {
+        Integrator {
             circuit,
             sys: NewtonSystem::new(&layout, LinearSolverKind::Sparse, Seed::Absent),
             layout,
@@ -184,7 +201,7 @@ impl<'a> Integrator<'a> {
             h,
             v_tol,
             steps: 0,
-        })
+        }
     }
 
     /// Integrates on from the last grid point reached through grid step
@@ -377,19 +394,19 @@ fn grid_steps(opts: &TranOptions) -> usize {
     (opts.t_stop / opts.h).round() as usize
 }
 
-/// Shared transient driver, ungated: integrates the full grid, stopping
-/// early on a budget interruption. Returns the recorded points (always
-/// internally consistent — points land only after their step fully
-/// converged) and the number of grid points the run reached.
-fn transient_inner(
-    circuit: &Circuit,
+/// Shared transient driver, ungated: integrates the full grid of `opts`
+/// from `integ`'s start, stopping early on a budget interruption.
+/// Returns the recorded points (always internally consistent — points
+/// land only after their step fully converged) and the number of grid
+/// points the run reached.
+fn integrate(
+    mut integ: Integrator<'_>,
     opts: &TranOptions,
 ) -> Result<(Partial<TranResult>, usize), AnalysisError> {
-    let mut integ = Integrator::init(circuit, opts.h, opts.v_tol)?;
     let n_steps = grid_steps(opts);
     let _span = remix_telemetry::span(remix_telemetry::names::ANALYSIS_TRAN)
         .with_field("analysis", "tran")
-        .with_field("elements", circuit.element_count())
+        .with_field("elements", integ.circuit.element_count())
         .with_field("steps", n_steps);
     let mut times = Vec::new();
     let mut solutions = Vec::new();
@@ -411,12 +428,13 @@ fn transient_inner(
     Ok((res, reached))
 }
 
-/// [`transient`] on a netlist whose plan the caller has gated.
-pub(crate) fn transient_ungated(
-    circuit: &Circuit,
+/// [`transient`] from `integ`'s start, on a netlist whose plan the
+/// caller has gated.
+pub(crate) fn transient_from(
+    integ: Integrator<'_>,
     opts: &TranOptions,
 ) -> Result<TranResult, AnalysisError> {
-    let (res, reached) = transient_inner(circuit, opts)?;
+    let (res, reached) = integrate(integ, opts)?;
     res.strict("transient", reached, grid_steps(opts) + 1)
 }
 
@@ -435,7 +453,7 @@ pub(crate) fn transient_ungated(
 /// to keep the recorded prefix instead).
 pub fn transient(circuit: &Circuit, opts: &TranOptions) -> Result<TranResult, AnalysisError> {
     crate::plan::gate(&crate::plan::tran_plan(circuit, opts))?;
-    transient_ungated(circuit, opts)
+    transient_from(Integrator::init(circuit, opts.h, opts.v_tol)?, opts)
 }
 
 /// Runs a transient simulation, degrading gracefully under a budget:
@@ -454,7 +472,7 @@ pub fn transient_partial(
     opts: &TranOptions,
 ) -> Result<Partial<TranResult>, AnalysisError> {
     crate::plan::gate(&crate::plan::tran_plan(circuit, opts))?;
-    Ok(transient_inner(circuit, opts)?.0)
+    Ok(integrate(Integrator::init(circuit, opts.h, opts.v_tol)?, opts)?.0)
 }
 
 #[cfg(test)]

@@ -19,11 +19,11 @@ use crate::convergence::TraceStage;
 use crate::error::AnalysisError;
 use crate::op::{dc_operating_point, OpOptions};
 use crate::partial::Interrupted;
-use crate::tran::{transient_ungated, TranOptions, TranResult};
+use crate::tran::{transient_from, Integrator, TranOptions, TranResult};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use remix_circuit::consts::ROOM_TEMP;
-use remix_circuit::{Circuit, Element, Waveform};
+use remix_circuit::{Circuit, Element, MnaLayout, Waveform};
 use remix_dsp::signal::WhiteNoise;
 
 /// Configuration for a Monte-Carlo noise transient.
@@ -53,6 +53,13 @@ impl Default for NoiseTranConfig {
 /// The returned waveforms contain the circuit's response *including* the
 /// injected noise. Divide measured noise power by
 /// `config.amplitude_boost²` when a boost was used.
+///
+/// One DC operating point is solved, on the original netlist: it sets
+/// the device noise PSDs and is also the noisy copy's starting point,
+/// since every injected source is zero at t = 0 and adds no unknown.
+/// The noisy copy is not ERC-linted again: the original was (by the
+/// operating-point solve), and each injected source only joins two nodes
+/// that an element of the original already joins.
 ///
 /// # Errors
 ///
@@ -124,7 +131,17 @@ pub fn noise_transient(
 
     // PWL sources add no stimulus frequency, so the noisy copy implies
     // the plan already gated above.
-    transient_ungated(&noisy, opts)
+    let mut mos_caps = op.mos_caps;
+    mos_caps.resize(noisy.element_count(), None);
+    let integ = Integrator::from_solution(
+        &noisy,
+        MnaLayout::new(&noisy),
+        op.solution,
+        mos_caps,
+        opts.h,
+        opts.v_tol,
+    );
+    transient_from(integ, opts)
 }
 
 #[cfg(test)]
@@ -163,6 +180,27 @@ mod tests {
             measured > 0.3 * expected && measured < 3.0 * expected,
             "measured {measured:.3e} vs expected {expected:.3e}"
         );
+    }
+
+    #[test]
+    fn one_noise_transient_solves_one_operating_point() {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        c.add_vsource("vs", a, Circuit::gnd(), Waveform::Dc(0.0));
+        c.add_resistor("r1", a, Circuit::gnd(), 1e3);
+        let tel = remix_telemetry::Telemetry::new();
+        {
+            let _armed = tel.arm();
+            noise_transient(
+                &c,
+                &TranOptions::new(1e-6, 1e-8),
+                &NoiseTranConfig::default(),
+            )
+            .unwrap();
+        }
+        let snap = tel.snapshot().without_timings();
+        let op = remix_telemetry::names::ANALYSIS_OP;
+        assert_eq!(snap.span(op).map(|s| s.count), Some(1), "{snap:?}");
     }
 
     #[test]

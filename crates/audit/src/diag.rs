@@ -15,11 +15,9 @@ pub const AUDIT_SCHEMA_VERSION: u32 = 1;
 
 /// How seriously a finding is treated. Mirrors `remix-lint`:
 /// `Deny` findings fail the audit (non-zero CLI exit), `Warn` findings
-/// are reported but non-fatal, `Allow` disables the rule.
+/// are reported but non-fatal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
-    /// Rule disabled; no findings are emitted.
-    Allow,
     /// Reported, but does not fail the audit.
     Warn,
     /// Reported and fails the audit.
@@ -29,7 +27,6 @@ pub enum Severity {
 impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            Severity::Allow => "allow",
             Severity::Warn => "warn",
             Severity::Deny => "deny",
         })
@@ -39,11 +36,9 @@ impl fmt::Display for Severity {
 /// Stable identifier of a workspace-audit rule.
 ///
 /// The `AUDnnn_*` codes are public interface: they appear in rendered
-/// findings, JSON output, [`AuditConfig`] overrides and the inline
-/// suppression protocol (`// audit: allow(AUD001): <why>`). Existing
-/// codes are never renumbered.
-///
-/// [`AuditConfig`]: crate::AuditConfig
+/// findings, JSON output and the inline suppression protocol
+/// (`// audit: allow(AUD001): <why>`). Existing codes are never
+/// renumbered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AuditRule {
     /// `AUD001` — `.unwrap()` / `.expect(..)` in non-test library code
@@ -96,7 +91,7 @@ pub enum AuditRule {
     /// rustc's `dead_code` lint never fires on `pub` items, so without
     /// this rule dead public surface stays compiled and tested forever.
     /// The variant and its code keep their original `PUB_FN` names so
-    /// existing markers and configurations stay valid.
+    /// existing markers stay valid.
     /// Checked by [`audit_workspace`](crate::audit_workspace) only: it
     /// needs the whole workspace to see every caller.
     UnreferencedPubFn,
@@ -173,41 +168,12 @@ impl fmt::Display for AuditRule {
     }
 }
 
-/// Per-run configuration: severity overrides, mirroring `LintConfig`.
-#[derive(Debug, Clone, Default)]
-pub struct AuditConfig {
-    overrides: Vec<(AuditRule, Severity)>,
-}
-
-impl AuditConfig {
-    /// The built-in severities with no overrides.
-    pub fn new() -> Self {
-        AuditConfig::default()
-    }
-
-    /// Overrides one rule's severity (`Allow` disables it).
-    pub fn with_severity(mut self, rule: AuditRule, severity: Severity) -> Self {
-        self.overrides.retain(|(r, _)| *r != rule);
-        self.overrides.push((rule, severity));
-        self
-    }
-
-    /// The effective severity of a rule under this configuration.
-    pub fn severity(&self, rule: AuditRule) -> Severity {
-        self.overrides
-            .iter()
-            .find(|(r, _)| *r == rule)
-            .map(|(_, s)| *s)
-            .unwrap_or_else(|| rule.default_severity())
-    }
-}
-
 /// One audit finding: a rule violation with file/line provenance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Which rule fired.
     pub rule: AuditRule,
-    /// Effective severity (after configuration overrides).
+    /// The rule's severity.
     pub severity: Severity,
     /// Workspace-relative path (forward slashes).
     pub file: String,
@@ -389,15 +355,6 @@ mod tests {
         for r in AuditRule::ALL {
             assert_eq!(r.suppressible(), r != AuditRule::StaticMut, "{r}");
         }
-    }
-
-    #[test]
-    fn config_overrides_severity() {
-        let cfg = AuditConfig::new().with_severity(AuditRule::UnwrapInLib, Severity::Warn);
-        assert_eq!(cfg.severity(AuditRule::UnwrapInLib), Severity::Warn);
-        assert_eq!(cfg.severity(AuditRule::PanicInLib), Severity::Deny);
-        let cfg = cfg.with_severity(AuditRule::UnwrapInLib, Severity::Allow);
-        assert_eq!(cfg.severity(AuditRule::UnwrapInLib), Severity::Allow);
     }
 
     fn sample() -> AuditReport {

@@ -28,12 +28,12 @@
 //! ## Example
 //!
 //! ```
-//! use remix_audit::{audit_sources, AuditConfig, AuditRule};
+//! use remix_audit::{audit_sources, AuditRule};
 //!
-//! let report = audit_sources(
-//!     vec![("crates/demo/src/lib.rs", "fn f() { value.unwrap(); }\n")],
-//!     &AuditConfig::new(),
-//! );
+//! let report = audit_sources(vec![(
+//!     "crates/demo/src/lib.rs",
+//!     "fn f() { value.unwrap(); }\n",
+//! )]);
 //! assert!(!report.is_clean());
 //! assert_eq!(report.findings[0].rule, AuditRule::UnwrapInLib);
 //! ```
@@ -52,6 +52,6 @@ mod rules;
 pub mod scan;
 mod workspace;
 
-pub use diag::{AuditConfig, AuditReport, AuditRule, Finding, Severity, AUDIT_SCHEMA_VERSION};
+pub use diag::{AuditReport, AuditRule, Finding, Severity, AUDIT_SCHEMA_VERSION};
 pub use rules::{audit_file, audit_sources, audit_workspace};
 pub use workspace::workspace_sources;

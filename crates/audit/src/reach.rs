@@ -29,12 +29,12 @@
 //! user, unless it renames the item with `as`), and prose in comments.
 //! An `impl Trait` type in argument or return position names its trait.
 //! The rule code keeps its original `PUB_FN` spelling so existing
-//! markers and configurations stay valid.
+//! markers stay valid.
 //!
 //! Every file is tokenized once into identifier sets; the rule then
 //! answers each candidate with set lookups.
 
-use crate::diag::{AuditConfig, AuditRule, Finding};
+use crate::diag::{AuditRule, Finding};
 use crate::scan::ScannedFile;
 use std::collections::{HashMap, HashSet};
 
@@ -315,7 +315,6 @@ fn file_refs(file: &ScannedFile) -> FileRefs {
 pub(crate) fn unreferenced_pub_items(
     audited: &[ScannedFile],
     corpus: &[ScannedFile],
-    config: &AuditConfig,
 ) -> Vec<Finding> {
     let audited_refs: Vec<FileRefs> = audited.iter().map(file_refs).collect();
     let corpus_refs: Vec<FileRefs> = corpus.iter().map(file_refs).collect();
@@ -340,7 +339,6 @@ pub(crate) fn unreferenced_pub_items(
                  or justify with `// audit: allow(AUD010): <why>`"
             );
             findings.extend(crate::rules::finding(
-                config,
                 AuditRule::UnreferencedPubFn,
                 file,
                 *index,
@@ -364,7 +362,7 @@ mod tests {
         let scan = |files: &[(&str, &str)]| -> Vec<ScannedFile> {
             files.iter().map(|(p, t)| scan_source(p, t)).collect()
         };
-        unreferenced_pub_items(&scan(audited), &scan(corpus), &AuditConfig::new())
+        unreferenced_pub_items(&scan(audited), &scan(corpus))
             .iter()
             .map(|f| format!("{}:{}", f.file, f.line))
             .collect()
@@ -472,7 +470,7 @@ mod tests {
     /// AUD010 messages for `audited` checked on its own.
     fn messages(audited: &[(&str, &str)]) -> Vec<String> {
         let scanned: Vec<ScannedFile> = audited.iter().map(|(p, t)| scan_source(p, t)).collect();
-        unreferenced_pub_items(&scanned, &[], &AuditConfig::new())
+        unreferenced_pub_items(&scanned, &[])
             .into_iter()
             .map(|f| f.message)
             .collect()

@@ -17,7 +17,7 @@
 //! [`ScannedLine::masked`]: crate::scan::ScannedLine::masked
 
 use crate::catalog;
-use crate::diag::{AuditConfig, AuditReport, AuditRule, Finding, Severity};
+use crate::diag::{AuditReport, AuditRule, Finding};
 use crate::reach::unreferenced_pub_items;
 use crate::scan::{scan_source, ScannedFile};
 use crate::workspace::{reference_sources, workspace_sources};
@@ -49,11 +49,11 @@ const SPAWN_ALLOW_PREFIXES: &[&str] = &["crates/exec/src/", "crates/serve/src/"]
 /// place `"remix.*"` literals are the point.
 const NAMES_CATALOG: &str = "crates/telemetry/src/names.rs";
 
-/// Audits one scanned file under `config`.
-pub fn audit_file(file: &ScannedFile, config: &AuditConfig) -> Vec<Finding> {
+/// Audits one scanned file.
+pub fn audit_file(file: &ScannedFile) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut emit = |rule: AuditRule, index: usize, message: String, f: &ScannedFile| {
-        findings.extend(finding(config, rule, f, index, message));
+        findings.extend(finding(rule, f, index, message));
     };
 
     for (i, line) in file.lines.iter().enumerate() {
@@ -210,20 +210,15 @@ pub fn audit_file(file: &ScannedFile, config: &AuditConfig) -> Vec<Finding> {
     findings
 }
 
-/// The finding `rule` makes at line `index` of `file`, unless the rule
-/// is configured off or an inline `// audit: allow(AUDnnn): <why>`
+/// The finding `rule` makes at line `index` of `file`, at the rule's
+/// default severity, unless an inline `// audit: allow(AUDnnn): <why>`
 /// marker justifies the line.
 pub(crate) fn finding(
-    config: &AuditConfig,
     rule: AuditRule,
     file: &ScannedFile,
     index: usize,
     message: String,
 ) -> Option<Finding> {
-    let severity = config.severity(rule);
-    if severity == Severity::Allow {
-        return None;
-    }
     if rule.suppressible()
         && file.has_marker(index, &format!("audit: allow({}):", short_code(rule)))
     {
@@ -231,7 +226,7 @@ pub(crate) fn finding(
     }
     Some(Finding {
         rule,
-        severity,
+        severity: rule.default_severity(),
         file: file.path.clone(),
         line: file.lines[index].number,
         message,
@@ -240,14 +235,14 @@ pub(crate) fn finding(
 }
 
 /// Audits in-memory sources: `(workspace-relative path, text)` pairs.
-pub fn audit_sources<'a, I>(sources: I, config: &AuditConfig) -> AuditReport
+pub fn audit_sources<'a, I>(sources: I) -> AuditReport
 where
     I: IntoIterator<Item = (&'a str, &'a str)>,
 {
     let mut report = AuditReport::default();
     for (path, text) in sources {
         let scanned = scan_source(path, text);
-        report.findings.extend(audit_file(&scanned, config));
+        report.findings.extend(audit_file(&scanned));
         report.files_scanned += 1;
     }
     report.sort();
@@ -259,7 +254,7 @@ where
 /// cross-file `AUD010_UNREFERENCED_PUB_FN`, whose users may also live
 /// in files the audit does not itself check: `tests/`, `examples/`,
 /// each crate's `tests/` and `examples/`, and `perfbench/src/`.
-pub fn audit_workspace(root: &Path, config: &AuditConfig) -> io::Result<AuditReport> {
+pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
     let scan_all = |paths: Vec<String>| -> io::Result<Vec<ScannedFile>> {
         paths
             .iter()
@@ -269,13 +264,13 @@ pub fn audit_workspace(root: &Path, config: &AuditConfig) -> io::Result<AuditRep
     let audited = scan_all(workspace_sources(root)?)?;
     let mut report = AuditReport::default();
     for scanned in &audited {
-        report.findings.extend(audit_file(scanned, config));
+        report.findings.extend(audit_file(scanned));
     }
     report.files_scanned = audited.len();
     let corpus = scan_all(reference_sources(root)?)?;
     report
         .findings
-        .extend(unreferenced_pub_items(&audited, &corpus, config));
+        .extend(unreferenced_pub_items(&audited, &corpus));
     report.sort();
     Ok(report)
 }
@@ -337,9 +332,10 @@ fn find_thread_local_static(file: &ScannedFile, start: usize) -> Option<String> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diag::Severity;
 
     fn audit_one(path: &str, src: &str) -> Vec<Finding> {
-        audit_file(&scan_source(path, src), &AuditConfig::new())
+        audit_file(&scan_source(path, src))
     }
 
     fn rules_of(findings: &[Finding]) -> Vec<AuditRule> {
@@ -519,30 +515,11 @@ fn f(a: &AtomicU64) -> u64 { a.load(Ordering::Relaxed) }
     }
 
     #[test]
-    fn severity_overrides_apply() {
-        let cfg = AuditConfig::new().with_severity(AuditRule::UnwrapInLib, Severity::Warn);
-        let f = audit_file(
-            &scan_source("crates/x/src/a.rs", "fn l() { v.unwrap(); }\n"),
-            &cfg,
-        );
-        assert_eq!(f[0].severity, Severity::Warn);
-        let cfg = AuditConfig::new().with_severity(AuditRule::UnwrapInLib, Severity::Allow);
-        let f = audit_file(
-            &scan_source("crates/x/src/a.rs", "fn l() { v.unwrap(); }\n"),
-            &cfg,
-        );
-        assert!(f.is_empty());
-    }
-
-    #[test]
     fn audit_sources_aggregates_and_sorts() {
-        let report = audit_sources(
-            vec![
-                ("crates/b/src/z.rs", "fn l() { v.unwrap(); }\n"),
-                ("crates/a/src/a.rs", "fn l() { panic!(\"x\"); }\n"),
-            ],
-            &AuditConfig::new(),
-        );
+        let report = audit_sources(vec![
+            ("crates/b/src/z.rs", "fn l() { v.unwrap(); }\n"),
+            ("crates/a/src/a.rs", "fn l() { panic!(\"x\"); }\n"),
+        ]);
         assert_eq!(report.files_scanned, 2);
         assert_eq!(report.deny_count(), 2);
         assert_eq!(report.findings[0].file, "crates/a/src/a.rs");

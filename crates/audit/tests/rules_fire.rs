@@ -3,13 +3,13 @@
 //! The fixtures under `tests/fixtures/` are one-violation-each `.rs`
 //! sources; this test proves the engine convicts each of them with
 //! exactly the intended rule, and that the conviction is at deny
-//! severity under the default configuration. A fixture that stops
+//! severity. A fixture that stops
 //! firing means a rule regressed — the workspace-clean test alone
 //! cannot distinguish "no violations" from "rule gone blind".
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panicking on setup failure is the point
 
-use remix_audit::{audit_sources, AuditConfig, AuditRule, Severity};
+use remix_audit::{audit_sources, AuditRule, Severity};
 
 /// Audits one fixture under a path that triggers no allowlist.
 fn convict(fixture: &str) -> Vec<(AuditRule, Severity)> {
@@ -20,10 +20,7 @@ fn convict(fixture: &str) -> Vec<(AuditRule, Severity)> {
     .expect("fixture readable");
     // Present the fixture to the engine as if it were lib code.
     let lib_path = path.replace("tests/fixtures/", "src/");
-    let report = audit_sources(
-        vec![(lib_path.as_str(), text.as_str())],
-        &AuditConfig::new(),
-    );
+    let report = audit_sources(vec![(lib_path.as_str(), text.as_str())]);
     report
         .findings
         .iter()

@@ -7,13 +7,13 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panicking on setup failure is the point
 
-use remix_audit::{audit_workspace, AuditConfig};
+use remix_audit::audit_workspace;
 use std::path::Path;
 
 #[test]
 fn workspace_has_no_deny_findings() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = audit_workspace(&root, &AuditConfig::new()).expect("workspace walk");
+    let report = audit_workspace(&root).expect("workspace walk");
     assert!(
         report.files_scanned > 100,
         "the walk found the real workspace ({} files)",

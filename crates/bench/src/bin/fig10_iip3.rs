@@ -7,21 +7,19 @@
 //! cargo run --release -p remix-bench --bin fig10_iip3
 //! ```
 
-use remix_bench::{checked_plan, try_shared_evaluator};
-use remix_core::MixerMode;
+use remix_bench::try_shared_evaluator;
+use remix_core::{MixerEvaluator, MixerMode};
 
 fn main() {
     remix_bench::run_bin("fig10 two-tone study", run)
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
-    // Lint the two-tone FFT record (coherence, Nyquist, IM3 headroom)
-    // before paying for extraction.
-    let plan = checked_plan("fig10");
+    let plan = MixerEvaluator::two_tone_plan();
     println!(
-        "two-tone record: n = {}, fs = {:.3} GHz (lint-clean)\n",
-        plan.fft_len.ok_or("fig10 plan declares an FFT")?,
-        plan.sample_rate.ok_or("fig10 plan declares a rate")? / 1e9,
+        "two-tone record: n = {}, fs = {:.3} GHz\n",
+        plan.n(),
+        plan.fs() / 1e9,
     );
 
     let eval = try_shared_evaluator()?;

@@ -1,8 +1,7 @@
-//! ERC + simulation-plan lint report — the clippy of this repository.
+//! ERC lint report — the clippy of this repository.
 //!
 //! With no arguments, runs the full `remix-lint` rule set over both mode
-//! netlists of the paper's mixer (plus the live mode-switch netlist) and
-//! the shipped measurement plans of every figure/table binary.
+//! netlists of the paper's mixer (plus the live mode-switch netlist).
 //! Positional arguments are SPICE decks (`.cir`) to lint instead; with
 //! `--fix`, machine-applicable fixes are applied to fixpoint and the
 //! repaired deck is written back in place.
@@ -13,17 +12,16 @@
 //! cargo run --release -p remix-bench --bin lint -- --fix broken.cir
 //! ```
 //!
-//! Exit status is non-zero if any netlist or plan has deny-level
+//! Exit status is non-zero if any netlist has deny-level
 //! findings left (after fixing, when `--fix` is given), so this doubles
 //! as a CI gate. Unfixable findings are listed explicitly.
 
 use remix_core::mixer::{LoDrive, ReconfigurableMixer, RfDrive};
-use remix_core::plans::shipped_plans;
 use remix_core::{MixerConfig, MixerMode};
-use remix_lint::{fix_circuit, lint, lint_deck, lint_plan, Fix, LintConfig, LintReport, RuleId};
+use remix_lint::{fix_circuit, lint, lint_deck, Fix, LintConfig, LintReport, RuleId};
 use std::process::ExitCode;
 
-/// One linted subject: a built-in netlist, a shipped plan, or a deck.
+/// One linted subject: a built-in netlist or a deck.
 struct Subject {
     name: String,
     report: LintReport,
@@ -61,12 +59,6 @@ fn builtin_subjects() -> Vec<Subject> {
         "mode switch (active→passive)",
         lint(&switch_ckt, &LintConfig::default()),
     ));
-    for (label, plan) in shipped_plans() {
-        out.push(Subject::plain(
-            format!("{label} plan"),
-            lint_plan(&plan, &LintConfig::default()),
-        ));
-    }
     out
 }
 
@@ -233,7 +225,7 @@ fn run() -> bool {
 
     if denies == 0 {
         if !json {
-            println!("all netlists and plans are deny-clean");
+            println!("all netlists are deny-clean");
         }
         true
     } else {

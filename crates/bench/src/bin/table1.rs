@@ -9,7 +9,7 @@
 //! cargo run --release -p remix-bench --bin table1
 //! ```
 
-use remix_bench::{checked_plan, shared_evaluator};
+use remix_bench::shared_evaluator;
 use remix_core::MixerMode;
 use remix_rfkit::specs::{table1_literature, MixerSpecRow};
 
@@ -36,9 +36,6 @@ fn main() {
 }
 
 fn run() {
-    // Lint the compression record before paying for extraction.
-    let _plan = checked_plan("table1");
-
     let eval = shared_evaluator();
 
     println!("Table I — simulation results and comparison\n");

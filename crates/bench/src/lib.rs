@@ -19,7 +19,6 @@
 
 use remix_core::{eval::MixerEvaluator, MixerConfig};
 use remix_exec::{contain, RunBudget};
-use remix_lint::{lint_plan, LintConfig, SimPlan};
 use remix_telemetry::{BenchRecord, JsonLinesSink, Telemetry, TelemetryGuard};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -240,30 +239,6 @@ pub fn shared_evaluator() -> &'static MixerEvaluator {
     }
 }
 
-/// Looks up the shipped measurement plan `label` (see
-/// [`remix_core::plans`]), lints it, and aborts with the full report if
-/// it has deny-level findings. Figure/table binaries call this before
-/// spending seconds on extraction, so a mis-parameterized sweep dies in
-/// milliseconds instead of producing a silently aliased artifact.
-///
-/// # Panics
-///
-/// If no shipped plan carries `label`, or its lint report has denies.
-pub fn checked_plan(label: &str) -> SimPlan {
-    let (_, plan) = remix_core::plans::shipped_plans()
-        .into_iter()
-        .find(|(l, _)| *l == label)
-        .unwrap_or_else(|| panic!("no shipped plan named {label:?}")); // audit: allow(AUD002): bench CLI entry: a misnamed shipped plan is a build bug
-    let report = lint_plan(&plan, &LintConfig::default());
-    if !report.is_clean() {
-        panic!("{label} plan fails simulation-plan lint:\n{report}"); // audit: allow(AUD002): bench CLI entry: shipped plans must pass their own lint gate
-    }
-    if report.warn_count() > 0 {
-        eprint!("{label} plan lint warnings:\n{report}");
-    }
-    plan
-}
-
 /// Pool options for the study binaries (`mc_iip2`, `corners`,
 /// `pnoise_mc`): honors `REMIX_EXEC_WORKERS` and
 /// `REMIX_EXEC_POOL_CHAOS` via [`remix_exec::PoolOptions::from_env`]
@@ -325,20 +300,6 @@ pub fn ascii_plot(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_shipped_plan_passes_the_gate() {
-        for label in ["fig8", "fig9", "fig10", "table1"] {
-            let plan = checked_plan(label);
-            assert!(!plan.name.is_empty());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "no shipped plan named")]
-    fn unknown_plan_label_panics() {
-        checked_plan("fig99");
-    }
 
     #[test]
     fn label_slugs_are_filesystem_safe() {

@@ -84,10 +84,18 @@ impl MixerEvaluator {
         band_edges_3db(&freqs, &gains)
     }
 
+    /// The coherent record Fig. 10 reads its two-tone products from: IF
+    /// tones at 5/6 MHz, every product bin coherent in a 32k record at
+    /// 0.5 MHz resolution.
+    pub fn two_tone_plan() -> TwoTonePlan {
+        TwoTonePlan::new(5e6, 6e6, 1 << 15, 0.5e6).expect("two-tone plan") // audit: allow(AUD001): constant paper plan parameters; validated by a unit test
+    }
+
     /// Fig. 10: swept two-tone measurement on the behavioral chain.
     ///
     /// Tones at `LO + 5 MHz` and `LO + 6 MHz` (products read at 4/5/6/7
-    /// MHz), LO at 2.4 GHz as in the paper. Returns the sweep and the
+    /// MHz) on the [`two_tone_plan`](Self::two_tone_plan) record, LO at
+    /// 2.4 GHz as in the paper. Returns the sweep and the
     /// extracted intercept.
     ///
     /// # Errors
@@ -101,7 +109,7 @@ impl MixerEvaluator {
     ) -> Result<(Ip3Sweep, Ip3Result), remix_rfkit::ip3::Ip3Error> {
         let m = self.model(mode);
         let f_lo = 2.4e9;
-        let plan = TwoTonePlan::new(5e6, 6e6, 1 << 15, 0.5e6).expect("two-tone plan"); // audit: allow(AUD001): constant paper plan parameters; validated by a unit test
+        let plan = Self::two_tone_plan();
         let fs = plan.fs();
         let n = plan.n();
         let mut sweep = Ip3Sweep::default();

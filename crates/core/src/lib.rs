@@ -48,7 +48,6 @@ pub mod eval;
 pub mod mixer;
 pub mod model;
 pub mod montecarlo;
-pub mod plans;
 pub mod quad;
 pub mod sensitivity;
 pub mod study;

@@ -118,14 +118,6 @@ impl CoherentPlan {
     pub fn tone_frequency(&self, idx: usize) -> f64 {
         bin_frequency(self.bins[idx], self.fs, self.n)
     }
-
-    /// Frequencies of every planned tone, in input order — the list a
-    /// simulation-plan lint checks against the record's bin grid.
-    pub fn tones(&self) -> Vec<f64> {
-        (0..self.bins.len())
-            .map(|i| self.tone_frequency(i))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -197,17 +189,6 @@ mod tests {
             assert!((plan.tone_frequency(i) - f).abs() < 1.0);
         }
         assert!((plan.duration - 4096.0 / plan.fs).abs() < 1e-18);
-    }
-
-    #[test]
-    fn tones_round_trips_the_requested_frequencies() {
-        let req = [5e6, 6e6, 4e6, 7e6];
-        let plan = CoherentPlan::new(&req, 1 << 12, 0.5e6).unwrap();
-        let tones = plan.tones();
-        assert_eq!(tones.len(), req.len());
-        for (t, f) in tones.iter().zip(req.iter()) {
-            assert!((t - f).abs() < 1.0);
-        }
     }
 
     #[test]

@@ -43,8 +43,8 @@ impl fmt::Display for Severity {
 ///
 /// The `ERCnnn_*` codes are part of the public interface: they appear in
 /// rendered diagnostics, JSON output, and [`LintConfig`] overrides, and
-/// existing codes are never renumbered. A retired code (`SIM003`,
-/// `SIM006`, `SIM007`, `SIM008`) is never reused.
+/// existing codes are never renumbered. A retired code (`SIM002`–`SIM008`)
+/// is never reused.
 ///
 /// [`LintConfig`]: crate::LintConfig
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,20 +105,11 @@ pub enum RuleId {
     /// `SIM001` — transient timestep at or beyond the Nyquist limit of
     /// the fastest declared stimulus (LO aliases into the record).
     TimestepVsLo,
-    /// `SIM002` — FFT readout tones off the coherent bin grid or beyond
-    /// Nyquist: two-tone products leak or fold onto wrong bins.
-    NoncoherentFft,
-    /// `SIM004` — noise analysis band fails to cover the declared IF /
-    /// flicker-corner targets.
-    NoiseBand,
-    /// `SIM005` — an RF sweep that does not cover the declared RF band
-    /// (band-edge numbers cannot be reproduced from the run).
-    SweepRange,
 }
 
 impl RuleId {
     /// Every rule, in code order (`ERC` first, then `SIM`).
-    pub const ALL: [RuleId; 20] = [
+    pub const ALL: [RuleId; 17] = [
         RuleId::DanglingNode,
         RuleId::NoDcPath,
         RuleId::VsourceLoop,
@@ -136,9 +127,6 @@ impl RuleId {
         RuleId::SubcktInstance,
         RuleId::ParamCycle,
         RuleId::TimestepVsLo,
-        RuleId::NoncoherentFft,
-        RuleId::NoiseBand,
-        RuleId::SweepRange,
     ];
 
     /// The stable textual code (`ERC001_DANGLING_NODE`, …).
@@ -161,9 +149,6 @@ impl RuleId {
             RuleId::SubcktInstance => "ERC015_SUBCKT_INSTANCE",
             RuleId::ParamCycle => "ERC016_PARAM_CYCLE",
             RuleId::TimestepVsLo => "SIM001_TIMESTEP_VS_LO",
-            RuleId::NoncoherentFft => "SIM002_NONCOHERENT_FFT",
-            RuleId::NoiseBand => "SIM004_NOISE_BAND",
-            RuleId::SweepRange => "SIM005_SWEEP_RANGE",
         }
     }
 
@@ -183,9 +168,7 @@ impl RuleId {
             RuleId::BulkNotRail
             | RuleId::DeadUnderMode
             | RuleId::IllScaled
-            | RuleId::ParamHygiene
-            | RuleId::NoiseBand
-            | RuleId::SweepRange => Severity::Warn,
+            | RuleId::ParamHygiene => Severity::Warn,
             _ => Severity::Deny,
         }
     }
@@ -210,9 +193,6 @@ impl RuleId {
             RuleId::SubcktInstance => "subckt instantiation dangling or with mismatched arity",
             RuleId::ParamCycle => "`.param` definitions form a dependency cycle",
             RuleId::TimestepVsLo => "transient timestep at/beyond the stimulus Nyquist limit",
-            RuleId::NoncoherentFft => "FFT tones off the coherent bin grid or beyond Nyquist",
-            RuleId::NoiseBand => "noise band misses the IF / flicker-corner targets",
-            RuleId::SweepRange => "sweep does not cover the declared RF band",
         }
     }
 }
@@ -400,7 +380,26 @@ mod tests {
             RuleId::StructuralSingular.code(),
             "ERC012_STRUCTURAL_SINGULAR"
         );
-        assert_eq!(RuleId::NoncoherentFft.code(), "SIM002_NONCOHERENT_FFT");
+        assert_eq!(RuleId::TimestepVsLo.code(), "SIM001_TIMESTEP_VS_LO");
+        // Retired codes are never reused: neither by full code nor by
+        // number prefix.
+        for retired in [
+            "SIM002_NONCOHERENT_FFT",
+            "SIM003_PSS_HARMONICS",
+            "SIM004_NOISE_BAND",
+            "SIM005_SWEEP_RANGE",
+            "SIM006_TRAN_DURATION",
+            "SIM007_UNCHECKPOINTED_RUN",
+            "SIM008_UNOBSERVED_LONG_RUN",
+        ] {
+            assert_eq!(RuleId::from_code(retired), None, "{retired} was reused");
+        }
+        for r in RuleId::ALL {
+            for n in 2..=8 {
+                let prefix = format!("SIM{n:03}");
+                assert!(!r.code().starts_with(&prefix), "{r} reuses {prefix}");
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! human judgement. Circuit fixes rewrite the in-memory netlist (a
 //! ground-tie resistor for a floating subnet, a gmin shunt for a
 //! structurally singular block, a rename for a duplicate instance);
-//! plan fixes carry the replacement values for a
-//! [`SimPlan`](crate::plan::SimPlan) (snap an FFT record coherent,
-//! refine a timestep, widen a band) and are reported, not applied.
+//! the one plan fix carries a refined timestep for a
+//! [`SimPlan`](crate::plan::SimPlan) and is reported, not applied.
 //!
 //! [`fix_circuit`] drives the loop clippy users know as
 //! `cargo clippy --fix`: lint, apply every attached fix once, re-lint,
@@ -29,7 +28,7 @@ const MAX_ROUNDS: usize = 8;
 /// One machine-applicable repair.
 ///
 /// Circuit-side fixes name nodes/elements by their string names (stable
-/// across the rewrite); plan-side fixes carry the replacement values.
+/// across the rewrite); the plan-side fix carries the replacement value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Fix {
     /// Tie `node` to ground through a resistor of `ohms` — gives a
@@ -61,28 +60,6 @@ pub enum Fix {
         /// New timestep (s).
         seconds: f64,
     },
-    /// Replace the FFT record with a coherent one: every readout tone an
-    /// integer number of bins, all below Nyquist.
-    SnapCoherent {
-        /// New record sample rate (Hz).
-        sample_rate: f64,
-        /// New record length (samples, power of two).
-        fft_len: usize,
-    },
-    /// Widen the noise analysis band.
-    WidenNoiseBand {
-        /// New band start (Hz).
-        min_hz: f64,
-        /// New band stop (Hz).
-        max_hz: f64,
-    },
-    /// Widen the frequency sweep.
-    WidenSweep {
-        /// New sweep start (Hz).
-        min_hz: f64,
-        /// New sweep stop (Hz).
-        max_hz: f64,
-    },
 }
 
 impl Fix {
@@ -100,19 +77,6 @@ impl Fix {
                 format!("rename the later elements sharing the name '{name}'")
             }
             Fix::SetTimestep { seconds } => format!("set the timestep to {seconds:.3e} s"),
-            Fix::SnapCoherent {
-                sample_rate,
-                fft_len,
-            } => format!(
-                "snap the FFT record to fs = {sample_rate:.6e} Hz, N = {fft_len} \
-                 (coherent bins)"
-            ),
-            Fix::WidenNoiseBand { min_hz, max_hz } => {
-                format!("widen the noise band to {min_hz:.3e}–{max_hz:.3e} Hz")
-            }
-            Fix::WidenSweep { min_hz, max_hz } => {
-                format!("widen the sweep to {min_hz:.3e}–{max_hz:.3e} Hz")
-            }
         }
     }
 
@@ -142,23 +106,6 @@ impl Fix {
                     num(*seconds)
                 )
             }
-            Fix::SnapCoherent {
-                sample_rate,
-                fft_len,
-            } => format!(
-                "{{\"action\":\"snap_coherent\",\"sample_rate\":{},\"fft_len\":{fft_len}}}",
-                num(*sample_rate)
-            ),
-            Fix::WidenNoiseBand { min_hz, max_hz } => format!(
-                "{{\"action\":\"widen_noise_band\",\"min_hz\":{},\"max_hz\":{}}}",
-                num(*min_hz),
-                num(*max_hz)
-            ),
-            Fix::WidenSweep { min_hz, max_hz } => format!(
-                "{{\"action\":\"widen_sweep\",\"min_hz\":{},\"max_hz\":{}}}",
-                num(*min_hz),
-                num(*max_hz)
-            ),
         }
     }
 
@@ -391,28 +338,14 @@ mod tests {
             j,
             "{\"action\":\"ground_tie\",\"node\":\"mid\",\"ohms\":1e9}"
         );
-        let j = Fix::SnapCoherent {
-            sample_rate: 1.6384e10,
-            fft_len: 32768,
-        }
-        .to_json();
-        assert!(j.contains("\"action\":\"snap_coherent\""));
-        assert!(j.contains("\"fft_len\":32768"));
+        let j = Fix::SetTimestep { seconds: 1e-12 }.to_json();
+        assert_eq!(j, "{\"action\":\"set_timestep\",\"seconds\":1e-12}");
         for f in [
             Fix::GminShunt {
                 node: "x".into(),
                 ohms: 1e12,
             },
             Fix::RenameDuplicates { name: "r1".into() },
-            Fix::SetTimestep { seconds: 1e-12 },
-            Fix::WidenNoiseBand {
-                min_hz: 1e3,
-                max_hz: 1e7,
-            },
-            Fix::WidenSweep {
-                min_hz: 5e8,
-                max_hz: 5.5e9,
-            },
         ] {
             let j = f.to_json();
             assert!(j.starts_with("{\"action\":\""), "{j}");

@@ -39,9 +39,8 @@
 //! Beyond the shape-based heuristics, the [`rank`](crate::diag::RuleId::StructuralSingular)
 //! pass proves structural MNA singularity exactly (`ERC012`) via maximum
 //! matching on the incidence bipartite graph, the [`plan`] module lints
-//! *simulation plans* (`SIM001`–`SIM005`: aliasing timesteps,
-//! non-coherent FFT readouts, mis-scoped noise bands and sweeps), and
-//! the [`fix`] module applies machine-applicable repairs to a fixpoint
+//! *simulation plans* (`SIM001`: a timestep that aliases the fastest
+//! stimulus into the record), and the [`fix`] module applies machine-applicable repairs to a fixpoint
 //! — the engine behind `remix-bench lint --fix`.
 //!
 //! The rule catalog lives in [`RuleId`]; `DESIGN.md` at the repository
@@ -62,7 +61,7 @@ pub mod spice;
 pub use config::LintConfig;
 pub use diag::{Diagnostic, LintReport, RuleId, Severity, SCHEMA_VERSION};
 pub use fix::{fix_circuit, Fix, FixOutcome};
-pub use plan::{lint_plan, PlanTargets, SimPlan};
+pub use plan::{lint_plan, SimPlan};
 pub use spice::{import_spice, lint_deck, ImportError};
 
 use remix_circuit::Circuit;

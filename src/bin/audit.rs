@@ -11,7 +11,7 @@
 //! The default root is the workspace this binary was built from
 //! (`CARGO_MANIFEST_DIR`), so the gate works from any cwd.
 
-use remix_audit::{audit_sources, audit_workspace, AuditConfig};
+use remix_audit::{audit_sources, audit_workspace};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -44,10 +44,9 @@ fn main() -> ExitCode {
         }
     }
 
-    let config = AuditConfig::new();
     let report = if files.is_empty() {
         let root = root.unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).to_path_buf());
-        match audit_workspace(&root, &config) {
+        match audit_workspace(&root) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("audit: failed to walk {}: {e}", root.display());
@@ -65,10 +64,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        audit_sources(
-            sources.iter().map(|(p, t)| (p.as_str(), t.as_str())),
-            &config,
-        )
+        audit_sources(sources.iter().map(|(p, t)| (p.as_str(), t.as_str())))
     };
 
     if json {

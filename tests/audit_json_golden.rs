@@ -7,7 +7,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panicking on setup failure is the point
 
-use remix::audit::{audit_sources, AuditConfig, AUDIT_SCHEMA_VERSION};
+use remix::audit::{audit_sources, AUDIT_SCHEMA_VERSION};
 
 const GOLDEN: &str = include_str!("golden/audit_report.json");
 
@@ -21,13 +21,10 @@ const BAD_ATOMIC: &str = "use std::sync::atomic::{AtomicU64, Ordering};\n\
 
 #[test]
 fn json_report_matches_the_golden_file() {
-    let report = audit_sources(
-        vec![
-            ("crates/demo/src/lib.rs", BAD_LIB),
-            ("crates/demo/src/atomic.rs", BAD_ATOMIC),
-        ],
-        &AuditConfig::new(),
-    );
+    let report = audit_sources(vec![
+        ("crates/demo/src/lib.rs", BAD_LIB),
+        ("crates/demo/src/atomic.rs", BAD_ATOMIC),
+    ]);
     let actual = report.render_json();
     assert_eq!(
         actual.trim(),

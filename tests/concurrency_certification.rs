@@ -19,11 +19,11 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code: panicking on setup failure is the point
 
 use remix::analysis::{AcResult, OperatingPoint};
-use remix::audit::{AuditConfig, AuditReport, Finding};
+use remix::audit::{AuditReport, Finding};
 use remix::circuit::{Circuit, Element, MnaLayout, MosModel, Waveform};
 use remix::core::montecarlo::SampleOutcome;
 use remix::core::{ExtractedParams, MixerConfig, MixerEvaluator, MixerMode, MixerModel};
-use remix::lint::{LintConfig, LintReport, PlanTargets, SimPlan};
+use remix::lint::{LintConfig, LintReport, SimPlan};
 use remix::telemetry::{
     BenchRecord, Counter, Gauge, Histogram, JsonLinesSink, MemorySink, MetricsRegistry,
     MetricsSnapshot, NoopSink, Telemetry,
@@ -53,7 +53,6 @@ fn shared_read_only_types_are_send_and_sync() {
 
     // Plans and their lint layer: one plan, audited then fanned out.
     assert_send_sync::<SimPlan>();
-    assert_send_sync::<PlanTargets>();
     assert_send_sync::<LintConfig>();
     assert_send_sync::<LintReport>();
 
@@ -68,7 +67,6 @@ fn shared_read_only_types_are_send_and_sync() {
     assert_send_sync::<Histogram>();
 
     // The audit engine itself (CI may shard it across threads).
-    assert_send_sync::<AuditConfig>();
     assert_send_sync::<AuditReport>();
     assert_send_sync::<Finding>();
 }

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use remix::analysis::{dc_operating_point, AnalysisError, OpOptions};
 use remix::circuit::{Circuit, MosModel, Waveform};
-use remix::lint::{fix_circuit, lint, lint_plan, LintConfig, RuleId};
+use remix::lint::{fix_circuit, lint, LintConfig, RuleId};
 
 /// Deterministically builds a random R/C/V netlist from drawn integers.
 /// Nodes are drawn from a small pool so sharing (and the occasional
@@ -232,24 +232,4 @@ proptest! {
         prop_assert!(outcome.is_clean(), "{}", outcome.report);
         prop_assert!(dc_operating_point(&c, &OpOptions::default()).is_ok());
     }
-}
-
-#[test]
-fn shipped_plans_lint_clean_but_an_aliased_variant_does_not() {
-    for (label, plan) in remix::core::plans::shipped_plans() {
-        let report = lint_plan(&plan, &LintConfig::default());
-        assert!(report.is_empty(), "{label} plan:\n{report}");
-    }
-    // Break the fig10 record: an 8 MHz rate puts the 6 MHz tone (and
-    // both IM3 products) beyond Nyquist.
-    let mut aliased = remix::core::plans::fig10_plan();
-    aliased.sample_rate = Some(8e6);
-    aliased.fft_len = Some(1 << 10);
-    aliased.timestep = None;
-    let report = lint_plan(&aliased, &LintConfig::default());
-    assert!(
-        !report.by_rule(RuleId::NoncoherentFft).is_empty(),
-        "aliased plan slipped through:\n{report}"
-    );
-    assert!(!report.is_clean());
 }
